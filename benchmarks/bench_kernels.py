@@ -1,17 +1,16 @@
-"""Compare the compiled and pure-Python fixed-point kernels.
+"""Compare the numpy batch kernel with the pure-Python kernel loops.
 
-Run: python3 benchmarks/bench_kernels.py
+Times the batch kernels alone; ``perfbench/run.py`` measures the commands
+end to end.
+
+Run: PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 import time
 
+from circlelog import _kernels
 from circlelog import _kernels_py as py_backend
-from circlelog.cryptanalysis import derive_uniform
-
-try:
-    from circlelog import _fastkernels as fast_backend
-except ImportError:
-    fast_backend = None
+from circlelog.cryptanalysis import _draw_block
 
 
 def bench(fn, repeat=3):
@@ -25,9 +24,7 @@ def bench(fn, repeat=3):
 
 
 def main():
-    backends = [("python", py_backend)]
-    if fast_backend is not None:
-        backends.append(("cython", fast_backend))
+    backends = [("python", py_backend), ("numpy", _kernels)]
 
     print("== exhaustive round-trip, sum over n <= 2048 ==")
     for name, backend in backends:
@@ -40,14 +37,14 @@ def main():
         print(f"  {name:7s} {t:8.3f} s  ({total} recoveries)")
 
     n, p, trials = 1 << 20, 22, 100_000
-    ks = [derive_uniform(1, (p, 1, t, 0), n) for t in range(trials)]
+    ks = _draw_block(1, p, n, trials, 1)
     print(f"== direct attack sweep, n=2^20 p=22, {trials} trials ==")
     for name, backend in backends:
         t, successes = bench(lambda b=backend: b.sweep_success_count(n, p, 1, 5, ks))
         print(f"  {name:7s} {t:8.3f} s  ({successes}/{trials} successes)")
 
     m, trials = 16, 20_000
-    ks = [derive_uniform(1, (12, m, t, j), 1000) for t in range(trials) for j in range(m)]
+    ks = _draw_block(1, 12, 1000, trials, m)
     print(f"== accumulation chains, n=1000 p=12 m={m}, {trials} trials ==")
     for name, backend in backends:
         t, successes = bench(

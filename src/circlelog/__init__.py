@@ -2,9 +2,8 @@
 
 Exact cyclic-group arithmetic, fixed-point angles, the multi-valued
 continuous logarithm, DH/ElGamal/signature protocols, attack experiments,
-and a desk-scale operator model. ``KERNEL_BACKEND`` reports whether the
-compiled fixed-point kernels are in use ("cython") or the pure-Python
-fallback ("python").
+and a desk-scale operator model. ``KERNEL_BACKEND`` names the batch kernel
+path ("numpy"); parameters beyond its int64 domain take exact Python ints.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND
@@ -27,6 +26,7 @@ from .errors import (
     ParamsMismatch,
     ParseError,
     ProtocolError,
+    UsageError,
 )
 from .group import (
     ExactElement,

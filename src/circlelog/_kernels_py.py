@@ -2,11 +2,12 @@
 
 These are the hot inner loops of the package: converting exact exponents to
 fixed-point angles, recovering exponents from angles, and batched round-trip
-trials. All arithmetic is exact integer arithmetic (Python big ints), so this
-backend is correct for any (n, p); the Cython backend in ``_fastkernels`` is a
-drop-in replacement restricted to the int64-safe range.
+trials. All arithmetic is exact integer arithmetic (Python big ints), so these
+loops are correct for any (n, p). ``_kernels`` serves the scalar functions
+from here, sends batches inside the int64-safe range to its numpy kernel and
+the rest here; tests hold the numpy kernel to these loops.
 
-Conventions shared by both backends:
+Conventions shared by both:
 
 - angles are integers t in [0, 2^p), meaning theta = 2*pi*t/2^p;
 - rounding is round-half-to-even everywhere;
@@ -15,8 +16,6 @@ Conventions shared by both backends:
   nearest integer is <= 1/2 - delta;
 - recovery returns the exponent in [0, n), or -1 for an ambiguous angle.
 """
-
-BACKEND_NAME = "python"
 
 
 def to_numeric_t(k: int, n: int, p: int) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cryptanalysis, keyfile, spectral, wire
 from .contlog import DEFAULT_TOLERANCE
-from .errors import CircleLogError, ParseError
+from .errors import CircleLogError, ParseError, UsageError
 from .group import complex_value, element, make_params, to_numeric
 from .protocols import (
     Ciphertext,
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, usage_error=p.error)
         return p
 
     p = add("keygen", cmd_keygen, help="generate a key pair")
@@ -319,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        args.usage_error(str(exc))  # exits 2, like a malformed flag
     except CircleLogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

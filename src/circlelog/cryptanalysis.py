@@ -16,13 +16,14 @@ bit-identical no matter how trials are ordered or parallelized.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from . import _kernels
 from .contlog import DEFAULT_TOLERANCE
-from .errors import OrderTooLarge
+from .errors import InvalidOrder, OrderTooLarge, UsageError
 from .group import ExactElement, GroupParams, NumericElement
 
 EXHAUSTIVE_ORDER_GUARD = 1 << 24
@@ -56,7 +57,16 @@ class SweepRow:
 
 
 def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
-    """Deterministic uniform draw in [0, n) keyed by the index path."""
+    """Deterministic uniform draw in [0, n) keyed by the index path.
+
+    The contract is the byte string: the draw is v mod n for the first
+    counter = 0, 1, ... at which v, the SHA-256 digest of the ASCII path
+    "seed/i1/.../ik/counter" read big-endian, falls below the largest multiple
+    of n at or under 2^256. SHA-256 is a streaming hash, so hashing a prefix of
+    the path once and feeding the rest to copies of that state gives the same
+    digest: ``_draw_block`` relies on this to draw whole blocks without
+    rebuilding and rehashing each path.
+    """
     limit = (1 << 256) - (1 << 256) % n
     counter = 0
     path = "/".join(str(i) for i in (seed, *indices))
@@ -68,10 +78,52 @@ def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
         counter += 1
 
 
-def _delta_parts(delta: Fraction) -> tuple[int, int]:
+def _draw_block(seed: int, head: int, n: int, trials: int, m: int):
+    """``derive_uniform(seed, (head, m, t, j), n)`` for every trial t and element j.
+
+    Flat in (t, j) order. "seed/head/m/" is hashed once per block and "t/"
+    once per trial; each draw then hashes only "j/0" into a copy of the trial
+    state. A digest rejected at counter 0 is redrawn by ``derive_uniform``.
+    Returns an int64 array, or a list when n > 2^63 lets a draw exceed int64.
+    """
+    limit = (1 << 256) - (1 << 256) % n
+    out = array("q") if n <= 1 << 63 else []
+    append, from_bytes = out.append, int.from_bytes
+    block = hashlib.sha256(f"{seed}/{head}/{m}/".encode("ascii"))
+    tails = [b"%d/0" % j for j in range(m)]
+    for t in range(trials):
+        trial = block.copy()
+        trial.update(b"%d/" % t)
+        copy = trial.copy
+        for j, tail in enumerate(tails):
+            h = copy()
+            h.update(tail)
+            v = from_bytes(h.digest(), "big")
+            append(v % n if v < limit else derive_uniform(seed, (head, m, t, j), n))
+    return out
+
+
+def _experiment_inputs(
+    n: int, p_values: Sequence[int], trials: int, delta: Fraction
+) -> tuple[int, int]:
+    """Check an experiment's inputs before any draw or kernel sees them.
+
+    A request of impossible shape (fewer than one trial, an empty precision
+    range, a tolerance outside [0, 1/2)) raises ``UsageError``; an order or
+    precision no group has raises ``InvalidOrder``. Returns delta as
+    (numerator, denominator).
+    """
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
+    if not p_values:
+        raise UsageError("precision range is empty (p-min > p-max?)")
     d = Fraction(delta)
     if not 0 <= d < Fraction(1, 2):
-        raise ValueError(f"delta must lie in [0, 1/2), got {d}")
+        raise UsageError(f"delta must lie in [0, 1/2), got {d}")
+    if n < 1:
+        raise InvalidOrder(f"group order must be >= 1, got {n}")
+    if min(p_values) < 1:
+        raise InvalidOrder(f"angular precision must be >= 1 bit, got {min(p_values)}")
     return d.numerator, d.denominator
 
 
@@ -98,7 +150,7 @@ def attack_direct(
             notes="exact representation leaks the exponent outright; read k directly",
             recovered=public.k,
         )
-    dnum, dden = _delta_parts(delta)
+    dnum, dden = _experiment_inputs(params.n, (params.p,), 1, delta)
     k = _kernels.recover_t(public.t, params.n, params.p, dnum, dden)
     if true_exponent is not None:
         success = k == true_exponent % params.n
@@ -124,9 +176,9 @@ def direct_attack_report(
     Each trial draws a random k, publishes its rounded angle, runs one
     recovery, and counts success iff the original k comes back.
     """
-    dnum, dden = _delta_parts(delta)
     n, p = params.n, params.p
-    ks = [derive_uniform(seed, (p, 1, t, 0), n) for t in range(trials)]
+    dnum, dden = _experiment_inputs(n, (p,), trials, delta)
+    ks = _draw_block(seed, p, n, trials, 1)
     successes = _kernels.sweep_success_count(n, p, dnum, dden, ks)
     notes = (
         "claim under test: inverting the angle map (the continuous logarithm) "
@@ -171,12 +223,10 @@ def precision_sweep(
     seed: int = 0,
 ) -> list[SweepRow]:
     """Round-trip success rate vs angular precision, one row per p."""
-    if not p_range:
-        raise ValueError("p_range must be nonempty")
-    dnum, dden = _delta_parts(delta)
+    dnum, dden = _experiment_inputs(n, p_range, trials_per_p, delta)
     rows = []
     for p in sorted(p_range):
-        ks = [derive_uniform(seed, (p, 1, t, 0), n) for t in range(trials_per_p)]
+        ks = _draw_block(seed, p, n, trials_per_p, 1)
         successes = _kernels.chain_success_count(n, p, dnum, dden, ks, 1, trials_per_p)
         rows.append(SweepRow(variable=p, successes=successes, trials=trials_per_p))
     return rows
@@ -198,14 +248,10 @@ def accumulation_experiment(
     errors add up, so failures set in once the accumulated error approaches
     half the root spacing, around m ~ 2^p/n (zero error if n divides 2^p).
     """
-    dnum, dden = _delta_parts(delta)
+    dnum, dden = _experiment_inputs(n, (p,), trials, delta)
     rows = []
     for m in chain_lengths:
-        ks = [
-            derive_uniform(seed, (p, m, t, j), n)
-            for t in range(trials)
-            for j in range(m)
-        ]
+        ks = _draw_block(seed, p, n, trials, m)
         successes = _kernels.chain_success_count(n, p, dnum, dden, ks, m, trials)
         rows.append(SweepRow(variable=m, successes=successes, trials=trials))
     return rows

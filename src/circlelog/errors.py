@@ -5,6 +5,10 @@ class CircleLogError(Exception):
     """Base class for all domain errors raised by circlelog."""
 
 
+class UsageError(CircleLogError, ValueError):
+    """Request of impossible shape, such as no trials or an empty range (CLI exit 2)."""
+
+
 class InvalidOrder(CircleLogError):
     """Group order is out of range for the requested operation."""
 

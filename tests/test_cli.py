@@ -1,5 +1,6 @@
 """End-to-end CLI behavior."""
 
+import hashlib
 import threading
 from random import Random
 
@@ -118,6 +119,48 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--n", "256"])  # missing --p-min/--p-max
     assert exc.value.code == 2
+
+
+# SHA-256 of stdout at --trials 500 --seed 1; recorded before the draw and
+# kernel rewrite, so any change to a seeded result shows here
+@pytest.mark.parametrize("argv, digest", [
+    (["attack", "--n", "1048576", "--g", "1", "--p", "22"],
+     "cad078f0697fdd823cc3bd304ed627d34f182a3ac9318a5b0ab49666dcc7b2aa"),
+    (["sweep", "--n", "256", "--p-min", "2", "--p-max", "12"],
+     "a57ff7ac9d2f983005ae294045fbd6bb4f6d585d1a2e2d075f9eb9caec7ad190"),
+    (["accumulate", "--n", "1000", "--p", "12", "--m-max", "16"],
+     "93a2a88669174b7d0604d3cb4eaea3753c54c374b246936b10d298137ba51e92"),
+])
+def test_seeded_experiment_stdout_is_pinned(capsys, argv, digest):
+    assert main([*argv, "--trials", "500", "--seed", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--p-min", "9", "--p-max", "3"],
+    ["sweep", "--p-min", "2", "--p-max", "4", "--trials", "0"],
+    ["sweep", "--p-min", "2", "--p-max", "4", "--delta", "1/2"],
+    ["accumulate", "--trials", "-1"],
+    ["attack", "--trials", "0"],
+])
+def test_bad_experiment_shape_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["accumulate", "--n", "0"],
+    ["accumulate", "--p", "-1"],
+    ["sweep", "--n", "-5", "--p-min", "2", "--p-max", "4"],
+    ["attack", "--n", "0"],
+])
+def test_bad_order_or_precision_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_dh_cli_loopback(capsys):

@@ -1,14 +1,24 @@
 """Attack experiments: direct inversion, exhaustive baseline, sweeps."""
 
 import io
+from array import array
 from fractions import Fraction
 
 import pytest
 
-from circlelog import OrderTooLarge, element, make_params, to_numeric
+from circlelog import (
+    InvalidOrder,
+    OrderTooLarge,
+    UsageError,
+    cryptanalysis,
+    element,
+    make_params,
+    to_numeric,
+)
 from circlelog.cryptanalysis import (
     CSV_HEADER,
     SweepRow,
+    _draw_block,
     accumulation_experiment,
     attack_direct,
     attack_exhaustive,
@@ -165,3 +175,59 @@ class TestReporting:
         vs = [derive_uniform(7, (3, 1, t, 0), 1000) for t in range(200)]
         assert all(0 <= v < 1000 for v in vs)
         assert vs == [derive_uniform(7, (3, 1, t, 0), 1000) for t in range(200)]
+
+
+class TestDrawBlock:
+    @pytest.mark.parametrize("seed, head, n, trials, m", [
+        (1, 12, 1000, 60, 16),
+        (7, 3, 1, 5, 2),
+        (-4, 22, 1 << 20, 300, 1),
+        (0, 9, 2**61 - 1, 40, 3),
+        (3, 30, 1 << 63, 25, 2),  # largest n whose draws all fit int64
+        (5, 250, 2**255 + 1, 60, 3),  # ~half of first digests rejected
+        (2, 70, 2**64 + 13, 20, 4),  # draws beyond int64: list
+        (9, 4, 17, 0, 5),
+        (9, 4, 17, 6, 0),
+    ])
+    def test_matches_derive_uniform(self, monkeypatch, seed, head, n, trials, m):
+        expected = [
+            derive_uniform(seed, (head, m, t, j), n) for t in range(trials) for j in range(m)
+        ]
+        redraws = []
+
+        def counting(*args):
+            redraws.append(args)
+            return derive_uniform(*args)
+
+        monkeypatch.setattr(cryptanalysis, "derive_uniform", counting)
+        draws = _draw_block(seed, head, n, trials, m)
+        assert list(draws) == expected
+        assert isinstance(draws, array if n <= 1 << 63 else list)
+        # only digests rejected at counter 0 go back to derive_uniform
+        if n == 2**255 + 1:
+            assert len(redraws) > len(expected) // 4
+        else:
+            assert redraws == []
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("call", [
+        lambda: precision_sweep(256, [4], 0),
+        lambda: precision_sweep(256, [4], 10, delta=Fraction(1, 2)),
+        lambda: accumulation_experiment(1000, 12, [1], -1),
+        lambda: accumulation_experiment(1000, 12, [1], 10, delta=Fraction(-1, 5)),
+        lambda: direct_attack_report(make_params(16, 1, 6), 0),
+    ])
+    def test_request_shape_is_usage_error(self, call):
+        with pytest.raises(UsageError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: accumulation_experiment(0, 12, [1], 10),
+        lambda: accumulation_experiment(1000, -1, [1], 10),
+        lambda: precision_sweep(-5, [2, 3], 10),
+        lambda: precision_sweep(256, [0, 1], 10),
+    ])
+    def test_order_and_precision_are_domain_errors(self, call):
+        with pytest.raises(InvalidOrder):
+            call()
