@@ -1,31 +1,93 @@
-"""Fixed-point kernels: one numpy batch kernel, exact Python ints elsewhere.
+"""Fixed-point kernels: the one home of the angle rules.
 
-The batch entry points (``roundtrip_all``, ``sweep_success_count``,
-``chain_success_count``) all count round-trip successes over a
-``(trials, m)`` block of exponents. Inside the int64-safe domain
-(1 <= n <= 2^24, p <= 30, dden <= 2^16, 0 <= dnum < dden) every intermediate
-stays below 2^55, so one vectorised numpy kernel computes them. Outside it,
-for instance at the protocol default n = 2^61 - 1, p = 128, they go to the
-exact big-int loops of ``_kernels_py``, which tests also use as the oracle
-for the numpy kernel. The scalar ``to_numeric_t``/``recover_t`` are the
-``_kernels_py`` functions themselves: per call, Python ints beat numpy
-scalars.
+Conventions:
 
-Conventions (angles, rounding, tolerance) are documented in ``_kernels_py``.
+- angles are integers t in [0, 2^p), meaning theta = 2*pi*t/2^p;
+- rounding is round-half-to-even everywhere;
+- the recovery tolerance delta is an exact rational dnum/dden with
+  0 <= dnum/dden < 1/2 (``tolerance`` checks and splits it); recovery
+  succeeds iff the distance from t*n/2^p to the nearest integer is
+  <= 1/2 - delta;
+- recovery returns the exponent in [0, n), or -1 for an ambiguous angle.
+
+The scalar ``to_numeric_t``/``recover_t`` use exact Python ints: per call
+they beat numpy scalars. The batch entry points (``roundtrip_all``,
+``sweep_success_count``, ``chain_success_count``) all count round-trip
+successes over a ``(trials, m)`` block of exponents. Inside the int64-safe
+domain (1 <= n <= 2^24, p <= 30, dden <= 2^16, 0 <= dnum < dden) every
+intermediate stays below 2^55, so one vectorised numpy kernel computes them.
+Outside it, for instance at the protocol default n = 2^61 - 1, p = 128, they
+take the exact loop ``_exact_chain_successes``, which tests also use as the
+oracle for the numpy kernel.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels_py as _py
+from .errors import UsageError
 
 BACKEND = "numpy"
-
-to_numeric_t = _py.to_numeric_t
-recover_t = _py.recover_t
 
 _N_MAX = 1 << 24
 _P_MAX = 30
 _DDEN_MAX = 1 << 16
+
+
+def tolerance(delta) -> tuple[int, int]:
+    """The recovery tolerance delta as (dnum, dden); ``UsageError`` unless 0 <= delta < 1/2."""
+    d = Fraction(delta)
+    dnum, dden = d.numerator, d.denominator
+    if not 0 <= 2 * dnum < dden:
+        raise UsageError(f"delta must lie in [0, 1/2), got {d}")
+    return dnum, dden
+
+
+def to_numeric_t(k: int, n: int, p: int) -> int:
+    """Fixed-point angle of the n-th root with exponent k: round(2^p * k / n)."""
+    q, r = divmod((k % n) << p, n)
+    r2 = r * 2
+    if r2 > n or (r2 == n and q & 1):
+        q += 1
+    return q & ((1 << p) - 1)
+
+
+def recover_t(t: int, n: int, p: int, dnum: int, dden: int) -> int:
+    """Invert ``to_numeric_t``: nearest integer to t*n/2^p, reduced mod n.
+
+    Returns -1 when the fractional distance exceeds 1/2 - dnum/dden.
+    """
+    half_turns = 1 << p
+    q, r = divmod(t * n, half_turns)
+    r2 = r * 2
+    if r2 > half_turns or (r2 == half_turns and q & 1):
+        k = q + 1
+        dist_num = half_turns - r
+    else:
+        k = q
+        dist_num = r
+    # dist_num/2^p <= 1/2 - dnum/dden  <=>  2*dden*dist_num <= 2^p*(dden - 2*dnum)
+    if 2 * dden * dist_num > half_turns * (dden - 2 * dnum):
+        return -1
+    return k % n
+
+
+def _exact_chain_successes(n, p, dnum, dden, ks_flat, m, trials) -> int:
+    """Exact Python-int loop over ``trials`` chains of ``m`` exponents, any (n, p)."""
+    mask = (1 << p) - 1
+    successes = 0
+    idx = 0
+    for _ in range(trials):
+        k_sum = 0
+        t_sum = 0
+        for _ in range(m):
+            k = ks_flat[idx]
+            idx += 1
+            k_sum += k
+            t_sum += to_numeric_t(k, n, p)
+        if recover_t(t_sum & mask, n, p, dnum, dden) == k_sum % n:
+            successes += 1
+    return successes
 
 
 def _chain_successes(n: int, p: int, dnum: int, dden: int, ks: np.ndarray) -> int:
@@ -71,14 +133,17 @@ def _batch(n: int, p: int, dnum: int, dden: int, ks_flat, m: int, trials: int) -
             pass
         else:
             return _chain_successes(n, p, dnum, dden, ks.reshape(trials, m))
-    return _py.chain_success_count(n, p, dnum, dden, ks_flat, m, trials)
+    return _exact_chain_successes(n, p, dnum, dden, ks_flat, m, trials)
 
 
 def chain_success_count(n, p, dnum, dden, ks_flat, m, trials) -> int:
     """Trials whose m-fold numeric product recovers the exact one.
 
     ``ks_flat`` holds ``trials`` chains of ``m`` exponents each, chain by
-    chain; ``_kernels_py.chain_success_count`` states the contract.
+    chain. For every chain the product is computed exactly (sum of exponents
+    mod n) and numerically (sum of rounded angles mod 2^p); the trial
+    succeeds iff the exponent recovered from the numeric product equals the
+    exact one.
     """
     return _batch(n, p, dnum, dden, ks_flat, m, trials)
 

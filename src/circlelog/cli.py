@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -61,17 +61,18 @@ def _rng(args) -> Random:
     return Random(args.seed) if args.seed is not None else Random()
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8", newline="\n")
-    return sys.stdout
+@contextmanager
+def _output(args):
+    """Stdout, or the UTF-8, LF file named by ``--out``.
 
-
-def _write_out(args, text: str) -> None:
+    Callers compute their output first, so a failing command leaves no
+    partial file behind.
+    """
     if getattr(args, "out", None):
-        Path(args.out).write_bytes(text.encode("utf-8"))
+        with open(args.out, "w", encoding="utf-8", newline="\n") as stream:
+            yield stream
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def _load_private(path: str) -> KeyPair:
@@ -82,15 +83,10 @@ def _load_private(path: str) -> KeyPair:
 
 
 def _parse_two_line(path: str, magic: str, f1: str, f2: str) -> tuple[int, int]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = keyfile.read_text(path).splitlines()
     if len(lines) != 3 or lines[0] != magic:
         raise ParseError(f"{path}: expected {magic!r} with fields {f1}, {f2}")
-    values = []
-    for line, name in zip(lines[1:], (f1, f2)):
-        if not line.startswith(f"{name}: "):
-            raise ParseError(f"{path}: expected '{name}: <decimal>', got {line!r}")
-        values.append(int(line.split(": ", 1)[1], 10))
-    return values[0], values[1]
+    return keyfile._field(lines, 1, f1), keyfile._field(lines, 2, f2)
 
 
 def cmd_keygen(args) -> int:
@@ -106,7 +102,8 @@ def cmd_encrypt(args) -> int:
     pk = keyfile.load_key(args.pub)
     m = encode_message(args.message.encode("utf-8"), pk.params)
     ct = elgamal_encrypt(pk, m, _rng(args))
-    _write_out(args, f"{CT_MAGIC}\nc1: {ct.c1.k}\nc2: {ct.c2.k}\n")
+    with _output(args) as out:
+        out.write(f"{CT_MAGIC}\nc1: {ct.c1.k}\nc2: {ct.c2.k}\n")
     return 0
 
 
@@ -114,14 +111,20 @@ def cmd_decrypt(args) -> int:
     sk = _load_private(args.key)
     c1, c2 = _parse_two_line(args.ct, CT_MAGIC, "c1", "c2")
     ct = Ciphertext(element(sk.params, c1), element(sk.params, c2))
-    _write_out(args, decode_message(elgamal_decrypt(sk, ct)).decode("utf-8") + "\n")
+    try:
+        text = decode_message(elgamal_decrypt(sk, ct)).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError("decrypted message is not UTF-8 text (wrong key?)") from None
+    with _output(args) as out:
+        out.write(text + "\n")
     return 0
 
 
 def cmd_sign(args) -> int:
     sk = _load_private(args.key)
     sig = sign(sk, args.message.encode("utf-8"), _rng(args))
-    _write_out(args, f"{SIG_MAGIC}\nR: {sig.R}\ns: {sig.s}\n")
+    with _output(args) as out:
+        out.write(f"{SIG_MAGIC}\nR: {sig.R}\ns: {sig.s}\n")
     return 0
 
 
@@ -155,7 +158,8 @@ def cmd_attack(args) -> int:
     params = make_params(args.n, args.g, args.p)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     report = cryptanalysis.direct_attack_report(params, args.trials, args.delta, seed)
-    _write_out(args, cryptanalysis.format_report(report))
+    with _output(args) as out:
+        out.write(cryptanalysis.format_report(report))
     return 0
 
 
@@ -164,12 +168,8 @@ def cmd_sweep(args) -> int:
     rows = cryptanalysis.precision_sweep(
         args.n, range(args.p_min, args.p_max + 1), args.trials, args.delta, seed
     )
-    stream = _out_stream(args)
-    try:
-        cryptanalysis.write_csv(rows, stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    with _output(args) as out:
+        cryptanalysis.write_csv(rows, out)
     return 0
 
 
@@ -178,12 +178,8 @@ def cmd_accumulate(args) -> int:
     rows = cryptanalysis.accumulation_experiment(
         args.n, args.p, range(1, args.m_max + 1), args.trials, args.delta, seed
     )
-    stream = _out_stream(args)
-    try:
-        cryptanalysis.write_csv(rows, stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    with _output(args) as out:
+        cryptanalysis.write_csv(rows, out)
     return 0
 
 
@@ -195,12 +191,9 @@ def cmd_spectral_check(args) -> int:
             "dft": spectral.dft_matrix,
             "log": spectral.log_operator,
         }
-        stream = _out_stream(args)
-        try:
-            spectral.dump_operator(builders[args.dump](n), stream)
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
+        operator = builders[args.dump](n)
+        with _output(args) as out:
+            spectral.dump_operator(operator, out)
         return 0
 
     ok = True

@@ -55,16 +55,15 @@ def recover_exponent(q: NumericElement, tolerance: Fraction = DEFAULT_TOLERANCE)
     """Invert the exponent map: nearest k to q.t * n / 2^p, reduced mod n.
 
     Succeeds iff the distance to the nearest integer is <= 1/2 - tolerance;
-    the comparison is exact rational arithmetic, never floating division.
+    the comparison is exact rational arithmetic, never floating division. A
+    tolerance outside [0, 1/2) raises ``UsageError``.
     """
-    delta = Fraction(tolerance)
-    if not 0 <= delta < Fraction(1, 2):
-        raise ValueError(f"tolerance must lie in [0, 1/2), got {delta}")
+    dnum, dden = _kernels.tolerance(tolerance)
     n, p = q.params.n, q.params.p
-    k = _kernels.recover_t(q.t, n, p, delta.numerator, delta.denominator)
+    k = _kernels.recover_t(q.t, n, p, dnum, dden)
     if k < 0:
         raise AmbiguousAngle(
-            f"angle t={q.t} sits within {float(delta):g} of the decision boundary "
+            f"angle t={q.t} sits within {dnum / dden:g} of the decision boundary "
             f"between two exponents (n={n}, p={p})"
         )
     return k

@@ -117,14 +117,12 @@ def _experiment_inputs(
         raise UsageError(f"trials must be >= 1, got {trials}")
     if not p_values:
         raise UsageError("precision range is empty (p-min > p-max?)")
-    d = Fraction(delta)
-    if not 0 <= d < Fraction(1, 2):
-        raise UsageError(f"delta must lie in [0, 1/2), got {d}")
+    dnum, dden = _kernels.tolerance(delta)
     if n < 1:
         raise InvalidOrder(f"group order must be >= 1, got {n}")
     if min(p_values) < 1:
         raise InvalidOrder(f"angular precision must be >= 1 bit, got {min(p_values)}")
-    return d.numerator, d.denominator
+    return dnum, dden
 
 
 def attack_direct(

@@ -30,7 +30,7 @@ class CompositeOrder(CircleLogError):
 
 
 class OrderTooLarge(CircleLogError):
-    """Exhaustive search refused above the runtime guard."""
+    """Order above a guard: exhaustive search, or the deterministic primality test."""
 
 
 class MessageTooLarge(CircleLogError):
@@ -38,7 +38,7 @@ class MessageTooLarge(CircleLogError):
 
 
 class ParseError(CircleLogError):
-    """Malformed key file; message names the offending line or field."""
+    """Unreadable or malformed input file or text; message names the file, line or field."""
 
 
 class ConsistencyError(CircleLogError):

@@ -91,5 +91,15 @@ def parse_key(text: str) -> KeyPair | PublicKey:
     return PublicKey(params, element(params, h))
 
 
+def read_text(path: str | Path) -> str:
+    """An input file's text; a missing, unreadable or non-UTF-8 file raises ParseError."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
 def load_key(path: str | Path) -> KeyPair | PublicKey:
-    return parse_key(Path(path).read_bytes().decode("utf-8"))
+    return parse_key(read_text(path))

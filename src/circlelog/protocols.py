@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .contlog import exponent_recovery_bound, recover_exponent
-from .errors import AmbiguousAngle, CompositeOrder, InvalidOrder, MessageTooLarge
+from .errors import AmbiguousAngle, CompositeOrder, InvalidOrder, MessageTooLarge, OrderTooLarge
 from .group import (
     ExactElement,
     GroupParams,
@@ -122,18 +122,30 @@ def hash_to_scalar(message: bytes, n: int) -> int:
     return int.from_bytes(hashlib.sha256(message).digest(), "big") % n
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# least strong pseudoprimes to _BASES and to _BASES + (41,) (Sorenson, Webster 2017)
+_PSI12 = 318_665_857_834_031_151_167_461
+_PSI13 = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the fixed witness set covers n < 3.3e24."""
+    """Deterministic Miller-Rabin for n < psi13 ~ 3.3e24; larger n raises OrderTooLarge.
+
+    Bases 2..37 decide n < psi12 ~ 3.2e23; base 41 is added only from psi12
+    on, so that orders below it (every default) skip its extra pow().
+    """
+    if n >= _PSI13:
+        raise OrderTooLarge(f"primality of n={n} >= {_PSI13} is not decided by fixed bases")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if n % q == 0:
             return n == q
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES if n < _PSI12 else (*_BASES, 41):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

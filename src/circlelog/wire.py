@@ -42,14 +42,14 @@ def confirm_digest(shared: ExactElement) -> str:
     return hashlib.sha256(str(shared.k).encode("ascii")).hexdigest()
 
 
-def _send(stream, transcript: list[str], prefix: str, line: str) -> None:
-    stream.write(line + "\n")
-    stream.flush()
+def _send(writer, transcript: list[str], prefix: str, line: str) -> None:
+    writer.write(line + "\n")
+    writer.flush()
     transcript.append(f"{prefix}{line}")
 
 
-def _recv(stream, transcript: list[str], prefix: str, expected: str) -> str:
-    raw = stream.readline()
+def _recv(reader, transcript: list[str], prefix: str, expected: str) -> str:
+    raw = reader.readline()
     if not raw.endswith("\n"):
         raise ProtocolError(f"connection closed while waiting for {expected}")
     line = raw[:-1]
@@ -66,25 +66,33 @@ def _parse_decimal(line: str, pattern: str, expected: str) -> int:
         raise ProtocolError(f"expected {expected}, got {line!r}") from None
 
 
-def _serve_session(stream, params: GroupParams, rng: Random) -> SessionResult:
+def _open_streams(sock):
+    """Separate text reader and writer over ``sock``.
+
+    A write on one read-write text stream drops input already read ahead.
+    """
+    return [sock.makefile(mode, encoding="utf-8", newline="\n") for mode in "rw"]
+
+
+def _serve_session(reader, writer, params: GroupParams, rng: Random) -> SessionResult:
     transcript: list[str] = []
-    hello = _recv(stream, transcript, "C: ", "HELLO")
+    hello = _recv(reader, transcript, "C: ", "HELLO")
     if hello != HELLO:
         raise ProtocolError(f"expected {HELLO!r}, got {hello!r}")
-    line = _recv(stream, transcript, "C: ", "PARAMS")
+    line = _recv(reader, transcript, "C: ", "PARAMS")
     if line != f"PARAMS n={params.n} g={params.g}":
-        _send(stream, transcript, "S: ", "ERR PARAMS")
+        _send(writer, transcript, "S: ", "ERR PARAMS")
         raise ParamsMismatch(f"client parameters disagree: {line!r}")
-    _send(stream, transcript, "S: ", "OK")
+    _send(writer, transcript, "S: ", "OK")
 
-    a_pub = _parse_decimal(_recv(stream, transcript, "C: ", "A"), "A=", "A=<decimal>")
+    a_pub = _parse_decimal(_recv(reader, transcript, "C: ", "A"), "A=", "A=<decimal>")
     b = random_scalar(rng, params.n)
-    _send(stream, transcript, "S: ", f"B={generator_power(params, b).k}")
+    _send(writer, transcript, "S: ", f"B={generator_power(params, b).k}")
     shared = power(element(params, a_pub), b)
     confirm = confirm_digest(shared)
 
-    their = _recv(stream, transcript, "C: ", "CONFIRM")
-    _send(stream, transcript, "S: ", f"CONFIRM {confirm}")
+    their = _recv(reader, transcript, "C: ", "CONFIRM")
+    _send(writer, transcript, "S: ", f"CONFIRM {confirm}")
     if their != f"CONFIRM {confirm}":
         raise ProtocolError(f"confirmation mismatch: {their!r}")
     return SessionResult(shared, confirm, "\n".join(transcript) + "\n")
@@ -105,31 +113,33 @@ def dh_serve(
         if on_listen is not None:
             on_listen(server.getsockname()[1])
         conn, _ = server.accept()
-        with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-            return _serve_session(stream, params, rng)
+        reader, writer = _open_streams(conn)
+        with conn, reader, writer:
+            return _serve_session(reader, writer, params, rng)
 
 
 def dh_connect(host: str, port: int, params: GroupParams, rng: Random) -> SessionResult:
     with socket.create_connection((host, port)) as sock:
-        with sock.makefile("rw", encoding="utf-8", newline="\n") as stream:
+        reader, writer = _open_streams(sock)
+        with reader, writer:
             transcript: list[str] = []
-            _send(stream, transcript, "C: ", HELLO)
-            _send(stream, transcript, "C: ", f"PARAMS n={params.n} g={params.g}")
-            line = _recv(stream, transcript, "S: ", "OK")
+            _send(writer, transcript, "C: ", HELLO)
+            _send(writer, transcript, "C: ", f"PARAMS n={params.n} g={params.g}")
+            line = _recv(reader, transcript, "S: ", "OK")
             if line == "ERR PARAMS":
                 raise ParamsMismatch("server rejected parameters")
             if line != "OK":
                 raise ProtocolError(f"expected OK, got {line!r}")
 
             a = random_scalar(rng, params.n)
-            _send(stream, transcript, "C: ", f"A={generator_power(params, a).k}")
+            _send(writer, transcript, "C: ", f"A={generator_power(params, a).k}")
             b_pub = _parse_decimal(
-                _recv(stream, transcript, "S: ", "B"), "B=", "B=<decimal>"
+                _recv(reader, transcript, "S: ", "B"), "B=", "B=<decimal>"
             )
             shared = power(element(params, b_pub), a)
             confirm = confirm_digest(shared)
-            _send(stream, transcript, "C: ", f"CONFIRM {confirm}")
-            their = _recv(stream, transcript, "S: ", "CONFIRM")
+            _send(writer, transcript, "C: ", f"CONFIRM {confirm}")
+            their = _recv(reader, transcript, "S: ", "CONFIRM")
             if their != f"CONFIRM {confirm}":
                 raise ProtocolError(f"confirmation mismatch: {their!r}")
             return SessionResult(shared, confirm, "\n".join(transcript) + "\n")

@@ -121,19 +121,30 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-# SHA-256 of stdout at --trials 500 --seed 1; recorded before the draw and
-# kernel rewrite, so any change to a seeded result shows here
+# SHA-256 of stdout at --seed 1 (experiments at --trials 500); recorded
+# before the draw, kernel and output-writer rewrites, so any change to a seeded
+# result shows here. --out must write the same bytes.
 @pytest.mark.parametrize("argv, digest", [
-    (["attack", "--n", "1048576", "--g", "1", "--p", "22"],
+    (["attack", "--n", "1048576", "--g", "1", "--p", "22", "--trials", "500"],
      "cad078f0697fdd823cc3bd304ed627d34f182a3ac9318a5b0ab49666dcc7b2aa"),
-    (["sweep", "--n", "256", "--p-min", "2", "--p-max", "12"],
+    (["sweep", "--n", "256", "--p-min", "2", "--p-max", "12", "--trials", "500"],
      "a57ff7ac9d2f983005ae294045fbd6bb4f6d585d1a2e2d075f9eb9caec7ad190"),
-    (["accumulate", "--n", "1000", "--p", "12", "--m-max", "16"],
+    (["accumulate", "--n", "1000", "--p", "12", "--m-max", "16", "--trials", "500"],
      "93a2a88669174b7d0604d3cb4eaea3753c54c374b246936b10d298137ba51e92"),
+    (["encrypt", "--pub", "PUB", "--message", "hello"],
+     "21eb4761fc92f13844929fb7b00691b42ff0beeabd790bc241b3cb138e41b3bb"),
 ])
-def test_seeded_experiment_stdout_is_pinned(capsys, argv, digest):
-    assert main([*argv, "--trials", "500", "--seed", "1"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+def test_seeded_experiment_stdout_is_pinned(tmp_path, capsys, argv, digest):
+    pub = tmp_path / "k.pub"
+    main(["keygen", "--seed", "5", "--out", str(tmp_path / "k.priv"), "--pub", str(pub)])
+    argv = [str(pub) if arg == "PUB" else arg for arg in argv] + ["--seed", "1"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == digest
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout
 
 
 @pytest.mark.parametrize("argv", [
@@ -142,6 +153,7 @@ def test_seeded_experiment_stdout_is_pinned(capsys, argv, digest):
     ["sweep", "--p-min", "2", "--p-max", "4", "--delta", "1/2"],
     ["accumulate", "--trials", "-1"],
     ["attack", "--trials", "0"],
+    ["attack", "--delta", "1/2"],
 ])
 def test_bad_experiment_shape_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -161,6 +173,59 @@ def test_bad_order_or_precision_exits_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.fixture
+def keys(tmp_path):
+    """Private/public key files, a ciphertext and a signature made with them."""
+    files = {name: tmp_path / name for name in ("priv", "pub", "ct", "sig")}
+    main(["keygen", "--seed", "1", "--out", str(files["priv"]), "--pub", str(files["pub"])])
+    main(["encrypt", "--pub", str(files["pub"]), "--message", "hi", "--seed", "2",
+          "--out", str(files["ct"])])
+    main(["sign", "--key", str(files["priv"]), "--message", "hi", "--seed", "3",
+          "--out", str(files["sig"])])
+    return files
+
+
+def _decrypt(keys):
+    return ["decrypt", "--key", str(keys["priv"]), "--ct", str(keys["ct"])]
+
+
+def _verify(keys):
+    return ["verify", "--pub", str(keys["pub"]), "--message", "hi", "--sig", str(keys["sig"])]
+
+
+def _exits_1_with_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    return captured.err
+
+
+def test_non_decimal_ciphertext_field_exits_1(keys, capsys):
+    keys["ct"].write_text("circlelog-ct v1\nc1: abc\nc2: 5\n")
+    assert "c1" in _exits_1_with_error(capsys, _decrypt(keys))
+
+
+@pytest.mark.parametrize("flag", ["key", "ct", "sig", "pub"])
+def test_missing_input_file_exits_1(keys, capsys, flag):
+    argv = _verify(keys) if flag in ("sig", "pub") else _decrypt(keys)
+    missing = str(keys["priv"].parent / "absent")
+    argv[argv.index(f"--{flag}") + 1] = missing
+    assert missing in _exits_1_with_error(capsys, argv)
+
+
+def test_non_utf8_key_file_exits_1(keys, capsys):
+    keys["priv"].write_bytes(b"circlelog-key v1\nrole: private\nn: \xff\n")
+    assert "UTF-8" in _exits_1_with_error(capsys, _decrypt(keys))
+
+
+def test_decrypt_with_wrong_key_exits_1(keys, tmp_path, capsys):
+    main(["keygen", "--seed", "9", "--out", str(keys["priv"])])
+    out = tmp_path / "plain"
+    assert "UTF-8" in _exits_1_with_error(capsys, [*_decrypt(keys), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_dh_cli_loopback(capsys):

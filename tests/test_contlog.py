@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from circlelog import (
     AmbiguousAngle,
+    UsageError,
     element,
     exponent_recovery_bound,
     log_branches,
@@ -79,6 +80,14 @@ class TestRecoverExponent:
         p = make_params(4, 1, 8)
         with pytest.raises(ValueError):
             recover_exponent(NumericElement(p, 0), Fraction(1, 2))
+
+    def test_tolerance_domain_is_usage_error(self):
+        # the one range check lives in _kernels.tolerance; it raises
+        # UsageError, which existing ``except ValueError`` callers still catch
+        p = make_params(4, 1, 8)
+        with pytest.raises(UsageError) as exc:
+            recover_exponent(NumericElement(p, 0), Fraction(1, 2))
+        assert isinstance(exc.value, ValueError)
 
     def test_wraps_past_full_turn(self):
         p = make_params(4, 1, 8)

@@ -9,6 +9,7 @@ from circlelog import (
     AmbiguousAngle,
     CompositeOrder,
     MessageTooLarge,
+    OrderTooLarge,
     Signature,
     decode_message,
     dh_shared,
@@ -24,6 +25,9 @@ from circlelog import (
 from circlelog.protocols import hash_to_scalar, is_prime, random_scalar
 
 MERSENNE61 = 2**61 - 1
+# least strong pseudoprime to bases 2..37, and to bases 2..41
+PSI12 = 318665857834031151167461  # = 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981
 
 
 class FixedRandom(Random):
@@ -181,6 +185,16 @@ class TestSignature:
         with pytest.raises(CompositeOrder):
             sign(key, b"x", Random(0))
 
+    def test_strong_pseudoprime_order_rejected(self):
+        key = keygen(make_params(PSI12, 3, 128), Random(0))
+        with pytest.raises(CompositeOrder):
+            sign(key, b"x", Random(0))
+
+    def test_order_beyond_primality_bound_refused(self):
+        key = keygen(make_params(PSI13, 1, 128), Random(0))
+        with pytest.raises(OrderTooLarge):
+            sign(key, b"x", Random(0))
+
     def test_low_precision_rejected(self):
         p = make_params(10007, 3, 10)  # below recovery bound (needs 16)
         key = keygen(p, Random(0))
@@ -236,3 +250,12 @@ def test_is_prime_reference_values():
 
     for n in range(1, 500):
         assert is_prime(n) == trial(n)
+
+
+def test_is_prime_beyond_twelve_bases():
+    # bases 2..37 pass psi12; base 41 catches it and keeps true primes up to psi13
+    assert not is_prime(PSI12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert is_prime(318665857834031151167483) and is_prime(3317044064679887385961813)
+    with pytest.raises(OrderTooLarge):
+        is_prime(PSI13)

@@ -80,3 +80,15 @@ def test_garbage_hello_rejected():
         sock.sendall(b"EHLO wrong/9\nPARAMS n=101 g=2\n")
     thread.join(5)
     assert isinstance(box.get("error"), ProtocolError)
+
+
+def test_pipelined_client_lines_are_not_lost():
+    # HELLO, PARAMS and A= in one segment: the server's OK must not drop A=
+    box, thread = serve_in_thread(PARAMS, SERVER_SEED)
+    with socket.create_connection(("127.0.0.1", box["port"]), timeout=5) as sock:
+        with sock.makefile("r", encoding="utf-8", newline="\n") as reader:
+            sock.sendall(b"HELLO circlelog/1\nPARAMS n=101 g=2\nA=5\n")
+            assert reader.readline() == "OK\n"
+            assert reader.readline().startswith("B=")
+    thread.join(5)
+    assert not thread.is_alive()
