@@ -23,6 +23,7 @@ from .errors import (
     MessageTooLarge,
     NotPrimitive,
     OrderTooLarge,
+    OutputError,
     ParamsMismatch,
     ParseError,
     ProtocolError,

@@ -9,6 +9,7 @@ the code, not a security recommendation.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -63,16 +64,17 @@ def _rng(args) -> Random:
 
 @contextmanager
 def _output(args):
-    """Stdout, or the UTF-8, LF file named by ``--out``.
+    """Stdout, or a buffer written whole to the file named by ``--out``.
 
-    Callers compute their output first, so a failing command leaves no
-    partial file behind.
+    The file is written only once the block has finished, so a failing
+    command leaves no partial file behind.
     """
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="\n") as stream:
-            yield stream
-    else:
+    if not getattr(args, "out", None):
         yield sys.stdout
+        return
+    buffer = io.StringIO()
+    yield buffer
+    keyfile.write_text(args.out, buffer.getvalue())
 
 
 def _load_private(path: str) -> KeyPair:
@@ -86,7 +88,10 @@ def _parse_two_line(path: str, magic: str, f1: str, f2: str) -> tuple[int, int]:
     lines = keyfile.read_text(path).splitlines()
     if len(lines) != 3 or lines[0] != magic:
         raise ParseError(f"{path}: expected {magic!r} with fields {f1}, {f2}")
-    return keyfile._field(lines, 1, f1), keyfile._field(lines, 2, f2)
+    try:
+        return keyfile._field(lines, 1, f1), keyfile._field(lines, 2, f2)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def cmd_keygen(args) -> int:

@@ -21,12 +21,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
+import numpy as np
+
 from . import _kernels
 from .contlog import DEFAULT_TOLERANCE
 from .errors import InvalidOrder, OrderTooLarge, UsageError
 from .group import ExactElement, GroupParams, NumericElement
 
+try:  # CPython's built-in SHA-256: its copy() is a struct copy, not an OpenSSL one
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256  # the module's name from Python 3.12
+    except ImportError:
+        _sha256 = hashlib.sha256
+
 EXHAUSTIVE_ORDER_GUARD = 1 << 24
+_CHUNK = 1 << 12  # most draws hashed before one reduction, unless a trial has more
 
 CSV_HEADER = "variable,successes,trials,success_rate"
 
@@ -78,28 +89,72 @@ def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
         counter += 1
 
 
+def _reduce_ints(digests: list[bytes], n: int, limit: int) -> tuple[array | list, list[int]]:
+    """v mod n for every digest v (read big-endian), and where v >= limit.
+
+    The exact reduction, for any n: rejected positions are returned by index
+    (their value is meaningless). The values come in the container that
+    ``_draw_block`` returns. ``_reduce_words`` must agree with it.
+    """
+    vs = [int.from_bytes(d, "big") for d in digests]
+    values = [v % n for v in vs]
+    rejected = [i for i, v in enumerate(vs) if v >= limit]
+    return (array("q", values) if n <= 1 << 63 else values), rejected
+
+
+def _reduce_words(digests: list[bytes], n: int, limit: int) -> tuple[array, list[int]]:
+    """``_reduce_ints`` in numpy for n <= 2^32, the values as an int64 array."""
+    words = np.frombuffer(b"".join(digests), dtype=">u4").reshape(-1, 8)
+    # Horner over the eight 32-bit words: acc < n <= 2^32, so acc << 32 | w fits.
+    # Every operand is uint64 by its own dtype, so the result does not hang on
+    # NumPy's scalar promotion rules (NumPy 1.x would keep uint32 for n < 2^32)
+    acc = words[:, 0].astype(np.uint64)
+    n64, shift = np.uint64(n), np.uint64(32)
+    acc %= n64
+    for i in range(1, 8):
+        acc <<= shift
+        acc |= words[:, i]
+        acc %= n64
+    # limit > 2^256 - 2^32, so only a digest whose top word is all ones can
+    # reach it; those rare candidates are checked exactly
+    candidates = np.flatnonzero(words[:, 0] == 0xFFFFFFFF).tolist()
+    rejected = [i for i in candidates if int.from_bytes(digests[i], "big") >= limit]
+    return array("q", acc.tobytes()), rejected  # acc < 2^32: the same bytes as int64
+
+
 def _draw_block(seed: int, head: int, n: int, trials: int, m: int):
     """``derive_uniform(seed, (head, m, t, j), n)`` for every trial t and element j.
 
     Flat in (t, j) order. "seed/head/m/" is hashed once per block and "t/"
     once per trial; each draw then hashes only "j/0" into a copy of the trial
-    state. A digest rejected at counter 0 is redrawn by ``derive_uniform``.
+    state. The digests of whole trials, up to ``_CHUNK`` draws (one trial if
+    m is larger), are reduced mod n at once: in numpy for n <= 2^32, with
+    Python ints above. A digest rejected at counter 0 is redrawn by
+    ``derive_uniform``.
     Returns an int64 array, or a list when n > 2^63 lets a draw exceed int64.
     """
     limit = (1 << 256) - (1 << 256) % n
-    out = array("q") if n <= 1 << 63 else []
-    append, from_bytes = out.append, int.from_bytes
-    block = hashlib.sha256(f"{seed}/{head}/{m}/".encode("ascii"))
+    reduce = _reduce_words if n <= 1 << 32 else _reduce_ints
+    out = (array("q", [0]) if n <= 1 << 63 else [0]) * (trials * m)
+    block = _sha256(f"{seed}/{head}/{m}/".encode("ascii"))
     tails = [b"%d/0" % j for j in range(m)]
-    for t in range(trials):
-        trial = block.copy()
-        trial.update(b"%d/" % t)
-        copy = trial.copy
-        for j, tail in enumerate(tails):
-            h = copy()
-            h.update(tail)
-            v = from_bytes(h.digest(), "big")
-            append(v % n if v < limit else derive_uniform(seed, (head, m, t, j), n))
+    per_chunk = max(1, _CHUNK // max(m, 1))
+    for first in range(0, trials, per_chunk):
+        digests: list[bytes] = []
+        append = digests.append
+        for t in range(first, min(first + per_chunk, trials)):
+            trial = block.copy()
+            trial.update(b"%d/" % t)
+            copy = trial.copy
+            for tail in tails:
+                h = copy()
+                h.update(tail)
+                append(h.digest())
+        values, rejected = reduce(digests, n, limit)
+        for i in rejected:
+            t, j = divmod(i, m)
+            values[i] = derive_uniform(seed, (head, m, first + t, j), n)
+        out[first * m:first * m + len(values)] = values
     return out
 
 

@@ -41,6 +41,10 @@ class ParseError(CircleLogError):
     """Unreadable or malformed input file or text; message names the file, line or field."""
 
 
+class OutputError(CircleLogError):
+    """An output file cannot be written; message names the file."""
+
+
 class ConsistencyError(CircleLogError):
     """Stored public element disagrees with the private exponent."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import CircleLogError, ConsistencyError, ParseError
+from .errors import CircleLogError, ConsistencyError, OutputError, ParseError
 from .group import element, make_params
 from .protocols import KeyPair, PublicKey, generator_power
 
@@ -35,7 +35,7 @@ def serialize_key(key: KeyPair | PublicKey) -> str:
 
 
 def save_key(key: KeyPair | PublicKey, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_key(key).encode("utf-8"))
+    write_text(path, serialize_key(key))
 
 
 def _field(lines: list[str], index: int, name: str) -> int:
@@ -99,6 +99,14 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write an output file's text as UTF-8; an unwritable path raises OutputError."""
+    try:
+        Path(path).write_bytes(text.encode("utf-8"))
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from None
 
 
 def load_key(path: str | Path) -> KeyPair | PublicKey:

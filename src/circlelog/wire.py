@@ -14,6 +14,11 @@ where <hex> is the lowercase SHA-256 of the ASCII decimal of the shared
 exponent S.k. Both sides log the session as a transcript with C:/S: line
 prefixes in protocol order; with fixed seeds the transcripts are
 byte-identical on both ends.
+
+A peer that stays silent for ``TIMEOUT_S`` seconds, or sends a line longer
+than ``MAX_LINE`` characters (LF included), ends the session with a
+``ProtocolError`` naming the message waited for. The server waits for its
+client to connect without limit.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .group import ExactElement, GroupParams, element, power
 from .protocols import generator_power, random_scalar
 
 HELLO = "HELLO circlelog/1"
+TIMEOUT_S = 30.0  # per blocking socket operation of a session
+MAX_LINE = 1 << 16  # characters per line, LF included
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,15 @@ def _send(writer, transcript: list[str], prefix: str, line: str) -> None:
 
 
 def _recv(reader, transcript: list[str], prefix: str, expected: str) -> str:
-    raw = reader.readline()
+    try:
+        raw = reader.readline(MAX_LINE)
+    except TimeoutError:
+        raise ProtocolError(f"timed out after {TIMEOUT_S} s waiting for {expected}") from None
     if not raw.endswith("\n"):
+        if len(raw) == MAX_LINE:
+            raise ProtocolError(
+                f"line longer than {MAX_LINE} characters while waiting for {expected}"
+            )
         raise ProtocolError(f"connection closed while waiting for {expected}")
     line = raw[:-1]
     transcript.append(f"{prefix}{line}")
@@ -113,13 +127,14 @@ def dh_serve(
         if on_listen is not None:
             on_listen(server.getsockname()[1])
         conn, _ = server.accept()
+        conn.settimeout(TIMEOUT_S)
         reader, writer = _open_streams(conn)
         with conn, reader, writer:
             return _serve_session(reader, writer, params, rng)
 
 
 def dh_connect(host: str, port: int, params: GroupParams, rng: Random) -> SessionResult:
-    with socket.create_connection((host, port)) as sock:
+    with socket.create_connection((host, port), timeout=TIMEOUT_S) as sock:
         reader, writer = _open_streams(sock)
         with reader, writer:
             transcript: list[str] = []

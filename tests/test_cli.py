@@ -121,23 +121,34 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-# SHA-256 of stdout at --seed 1 (experiments at --trials 500); recorded
-# before the draw, kernel and output-writer rewrites, so any change to a seeded
-# result shows here. --out must write the same bytes.
+# SHA-256 of stdout, each recorded before the change it guards: the --seed 1
+# rows before the draw, kernel and output-writer rewrites; the --seed 4 rows,
+# whose draws go through the exact kernel loop (n > 2^24 or p > 30), before
+# the chunked draw reduction, so a draw handed over as a numpy int64 (which
+# wraps in the exact loop) shows here. --out must write the same bytes.
 @pytest.mark.parametrize("argv, digest", [
-    (["attack", "--n", "1048576", "--g", "1", "--p", "22", "--trials", "500"],
+    (["attack", "--n", "1048576", "--g", "1", "--p", "22", "--trials", "500", "--seed", "1"],
      "cad078f0697fdd823cc3bd304ed627d34f182a3ac9318a5b0ab49666dcc7b2aa"),
-    (["sweep", "--n", "256", "--p-min", "2", "--p-max", "12", "--trials", "500"],
+    (["sweep", "--n", "256", "--p-min", "2", "--p-max", "12", "--trials", "500", "--seed", "1"],
      "a57ff7ac9d2f983005ae294045fbd6bb4f6d585d1a2e2d075f9eb9caec7ad190"),
-    (["accumulate", "--n", "1000", "--p", "12", "--m-max", "16", "--trials", "500"],
+    (["accumulate", "--n", "1000", "--p", "12", "--m-max", "16", "--trials", "500",
+      "--seed", "1"],
      "93a2a88669174b7d0604d3cb4eaea3753c54c374b246936b10d298137ba51e92"),
-    (["encrypt", "--pub", "PUB", "--message", "hello"],
+    (["encrypt", "--pub", "PUB", "--message", "hello", "--seed", "1"],
      "21eb4761fc92f13844929fb7b00691b42ff0beeabd790bc241b3cb138e41b3bb"),
+    (["sweep", "--n", "16000000", "--p-min", "44", "--p-max", "45", "--trials", "300",
+      "--seed", "4"],
+     "c8cc51a0ce7773ae7fe1e9495a918c578e2ba7acd36c1e16282febbe87e4edd4"),
+    (["attack", "--n", "2305843009213693951", "--p", "128", "--trials", "300", "--seed", "4"],
+     "26e3713809e6f3ab08b7d3565a8067ef30d811e6d222129a2cbf97aee5ef4329"),
+    (["accumulate", "--n", "20000000", "--p", "34", "--m-max", "3", "--trials", "300",
+      "--seed", "4"],
+     "ee9e6fb99fe0fcce18668bd6e39975cfd0adbcb4e7ed43e0855bb11f5cd8376c"),
 ])
 def test_seeded_experiment_stdout_is_pinned(tmp_path, capsys, argv, digest):
     pub = tmp_path / "k.pub"
     main(["keygen", "--seed", "5", "--out", str(tmp_path / "k.priv"), "--pub", str(pub)])
-    argv = [str(pub) if arg == "PUB" else arg for arg in argv] + ["--seed", "1"]
+    argv = [str(pub) if arg == "PUB" else arg for arg in argv]
     assert main(argv) == 0
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == digest
@@ -205,7 +216,19 @@ def _exits_1_with_error(capsys, argv):
 
 def test_non_decimal_ciphertext_field_exits_1(keys, capsys):
     keys["ct"].write_text("circlelog-ct v1\nc1: abc\nc2: 5\n")
-    assert "c1" in _exits_1_with_error(capsys, _decrypt(keys))
+    err = _exits_1_with_error(capsys, _decrypt(keys))
+    assert "c1" in err and str(keys["ct"]) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--n", "1000", "--p", "12", "--trials", "10", "--out", "OUT"],
+    ["keygen", "--seed", "1", "--out", "OUT"],
+    ["keygen", "--seed", "1", "--out", "PRIV", "--pub", "OUT"],
+])
+def test_out_in_missing_directory_exits_1(tmp_path, capsys, argv):
+    out = str(tmp_path / "absent" / "file")
+    argv = [{"OUT": out, "PRIV": str(tmp_path / "k")}.get(arg, arg) for arg in argv]
+    assert out in _exits_1_with_error(capsys, argv)
 
 
 @pytest.mark.parametrize("flag", ["key", "ct", "sig", "pub"])

@@ -1,10 +1,13 @@
 """Attack experiments: direct inversion, exhaustive baseline, sweeps."""
 
+import hashlib
 import io
 from array import array
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlelog import (
     InvalidOrder,
@@ -19,6 +22,8 @@ from circlelog.cryptanalysis import (
     CSV_HEADER,
     SweepRow,
     _draw_block,
+    _reduce_ints,
+    _reduce_words,
     accumulation_experiment,
     attack_direct,
     attack_exhaustive,
@@ -177,11 +182,55 @@ class TestReporting:
         assert vs == [derive_uniform(7, (3, 1, t, 0), 1000) for t in range(200)]
 
 
+def _limit(n):
+    return (1 << 256) - (1 << 256) % n
+
+
+def _rigged_sha256(path: bytes, digest: bytes):
+    """A SHA-256 constructor whose digest of the message ``path`` is ``digest``."""
+
+    class Rigged:
+        def __init__(self, data=b""):
+            self.data = bytes(data)
+
+        def copy(self):
+            return Rigged(self.data)
+
+        def update(self, more):
+            self.data += more
+
+        def digest(self):
+            return digest if self.data == path else hashlib.sha256(self.data).digest()
+
+    return Rigged
+
+
+def _expected_draws(seed, head, n, trials, m):
+    return [derive_uniform(seed, (head, m, t, j), n) for t in range(trials) for j in range(m)]
+
+
+@pytest.fixture
+def redraws(monkeypatch):
+    """The argument tuples ``_draw_block`` hands back to ``derive_uniform``."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return derive_uniform(*args)
+
+    monkeypatch.setattr(cryptanalysis, "derive_uniform", counting)
+    return calls
+
+
 class TestDrawBlock:
     @pytest.mark.parametrize("seed, head, n, trials, m", [
         (1, 12, 1000, 60, 16),
         (7, 3, 1, 5, 2),
         (-4, 22, 1 << 20, 300, 1),
+        (6, 10, 1000, 700, 16),  # three reduction chunks, the last one partial
+        (8, 5, 97, 2, 5000),  # a trial longer than a chunk
+        (4, 7, 1 << 32, 50, 3),  # largest n reduced in numpy; limit = 2^256
+        (4, 7, (1 << 32) + 1, 50, 3),  # smallest n reduced with Python ints
         (0, 9, 2**61 - 1, 40, 3),
         (3, 30, 1 << 63, 25, 2),  # largest n whose draws all fit int64
         (5, 250, 2**255 + 1, 60, 3),  # ~half of first digests rejected
@@ -189,17 +238,8 @@ class TestDrawBlock:
         (9, 4, 17, 0, 5),
         (9, 4, 17, 6, 0),
     ])
-    def test_matches_derive_uniform(self, monkeypatch, seed, head, n, trials, m):
-        expected = [
-            derive_uniform(seed, (head, m, t, j), n) for t in range(trials) for j in range(m)
-        ]
-        redraws = []
-
-        def counting(*args):
-            redraws.append(args)
-            return derive_uniform(*args)
-
-        monkeypatch.setattr(cryptanalysis, "derive_uniform", counting)
+    def test_matches_derive_uniform(self, redraws, seed, head, n, trials, m):
+        expected = _expected_draws(seed, head, n, trials, m)
         draws = _draw_block(seed, head, n, trials, m)
         assert list(draws) == expected
         assert isinstance(draws, array if n <= 1 << 63 else list)
@@ -208,6 +248,54 @@ class TestDrawBlock:
             assert len(redraws) > len(expected) // 4
         else:
             assert redraws == []
+
+    @pytest.mark.parametrize("n", [1000, (1 << 40) + 15])
+    @pytest.mark.parametrize("v, rejected", [
+        ("ff" * 32, True),
+        ("limit", True),
+        ("limit - 1", False),  # top 224 bits all ones, yet accepted
+    ])
+    def test_rejection_at_the_limit(self, monkeypatch, redraws, n, v, rejected):
+        seed, head, trials, m, t, j = 1, 12, 3000, 3, 2000, 2  # (t, j) in the second chunk
+        v = {"ff" * 32: (1 << 256) - 1, "limit": _limit(n), "limit - 1": _limit(n) - 1}[v]
+        if n <= 1 << 32:  # the numpy path's candidates: the top 224 bits all ones
+            assert v >> 32 == (1 << 224) - 1
+        rigged = _rigged_sha256(b"%d/%d/%d/%d/%d/0" % (seed, head, m, t, j), v.to_bytes(32, "big"))
+        monkeypatch.setattr(cryptanalysis, "_sha256", rigged)
+        draws = _draw_block(seed, head, n, trials, m)
+        expected = _expected_draws(seed, head, n, trials, m)
+        pos = t * m + j
+        if rejected:
+            assert redraws == [(seed, (head, m, t, j), n)]
+        else:
+            assert redraws == []
+            expected[pos] = v % n
+        assert list(draws) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 1 << 32),
+        values=st.lists(
+            st.one_of(
+                st.integers(0, (1 << 256) - 1),
+                st.integers((1 << 256) - (1 << 33), (1 << 256) - 1),  # near the limit
+            ),
+            max_size=40,
+        ),
+    )
+    def test_numpy_reduction_matches_ints(self, n, values):
+        digests = [v.to_bytes(32, "big") for v in values]
+        limit = _limit(n)
+        words, words_rejected = _reduce_words(digests, n, limit)
+        ints, ints_rejected = _reduce_ints(digests, n, limit)
+        assert isinstance(words, array) and list(words) == list(ints)
+        assert words_rejected == ints_rejected == [i for i, v in enumerate(values) if v >= limit]
+
+    @pytest.mark.parametrize("args", [(1, 12, 1000, 600, 16), (5, 250, 2**255 + 1, 60, 3)])
+    def test_same_draws_with_hashlib_sha256(self, monkeypatch, args):
+        builtin = _draw_block(*args)
+        monkeypatch.setattr(cryptanalysis, "_sha256", hashlib.sha256)
+        assert _draw_block(*args) == builtin
 
 
 class TestInputValidation:

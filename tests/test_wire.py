@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from circlelog import ParamsMismatch, ProtocolError, make_params
+from circlelog import ParamsMismatch, ProtocolError, make_params, wire
 from circlelog.wire import dh_connect, dh_serve
 
 GOLDEN = Path(__file__).parent / "data" / "dh_transcript.golden"
@@ -92,3 +92,46 @@ def test_pipelined_client_lines_are_not_lost():
             assert reader.readline().startswith("B=")
     thread.join(5)
     assert not thread.is_alive()
+
+
+def test_silent_client_times_out_naming_hello(monkeypatch):
+    monkeypatch.setattr(wire, "TIMEOUT_S", 0.5)
+    box, thread = serve_in_thread(PARAMS, SERVER_SEED)
+    with socket.create_connection(("127.0.0.1", box["port"])):
+        thread.join(5)  # the client says nothing while the server waits
+        assert not thread.is_alive()
+    err = box.get("error")
+    assert isinstance(err, ProtocolError)
+    assert "timed out" in str(err) and "HELLO" in str(err)
+
+
+def test_silent_server_times_out_naming_ok(monkeypatch):
+    monkeypatch.setattr(wire, "TIMEOUT_S", 0.5)
+    box = {}
+
+    def run(port):
+        try:
+            dh_connect("127.0.0.1", port, PARAMS, Random(CLIENT_SEED))
+        except Exception as exc:  # surfaced by the test
+            box["error"] = exc
+
+    with socket.create_server(("127.0.0.1", 0)) as server:  # listens, never answers
+        thread = threading.Thread(target=run, args=(server.getsockname()[1],), daemon=True)
+        thread.start()
+        thread.join(5)
+        assert not thread.is_alive()
+    err = box.get("error")
+    assert isinstance(err, ProtocolError)
+    assert "timed out" in str(err) and "OK" in str(err)
+
+
+def test_overlong_line_rejected_naming_step(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_LINE", 64)
+    box, thread = serve_in_thread(PARAMS, SERVER_SEED)
+    with socket.create_connection(("127.0.0.1", box["port"]), timeout=5) as sock:
+        sock.sendall(b"HELLO circlelog/1\nPARAMS n=" + b"1" * 100 + b" g=2\n")
+        thread.join(5)
+    assert not thread.is_alive()
+    err = box.get("error")
+    assert isinstance(err, ProtocolError)
+    assert "longer than 64" in str(err) and "PARAMS" in str(err)
