@@ -19,6 +19,12 @@ intermediate stays below 2^55, so one vectorised numpy kernel computes them.
 Outside it, for instance at the protocol default n = 2^61 - 1, p = 128, they
 take the exact loop ``_exact_chain_successes``, which tests also use as the
 oracle for the numpy kernel.
+
+``nearest_angle`` is the exhaustive-search baseline: the exponent whose angle
+lies nearest a target. For 1 <= n <= 2^24, p <= 30 and a target in [0, 2^p) it
+scans all angles in numpy, ``_SCAN_CHUNK`` exponents at a time; otherwise it
+takes the exact loop ``_exact_nearest_angle``, its test oracle. Both kernels
+round through ``_angles``, the one numpy copy of the rounding rule.
 """
 
 from fractions import Fraction
@@ -32,11 +38,12 @@ BACKEND = "numpy"
 _N_MAX = 1 << 24
 _P_MAX = 30
 _DDEN_MAX = 1 << 16
+_SCAN_CHUNK = 1 << 20  # exponents per numpy scan step: bounds memory at n = 2^24
 
 
 def tolerance(delta) -> tuple[int, int]:
     """The recovery tolerance delta as (dnum, dden); ``UsageError`` unless 0 <= delta < 1/2."""
-    d = Fraction(delta)
+    d = delta if type(delta) is Fraction else Fraction(delta)  # already normalised
     dnum, dden = d.numerator, d.denominator
     if not 0 <= 2 * dnum < dden:
         raise UsageError(f"delta must lie in [0, 1/2), got {d}")
@@ -90,24 +97,31 @@ def _exact_chain_successes(n, p, dnum, dden, ks_flat, m, trials) -> int:
     return successes
 
 
-def _chain_successes(n: int, p: int, dnum: int, dden: int, ks: np.ndarray) -> int:
-    """Numpy kernel over an int64 (trials, m) array of exponents, in the domain."""
-    # exact product: sum of exponents mod n; reducing first keeps sums small
-    r = np.remainder(ks, n)
-    k_sum = r.sum(axis=1)
-    # numeric product: sum of round(2^p * k / n) mod 2^p, half to even
-    half = 1 << p
+def _angles(r: np.ndarray, n: int, p: int) -> np.ndarray:
+    """round(2^p * r / n) mod 2^p, half to even, for an int64 array r in [0, n).
+
+    Overwrites r; in the int64 domain every intermediate stays below 2^55.
+    """
     r <<= p
     q = np.empty_like(r)
     np.divmod(r, n, out=(q, r))
     r <<= 1  # q rounds up iff 2r + (q & 1) > n
     r |= q & 1
     q += r > n
+    q &= (1 << p) - 1
+    return q
+
+
+def _chain_successes(n: int, p: int, dnum: int, dden: int, ks: np.ndarray) -> int:
+    """Numpy kernel over an int64 (trials, m) array of exponents, in the domain."""
+    # exact product: sum of exponents mod n; reducing first keeps sums small
+    r = np.remainder(ks, n)
+    k_sum = r.sum(axis=1)
+    # numeric product: sum of rounded angles mod 2^p
+    t = _angles(r, n, p).sum(axis=1)
     del r
-    q &= half - 1
-    t = q.sum(axis=1)
-    del q
     # recover: nearest integer to t * n / 2^p, within 1/2 - dnum/dden of it
+    half = 1 << p
     t &= half - 1
     t *= n
     k = t >> p
@@ -157,3 +171,36 @@ def roundtrip_all(n: int, p: int, dnum: int, dden: int) -> int:
     """Count exponents k in [0, n) surviving to_numeric -> recover intact."""
     ks = np.arange(n, dtype=np.int64) if n <= _N_MAX else range(n)
     return _batch(n, p, dnum, dden, ks, 1, n)
+
+
+def _exact_nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
+    """Exact Python-int loop behind ``nearest_angle``, any (n, p, t)."""
+    full = 1 << p
+    best_k, best_dist = 0, full
+    for k in range(n):
+        d = abs(to_numeric_t(k, n, p) - t)
+        d = min(d, full - d)
+        if d < best_dist:  # smallest k wins ties
+            best_k, best_dist = k, d
+    return best_k, best_dist
+
+
+def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
+    """The exponent k in [0, n) whose angle lies nearest t, and that distance.
+
+    The distance is taken around the circle, in units of 2^-p turn; the
+    smallest k wins ties. Every exponent is examined.
+    """
+    if not (1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= t < 1 << p):
+        return _exact_nearest_angle(t, n, p)
+    full = 1 << p
+    best_k, best_dist = 0, full
+    for first in range(0, n, _SCAN_CHUNK):
+        d = _angles(np.arange(first, min(first + _SCAN_CHUNK, n), dtype=np.int64), n, p)
+        d -= t
+        np.abs(d, out=d)
+        np.minimum(d, full - d, out=d)
+        i = int(d.argmin())  # the first minimum: the smallest k of this chunk
+        if d[i] < best_dist:  # strictly smaller: an earlier chunk keeps a tie
+            best_k, best_dist = first + i, int(d[i])
+    return best_k, best_dist

@@ -13,13 +13,14 @@ import io
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy as np
 
 from . import cryptanalysis, keyfile, spectral, wire
 from .contlog import DEFAULT_TOLERANCE
-from .errors import CircleLogError, ParseError, UsageError
+from .errors import CircleLogError, OutputError, ParseError, UsageError
 from .group import complex_value, element, make_params, to_numeric
 from .protocols import (
     Ciphertext,
@@ -99,7 +100,11 @@ def cmd_keygen(args) -> int:
     key = keygen(params, _rng(args))
     keyfile.save_key(key, args.out)
     if args.pub:
-        keyfile.save_key(key.public, args.pub)
+        try:
+            keyfile.save_key(key.public, args.pub)
+        except OutputError:  # write both files or neither
+            Path(args.out).unlink(missing_ok=True)
+            raise
     return 0
 
 

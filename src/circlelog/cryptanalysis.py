@@ -252,13 +252,7 @@ def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackRepo
     n, p = params.n, params.p
     if n > EXHAUSTIVE_ORDER_GUARD:
         raise OrderTooLarge(f"exhaustive search refused for n={n} > 2^24")
-    full = 1 << p
-    best_k, best_dist = 0, full
-    for k in range(n):
-        d = abs(_kernels.to_numeric_t(k, n, p) - public.t)
-        d = min(d, full - d)
-        if d < best_dist:  # smallest k wins ties
-            best_k, best_dist = k, d
+    best_k, best_dist = _kernels.nearest_angle(public.t, n, p)
     return AttackReport(
         attack_name="exhaustive",
         n=n, g=params.g, p=p, delta=Fraction(0),
@@ -298,8 +292,11 @@ def accumulation_experiment(
     Each trial draws m random exact elements, multiplies them exactly (sum of
     exponents mod n) and numerically (sum of rounded angles mod 2^p), then
     recovers the exponent from the numeric product. Per-element rounding
-    errors add up, so failures set in once the accumulated error approaches
-    half the root spacing, around m ~ 2^p/n (zero error if n divides 2^p).
+    errors add up: with e(k) = t(k)*n - k*2^p, t(k) the rounded angle before
+    the mod-2^p step, a chain fails once |sum of e(k_i)| exceeds
+    (1/2 - delta)*2^p, so the worst case first fails at
+    m = floor((1/2 - delta)*2^p / max|e|) + 1 (never if n divides 2^p, where
+    e = 0). At n = 1000, p = 12, delta = 1/5, max|e| = 496 and that m is 3.
     """
     dnum, dden = _experiment_inputs(n, (p,), trials, delta)
     rows = []

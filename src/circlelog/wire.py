@@ -18,7 +18,9 @@ byte-identical on both ends.
 A peer that stays silent for ``TIMEOUT_S`` seconds, or sends a line longer
 than ``MAX_LINE`` characters (LF included), ends the session with a
 ``ProtocolError`` naming the message waited for. The server waits for its
-client to connect without limit.
+client to connect without limit. A connection that cannot be made, or a
+port that cannot be listened on, raises a ``ProtocolError`` naming host:port
+and the step.
 """
 
 from __future__ import annotations
@@ -123,7 +125,11 @@ def dh_serve(
 
     ``on_listen`` receives the bound port (useful with port=0).
     """
-    with socket.create_server((host, port)) as server:
+    try:
+        server = socket.create_server((host, port))
+    except OSError as exc:
+        raise ProtocolError(f"listen on {host}:{port} failed: {exc.strerror or exc}") from None
+    with server:
         if on_listen is not None:
             on_listen(server.getsockname()[1])
         conn, _ = server.accept()
@@ -134,7 +140,11 @@ def dh_serve(
 
 
 def dh_connect(host: str, port: int, params: GroupParams, rng: Random) -> SessionResult:
-    with socket.create_connection((host, port), timeout=TIMEOUT_S) as sock:
+    try:
+        sock = socket.create_connection((host, port), timeout=TIMEOUT_S)
+    except OSError as exc:
+        raise ProtocolError(f"connect to {host}:{port} failed: {exc.strerror or exc}") from None
+    with sock:
         reader, writer = _open_streams(sock)
         with reader, writer:
             transcript: list[str] = []

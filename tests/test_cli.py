@@ -1,6 +1,7 @@
 """End-to-end CLI behavior."""
 
 import hashlib
+import socket
 import threading
 from random import Random
 
@@ -229,6 +230,18 @@ def test_out_in_missing_directory_exits_1(tmp_path, capsys, argv):
     out = str(tmp_path / "absent" / "file")
     argv = [{"OUT": out, "PRIV": str(tmp_path / "k")}.get(arg, arg) for arg in argv]
     assert out in _exits_1_with_error(capsys, argv)
+    assert list(tmp_path.iterdir()) == []  # no private key left behind either
+
+
+def test_dh_connect_refused_exits_1(capsys):
+    # a bound port with no listener refuses the connection
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+        err = _exits_1_with_error(
+            capsys, ["dh-connect", "--port", str(port), "--n", "101", "--g", "2", "--p", "16"]
+        )
+    assert f"connect to 127.0.0.1:{port}" in err
 
 
 @pytest.mark.parametrize("flag", ["key", "ct", "sig", "pub"])

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from circlelog import (
     InvalidOrder,
+    NumericElement,
     OrderTooLarge,
     UsageError,
+    _kernels,
     cryptanalysis,
     element,
     make_params,
@@ -76,6 +78,17 @@ class TestExhaustive:
         for k in range(0, n, 17):
             q = to_numeric(element(p, k))
             assert attack_exhaustive(q, p).recovered == attack_direct(q, p).recovered == k
+
+    @pytest.mark.parametrize("n, bits", [(1000, 12), (4096, 14), (10007, 16), (12, 3)])
+    def test_report_matches_the_exact_loop(self, n, bits):
+        # targets between the rounded roots as well as on them
+        p = make_params(n, 1, bits)
+        for t in range(0, 1 << bits, (1 << bits) // 97 or 1):
+            best_k, best_dist = _kernels._exact_nearest_angle(t, n, bits)
+            report = attack_exhaustive(NumericElement(p, t), p)
+            assert report.recovered == best_k
+            assert report.notes == f"nearest angle at distance {best_dist}/2^{bits} turn-units"
+            assert report.mean_ops == n
 
     def test_order_guard(self):
         p = make_params(1 << 25, 1, 28)

@@ -1,4 +1,4 @@
-"""The numpy batch kernel against the exact big-int loop of ``_kernels``."""
+"""The numpy kernels against the exact big-int loops of ``_kernels``."""
 
 from array import array
 from fractions import Fraction
@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelog import KERNEL_BACKEND, _kernels
+from circlelog import KERNEL_BACKEND, UsageError, _kernels
 
-# saved before ``no_fallback`` patches it out of the module
+# saved before ``no_fallback``/``no_scan_fallback`` patch them out of the module
 oracle = _kernels._exact_chain_successes
+scan_oracle = _kernels._exact_nearest_angle
 
 N_MAX = 1 << 24
 DDEN_MAX = 1 << 16
@@ -38,6 +39,14 @@ def no_fallback(monkeypatch):
     def refuse(*args):
         raise AssertionError("numpy-domain call fell back to the exact loop")
     monkeypatch.setattr(_kernels, "_exact_chain_successes", refuse)
+
+
+@pytest.fixture
+def no_scan_fallback(monkeypatch):
+    """Fail if a scan meant for numpy reaches the exact loop."""
+    def refuse(*args):
+        raise AssertionError("numpy-domain scan fell back to the exact loop")
+    monkeypatch.setattr(_kernels, "_exact_nearest_angle", refuse)
 
 
 def test_backend_is_always_available():
@@ -126,3 +135,66 @@ def test_dispatch_falls_back_above_int64_range():
     assert t == round(Fraction(k << 128, n)) % (1 << 128)  # round() is half-to-even
     ks = [k, k + 1, -k, 3 * n]
     assert _kernels.sweep_success_count(n, 128, 1, 5, ks) == oracle(n, 128, 1, 5, ks, 1, 4) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 30), st.integers(1, 64), st.data())
+@example(1, 0, 1, None)
+def test_nearest_angle_agrees(n, p, chunk, data):
+    # targets anywhere in [0, 2^p), mostly not rounded roots; a small chunk
+    # puts minima and ties on chunk boundaries
+    t = 0 if data is None else data.draw(st.integers(0, (1 << p) - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_CHUNK", chunk)
+        assert _kernels.nearest_angle(t, n, p) == scan_oracle(t, n, p)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 20])
+def test_nearest_angle_ties_exhaustively(no_scan_fallback, monkeypatch, chunk):
+    # every target at small n and p: equidistant angles, wrap-around ties and
+    # exponents sharing one angle
+    monkeypatch.setattr(_kernels, "_SCAN_CHUNK", chunk)
+    for n in range(1, 20):
+        for p in range(6):
+            for t in range(1 << p):
+                assert _kernels.nearest_angle(t, n, p) == scan_oracle(t, n, p), (n, p, t)
+
+
+@pytest.mark.parametrize("n, p, t", [
+    (1, 31, 5), (7, 40, (1 << 40) - 1), (100, 64, 1 << 63),  # p > 30
+    (10, 8, -1), (10, 8, 256), (10, 8, 3 * 256 + 7), (10, 8, -1000),  # t outside [0, 2^p)
+    (10, 8, 1 << 70), (10, 8, -(1 << 70)),  # ... and beyond int64
+    (0, 8, 3),  # no exponent at all
+])
+def test_nearest_angle_outside_domain_is_the_exact_loop(n, p, t):
+    assert _kernels.nearest_angle(t, n, p) == scan_oracle(t, n, p)
+
+
+def test_nearest_angle_at_domain_edges_stays_on_numpy(no_scan_fallback):
+    assert _kernels.nearest_angle(0, 1, 0) == (0, 0)
+    assert _kernels.nearest_angle((1 << 30) - 1, 3, 30) == (0, 1)
+    n = 10007  # prime: no angle repeats, so the target's own exponent wins
+    k = 4321
+    assert _kernels.nearest_angle(_kernels.to_numeric_t(k, n, 30), n, 30) == (k, 0)
+
+
+@pytest.mark.parametrize("forms, pair", [
+    ((Fraction(1, 4), 0.25, "1/4", "0.25"), (1, 4)),
+    ((Fraction(0), 0, 0.0, "0"), (0, 1)),
+    ((Fraction(2, 10), "2/10", "1/5"), (1, 5)),
+])
+def test_tolerance_same_pair_for_every_form(forms, pair):
+    for delta in forms:
+        assert _kernels.tolerance(delta) == pair, delta
+
+
+@pytest.mark.parametrize("forms, shown", [
+    ((Fraction(1, 2), 0.5, "1/2"), "1/2"),
+    ((Fraction(-1, 5), "-1/5"), "-1/5"),
+    ((Fraction(1), 1), "1"),
+])
+def test_tolerance_same_usage_error_for_every_form(forms, shown):
+    for delta in forms:
+        with pytest.raises(UsageError) as info:
+            _kernels.tolerance(delta)
+        assert str(info.value) == f"delta must lie in [0, 1/2), got {shown}", delta

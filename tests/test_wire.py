@@ -135,3 +135,18 @@ def test_overlong_line_rejected_naming_step(monkeypatch):
     err = box.get("error")
     assert isinstance(err, ProtocolError)
     assert "longer than 64" in str(err) and "PARAMS" in str(err)
+
+
+def test_refused_connection_names_host_port_and_step():
+    with socket.socket() as closed:  # bound, not listening: connections are refused
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+        with pytest.raises(ProtocolError, match=f"connect to 127.0.0.1:{port} failed"):
+            dh_connect("127.0.0.1", port, PARAMS, Random(CLIENT_SEED))
+
+
+def test_port_in_use_names_host_port_and_step():
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        with pytest.raises(ProtocolError, match=f"listen on 127.0.0.1:{port} failed"):
+            dh_serve(port, PARAMS, Random(SERVER_SEED))
