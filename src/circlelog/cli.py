@@ -16,12 +16,10 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-import numpy as np
-
 from . import cryptanalysis, keyfile, spectral, wire
 from .contlog import DEFAULT_TOLERANCE
 from .errors import CircleLogError, OutputError, ParseError, UsageError
-from .group import complex_value, element, make_params, to_numeric
+from .group import element, make_params
 from .protocols import (
     Ciphertext,
     KeyPair,
@@ -50,6 +48,13 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational a/b: {text!r}") from None
+
+
+def _port(text: str) -> int:
+    port = int(text) if text.isdecimal() else -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"not a TCP port in 0-65535: {text!r}")
+    return port
 
 
 def _add_params(parser, with_p=True):
@@ -166,17 +171,15 @@ def cmd_dh_connect(args) -> int:
 
 def cmd_attack(args) -> int:
     params = make_params(args.n, args.g, args.p)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    report = cryptanalysis.direct_attack_report(params, args.trials, args.delta, seed)
+    report = cryptanalysis.direct_attack_report(params, args.trials, args.delta, args.seed)
     with _output(args) as out:
         out.write(cryptanalysis.format_report(report))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
     rows = cryptanalysis.precision_sweep(
-        args.n, range(args.p_min, args.p_max + 1), args.trials, args.delta, seed
+        args.n, range(args.p_min, args.p_max + 1), args.trials, args.delta, args.seed
     )
     with _output(args) as out:
         cryptanalysis.write_csv(rows, out)
@@ -184,9 +187,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_accumulate(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
     rows = cryptanalysis.accumulation_experiment(
-        args.n, args.p, range(1, args.m_max + 1), args.trials, args.delta, seed
+        args.n, args.p, range(1, args.m_max + 1), args.trials, args.delta, args.seed
     )
     with _output(args) as out:
         cryptanalysis.write_csv(rows, out)
@@ -194,42 +196,15 @@ def cmd_accumulate(args) -> int:
 
 
 def cmd_spectral_check(args) -> int:
-    n = args.n
     if args.dump:
-        builders = {
-            "shift": spectral.shift_operator,
-            "dft": spectral.dft_matrix,
-            "log": spectral.log_operator,
-        }
-        operator = builders[args.dump](n)
+        operator = spectral.OPERATORS[args.dump](args.n)
         with _output(args) as out:
             spectral.dump_operator(operator, out)
         return 0
-
     ok = True
-    f = spectral.dft_matrix(n).entries
-    unitary = np.abs(f @ f.conj().T - np.eye(n)).max()
-    ok &= unitary < 1e-10
-    print(f"dft unitary: max deviation {unitary:.3e} {'PASS' if unitary < 1e-10 else 'FAIL'}")
-
-    params = make_params(n, 1 if n > 1 else 0, 64)  # 64 bits: angle error far below 1e-9
-    exact = np.array(
-        [complex(*complex_value(to_numeric(element(params, k)))) for k in range(n)]
-    )
-    eig = spectral.eigenvalues_of_shift(n)
-    # roots are >= 2*pi/n apart, so nearest-match is a bijection at this scale
-    eig_dev = np.abs(eig[:, None] - exact[None, :]).min(axis=1).max()
-    ok &= eig_dev < 1e-9
-    print(f"shift eigenvalues vs exact roots: max deviation {eig_dev:.3e} "
-          f"{'PASS' if eig_dev < 1e-9 else 'FAIL'}")
-
-    exp_dev = np.abs(
-        spectral.exp_operator(spectral.log_operator(n)).entries
-        - spectral.shift_operator(n).entries
-    ).max()
-    ok &= exp_dev < 1e-8
-    print(f"exp(log) vs shift: max deviation {exp_dev:.3e} "
-          f"{'PASS' if exp_dev < 1e-8 else 'FAIL'}")
+    for name, deviation, bound in spectral.check(args.n):
+        ok &= deviation < bound
+        print(f"{name}: max deviation {deviation:.3e} {'PASS' if deviation < bound else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -276,20 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("dh-serve", cmd_dh_serve, help="serve one DH session")
     _add_params(p)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_port, required=True)
     p.add_argument("--seed", type=int)
 
     p = add("dh-connect", cmd_dh_connect, help="connect to a DH server")
     _add_params(p)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_port, required=True)
     p.add_argument("--seed", type=int)
 
     p = add("attack", cmd_attack, help="direct inversion attack trials")
     _add_params(p)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--delta", type=_fraction, default=DEFAULT_TOLERANCE)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out")
 
     p = add("sweep", cmd_sweep, help="precision sweep, CSV output")
@@ -298,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=int, required=True)
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--delta", type=_fraction, default=DEFAULT_TOLERANCE)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out")
 
     p = add("accumulate", cmd_accumulate, help="error-accumulation experiment, CSV output")
@@ -307,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=16, help="largest chain length")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--delta", type=_fraction, default=DEFAULT_TOLERANCE)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out")
 
     p = add("spectral-check", cmd_spectral_check, help="operator-model checks")
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--dump", choices=("shift", "dft", "log"), help="dump a matrix instead")
+    p.add_argument("--dump", choices=spectral.OPERATORS, help="dump a matrix instead")
     p.add_argument("--out")
 
     return parser

@@ -248,10 +248,16 @@ def direct_attack_report(
 
 
 def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackReport:
-    """Baseline: try every exponent, keep the nearest angle (wrap-around metric)."""
+    """Baseline: try every exponent, keep the nearest angle (wrap-around metric).
+
+    Refuses n > ``EXHAUSTIVE_ORDER_GUARD`` (``OrderTooLarge``) and an angle t
+    outside [0, 2^p) (``UsageError``).
+    """
     n, p = params.n, params.p
     if n > EXHAUSTIVE_ORDER_GUARD:
         raise OrderTooLarge(f"exhaustive search refused for n={n} > 2^24")
+    if not 0 <= public.t < 1 << p:
+        raise UsageError(f"angle t={public.t} outside [0, 2^{p})")
     best_k, best_dist = _kernels.nearest_angle(public.t, n, p)
     return AttackReport(
         attack_name="exhaustive",

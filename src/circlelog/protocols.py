@@ -68,10 +68,9 @@ def random_scalar(rng: Random, n: int) -> int:
             return v
 
 
-def generator_power(params: GroupParams, e: int, base: ExactElement | None = None) -> ExactElement:
-    """g^e, optionally offset by a fixed base point (defaults to identity)."""
-    q = power(generator(params), e)
-    return q if base is None else mul(q, base)
+def generator_power(params: GroupParams, e: int) -> ExactElement:
+    """g^e."""
+    return power(generator(params), e)
 
 
 def keygen(params: GroupParams, rng: Random) -> KeyPair:

@@ -17,10 +17,10 @@ byte-identical on both ends.
 
 A peer that stays silent for ``TIMEOUT_S`` seconds, or sends a line longer
 than ``MAX_LINE`` characters (LF included), ends the session with a
-``ProtocolError`` naming the message waited for. The server waits for its
-client to connect without limit. A connection that cannot be made, or a
-port that cannot be listened on, raises a ``ProtocolError`` naming host:port
-and the step.
+``ProtocolError`` naming the message waited for, and so does a public A or
+B outside [1, n). The server waits for its client to connect without limit.
+A connection that cannot be made, or a port that cannot be listened on,
+raises a ``ProtocolError`` naming host:port and the step.
 """
 
 from __future__ import annotations
@@ -82,6 +82,21 @@ def _parse_decimal(line: str, pattern: str, expected: str) -> int:
         raise ProtocolError(f"expected {expected}, got {line!r}") from None
 
 
+def _shared_secret(
+    line: str, name: str, params: GroupParams, secret: int
+) -> tuple[ExactElement, str]:
+    """The peer's public ``<name>=<decimal>`` raised to ``secret``, and its confirm digest.
+
+    The public must lie in [1, n): 0 would make the identity the shared
+    secret, and a value outside the range would be reduced without a word.
+    """
+    public = _parse_decimal(line, f"{name}=", f"{name}=<decimal>")
+    if not 1 <= public < params.n:
+        raise ProtocolError(f"expected {name} in [1, {params.n}), got {public}")
+    shared = power(element(params, public), secret)
+    return shared, confirm_digest(shared)
+
+
 def _open_streams(sock):
     """Separate text reader and writer over ``sock``.
 
@@ -101,11 +116,10 @@ def _serve_session(reader, writer, params: GroupParams, rng: Random) -> SessionR
         raise ParamsMismatch(f"client parameters disagree: {line!r}")
     _send(writer, transcript, "S: ", "OK")
 
-    a_pub = _parse_decimal(_recv(reader, transcript, "C: ", "A"), "A=", "A=<decimal>")
+    a_line = _recv(reader, transcript, "C: ", "A")
     b = random_scalar(rng, params.n)
+    shared, confirm = _shared_secret(a_line, "A", params, b)
     _send(writer, transcript, "S: ", f"B={generator_power(params, b).k}")
-    shared = power(element(params, a_pub), b)
-    confirm = confirm_digest(shared)
 
     their = _recv(reader, transcript, "C: ", "CONFIRM")
     _send(writer, transcript, "S: ", f"CONFIRM {confirm}")
@@ -158,11 +172,8 @@ def dh_connect(host: str, port: int, params: GroupParams, rng: Random) -> Sessio
 
             a = random_scalar(rng, params.n)
             _send(writer, transcript, "C: ", f"A={generator_power(params, a).k}")
-            b_pub = _parse_decimal(
-                _recv(reader, transcript, "S: ", "B"), "B=", "B=<decimal>"
-            )
-            shared = power(element(params, b_pub), a)
-            confirm = confirm_digest(shared)
+            b_line = _recv(reader, transcript, "S: ", "B")
+            shared, confirm = _shared_secret(b_line, "B", params, a)
             _send(writer, transcript, "C: ", f"CONFIRM {confirm}")
             their = _recv(reader, transcript, "S: ", "CONFIRM")
             if their != f"CONFIRM {confirm}":

@@ -8,8 +8,10 @@ from random import Random
 import pytest
 
 from circlelog import make_params
-from circlelog.cli import main
+from circlelog.cli import DEFAULT_SEED, build_parser, main
+from circlelog.cryptanalysis import CSV_HEADER
 from circlelog.keyfile import load_key
+from circlelog.spectral import CHECK_ORDER_GUARD, DENSE_ORDER_GUARD, OPERATORS
 from circlelog.wire import dh_serve
 
 
@@ -114,6 +116,73 @@ def test_spectral_check(capsys):
 def test_spectral_dump(capsys):
     assert main(["spectral-check", "--n", "2", "--dump", "shift"]) == 0
     assert capsys.readouterr().out == "0+0i 1+0i\n1+0i 0+0i\n"
+
+
+def test_spectral_check_labels(capsys):
+    assert main(["spectral-check", "--n", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": max deviation ")[0] for line in lines] == [
+        "dft unitary", "shift eigenvalues vs exact roots", "exp(log) vs shift",
+    ]
+    assert all(line.endswith(" PASS") for line in lines)
+
+
+# SHA-256 of the --dump text, recorded while the dense products also did the check
+@pytest.mark.parametrize("op, n, digest", [
+    ("shift", 1, "685fe8e2c376302a1686d61789525edd2d8e76fe58dc8b9bf64d3aa5966682bc"),
+    ("shift", 8, "410740bea8f01bc69d2c6f0c70aa5d514151129180d7237a5ad39c05577acb29"),
+    ("shift", 64, "9b73d639775dccdeb50223a2435ebf358c1ba26786d8ab907bdd06ba257b02b3"),
+    ("dft", 1, "685fe8e2c376302a1686d61789525edd2d8e76fe58dc8b9bf64d3aa5966682bc"),
+    ("dft", 8, "9d65be23fefe54597815b6919b6b533dde42d06d5025c6a1bdf8b9a57ec81a82"),
+    ("dft", 64, "c5b1908eb828b8527010989d972f0fe5c36ce02f00be8a688689f382e7f293fc"),
+    ("log", 1, "517b5877d47c1fd7564c429e368dd95fe13c732dc916e3066fda564a1ec0bf72"),
+    ("log", 8, "77cab693a2f6100c4f82cebce11fa5d30c2a0722ea58308f26f30880e6101d6c"),
+    ("log", 64, "46fc80ed71e819bb451709d3305ad342ea7ae677a246e6c4e77a6ee8c688c825"),
+])
+def test_spectral_dump_is_pinned(capsys, op, n, digest):
+    assert main(["spectral-check", "--n", str(n), "--dump", op]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "0"],
+    ["--n", "-3"],
+    ["--n", "0", "--dump", "shift"],
+    ["--n", str(CHECK_ORDER_GUARD + 1)],
+])
+def test_spectral_bad_order_exits_1(capsys, argv):
+    _exits_1_with_error(capsys, ["spectral-check", *argv])
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+def test_spectral_dump_above_guard_exits_1(tmp_path, capsys, op):
+    out = tmp_path / "op.txt"
+    argv = ["spectral-check", "--n", str(DENSE_ORDER_GUARD + 1), "--dump", op, "--out", str(out)]
+    assert "2^10" in _exits_1_with_error(capsys, argv)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dh-serve", "dh-connect"])
+@pytest.mark.parametrize("port", ["70000", "65536", "-1", "x"])
+def test_port_outside_range_exits_2(capsys, command, port):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--port", port, "--n", "101", "--g", "2", "--p", "16"])
+    assert exc.value.code == 2
+    assert "0-65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", [0, 65535])
+def test_port_range_ends_are_accepted(port):
+    for command in ("dh-serve", "dh-connect"):
+        assert build_parser().parse_args([command, "--port", str(port)]).port == port
+
+
+def test_experiment_seed_defaults_to_published_seed(capsys):
+    argv = ["sweep", "--n", "16", "--p-min", "2", "--p-max", "4", "--trials", "50"]
+    main(argv)
+    main([*argv, "--seed", str(DEFAULT_SEED)])
+    first, second = capsys.readouterr().out.split(CSV_HEADER)[1:]
+    assert first == second
 
 
 def test_usage_error_exits_2():

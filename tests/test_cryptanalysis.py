@@ -90,6 +90,12 @@ class TestExhaustive:
             assert report.notes == f"nearest angle at distance {best_dist}/2^{bits} turn-units"
             assert report.mean_ops == n
 
+    @pytest.mark.parametrize("t", [256, 775, -1])
+    def test_angle_outside_the_turn_rejected(self, t):
+        p = make_params(10, 1, 8)
+        with pytest.raises(UsageError, match=f"t={t} outside \\[0, 2\\^8\\)"):
+            attack_exhaustive(NumericElement(p, t), p)
+
     def test_order_guard(self):
         p = make_params(1 << 25, 1, 28)
         with pytest.raises(OrderTooLarge):

@@ -6,9 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from circlelog import complex_value, element, make_params, to_numeric
+from circlelog import (
+    InvalidOrder,
+    OrderTooLarge,
+    complex_value,
+    element,
+    make_params,
+    to_numeric,
+)
 from circlelog.spectral import (
+    CHECK_ORDER_GUARD,
+    DENSE_ORDER_GUARD,
+    OPERATORS,
     DenseOperator,
+    check,
     dft_matrix,
     dump_operator,
     eigenvalues_of_shift,
@@ -59,6 +70,18 @@ def test_eigenvalues_are_the_roots(n):
     assert sorted(dist.argmin(axis=1)) == list(range(n))  # multiset equality
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 360, 1000])
+def test_eigenvalue_k_is_root_k(n):
+    # mode k of the FFT is the root with exponent k: no pairing needed
+    assert np.abs(eigenvalues_of_shift(n) - exact_roots(n)).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64])
+def test_dft_matrix_is_the_ortho_fft(n):
+    x = np.random.default_rng(n).standard_normal(n) + 1j
+    assert np.abs(dft_matrix(n).entries @ x - np.fft.fft(x, norm="ortho")).max() < 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3, 16, 256])
 def test_spectral_theorem_reconstruction(n):
     f = dft_matrix(n).entries
@@ -94,6 +117,32 @@ def test_dump_format():
     buf = io.StringIO()
     dump_operator(DenseOperator(1, np.array([[0.5 - 0.25j]])), buf)
     assert buf.getvalue() == "0.5-0.25i\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 1000, 4096])
+def test_check_rows_pass(n):
+    rows = check(n)
+    assert [name for name, _, _ in rows] == [
+        "dft unitary", "shift eigenvalues vs exact roots", "exp(log) vs shift",
+    ]
+    assert all(deviation < bound for _, deviation, bound in rows)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_nonpositive_order_rejected(n):
+    for build in (check, *OPERATORS.values()):
+        with pytest.raises(InvalidOrder):
+            build(n)
+
+
+def test_order_guards():
+    # the guard fires before anything of size n is allocated
+    with pytest.raises(OrderTooLarge):
+        check(CHECK_ORDER_GUARD + 1)
+    for build in OPERATORS.values():
+        with pytest.raises(OrderTooLarge):
+            build(DENSE_ORDER_GUARD + 1)
+    assert shift_operator(DENSE_ORDER_GUARD).dim == DENSE_ORDER_GUARD
 
 
 def test_shape_validation():

@@ -150,3 +150,39 @@ def test_port_in_use_names_host_port_and_step():
         port = taken.getsockname()[1]
         with pytest.raises(ProtocolError, match=f"listen on 127.0.0.1:{port} failed"):
             dh_serve(port, PARAMS, Random(SERVER_SEED))
+
+
+@pytest.mark.parametrize("a_pub", ["0", "101", "-1"])
+def test_degenerate_client_public_rejected(a_pub):
+    box, thread = serve_in_thread(PARAMS, SERVER_SEED)
+    with socket.create_connection(("127.0.0.1", box["port"]), timeout=5) as sock:
+        with sock.makefile("r", encoding="utf-8", newline="\n") as reader:
+            sock.sendall(f"HELLO circlelog/1\nPARAMS n=101 g=2\nA={a_pub}\n".encode())
+            assert reader.readline() == "OK\n"
+            assert reader.readline() == ""  # no B= for a refused public
+    thread.join(5)
+    err = box.get("error")
+    assert isinstance(err, ProtocolError)
+    assert str(err) == f"expected A in [1, 101), got {a_pub}"
+
+
+def test_degenerate_server_public_rejected():
+    box = {}
+
+    def fake_server(server):
+        conn, _ = server.accept()
+        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+            for _ in range(2):  # HELLO, PARAMS
+                reader.readline()
+            conn.sendall(b"OK\n")
+            reader.readline()  # A=
+            conn.sendall(b"B=0\n")
+            box["after_b"] = reader.readline()
+
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        thread = threading.Thread(target=fake_server, args=(server,), daemon=True)
+        thread.start()
+        with pytest.raises(ProtocolError, match=r"expected B in \[1, 101\), got 0"):
+            dh_connect("127.0.0.1", server.getsockname()[1], PARAMS, Random(CLIENT_SEED))
+        thread.join(5)
+    assert box["after_b"] == ""  # the client sent no CONFIRM
