@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -19,11 +19,9 @@ from random import Random
 from . import cryptanalysis, keyfile, spectral, wire
 from .contlog import DEFAULT_TOLERANCE
 from .errors import CircleLogError, OutputError, ParseError, UsageError
-from .group import element, make_params
+from .group import make_params
 from .protocols import (
-    Ciphertext,
     KeyPair,
-    Signature,
     decode_message,
     elgamal_decrypt,
     elgamal_encrypt,
@@ -39,9 +37,6 @@ DEFAULT_P = 128
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 1
 
-CT_MAGIC = "circlelog-ct v1"
-SIG_MAGIC = "circlelog-sig v1"
-
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -51,10 +46,10 @@ def _fraction(text: str) -> Fraction:
 
 
 def _port(text: str) -> int:
-    port = int(text) if text.isdecimal() else -1
-    if not 0 <= port <= 65535:
-        raise argparse.ArgumentTypeError(f"not a TCP port in 0-65535: {text!r}")
-    return port
+    with suppress(ParseError):
+        if (port := keyfile.decimal(text)) <= 65535:
+            return port
+    raise argparse.ArgumentTypeError(f"not a TCP port in 0-65535: {text!r}")
 
 
 def _add_params(parser, with_p=True):
@@ -90,16 +85,6 @@ def _load_private(path: str) -> KeyPair:
     return key
 
 
-def _parse_two_line(path: str, magic: str, f1: str, f2: str) -> tuple[int, int]:
-    lines = keyfile.read_text(path).splitlines()
-    if len(lines) != 3 or lines[0] != magic:
-        raise ParseError(f"{path}: expected {magic!r} with fields {f1}, {f2}")
-    try:
-        return keyfile._field(lines, 1, f1), keyfile._field(lines, 2, f2)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def cmd_keygen(args) -> int:
     params = make_params(args.n, args.g, args.p)
     key = keygen(params, _rng(args))
@@ -118,14 +103,13 @@ def cmd_encrypt(args) -> int:
     m = encode_message(args.message.encode("utf-8"), pk.params)
     ct = elgamal_encrypt(pk, m, _rng(args))
     with _output(args) as out:
-        out.write(f"{CT_MAGIC}\nc1: {ct.c1.k}\nc2: {ct.c2.k}\n")
+        out.write(keyfile.serialize_ciphertext(ct))
     return 0
 
 
 def cmd_decrypt(args) -> int:
     sk = _load_private(args.key)
-    c1, c2 = _parse_two_line(args.ct, CT_MAGIC, "c1", "c2")
-    ct = Ciphertext(element(sk.params, c1), element(sk.params, c2))
+    ct = keyfile.load(args.ct, keyfile.parse_ciphertext, sk.params)
     try:
         text = decode_message(elgamal_decrypt(sk, ct)).decode("utf-8")
     except UnicodeDecodeError:
@@ -139,14 +123,14 @@ def cmd_sign(args) -> int:
     sk = _load_private(args.key)
     sig = sign(sk, args.message.encode("utf-8"), _rng(args))
     with _output(args) as out:
-        out.write(f"{SIG_MAGIC}\nR: {sig.R}\ns: {sig.s}\n")
+        out.write(keyfile.serialize_signature(sig))
     return 0
 
 
 def cmd_verify(args) -> int:
     pk = keyfile.load_key(args.pub)
-    r, s = _parse_two_line(args.sig, SIG_MAGIC, "R", "s")
-    if verify(pk, args.message.encode("utf-8"), Signature(r, s)):
+    sig = keyfile.load(args.sig, keyfile.parse_signature)
+    if verify(pk, args.message.encode("utf-8"), sig):
         print("ACCEPT")
         return 0
     print("REJECT")

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import _kernels
 from .contlog import DEFAULT_TOLERANCE
-from .errors import InvalidOrder, OrderTooLarge, UsageError
-from .group import ExactElement, GroupParams, NumericElement
+from .errors import OrderTooLarge, UsageError
+from .group import ExactElement, GroupParams, NumericElement, check_order_precision
 
 try:  # CPython's built-in SHA-256: its copy() is a struct copy, not an OpenSSL one
     from _sha256 import sha256 as _sha256
@@ -165,18 +165,15 @@ def _experiment_inputs(
 
     A request of impossible shape (fewer than one trial, an empty precision
     range, a tolerance outside [0, 1/2)) raises ``UsageError``; an order or
-    precision no group has raises ``InvalidOrder``. Returns delta as
-    (numerator, denominator).
+    precision no group has raises ``InvalidOrder``, at the first p out of
+    range. Returns delta as (numerator, denominator).
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     if not p_values:
         raise UsageError("precision range is empty (p-min > p-max?)")
     dnum, dden = _kernels.tolerance(delta)
-    if n < 1:
-        raise InvalidOrder(f"group order must be >= 1, got {n}")
-    if min(p_values) < 1:
-        raise InvalidOrder(f"angular precision must be >= 1 bit, got {min(p_values)}")
+    check_order_precision(n, p_values)
     return dnum, dden
 
 

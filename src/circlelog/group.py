@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import _kernels
 from .errors import InvalidOrder, NotPrimitive, ParamsMismatch
+
+MAX_PRECISION = 1 << 16  # bits; to_numeric shifts k mod n left by p
 
 
 @dataclass(frozen=True)
@@ -41,12 +44,18 @@ class NumericElement:
     t: int
 
 
-def make_params(n: int, g: int, p: int) -> GroupParams:
-    """Validate and build group parameters; g must be primitive."""
+def check_order_precision(n: int, precisions: Iterable[int]) -> None:
+    """InvalidOrder unless n >= 1 and each p, in order, lies in [1, MAX_PRECISION]."""
     if n < 1:
         raise InvalidOrder(f"group order must be >= 1, got {n}")
-    if p < 1:
-        raise InvalidOrder(f"angular precision must be >= 1 bit, got {p}")
+    for p in precisions:
+        if not 1 <= p <= MAX_PRECISION:
+            raise InvalidOrder(f"angular precision must lie in [1, {MAX_PRECISION}] bits, got {p}")
+
+
+def make_params(n: int, g: int, p: int) -> GroupParams:
+    """Validate and build group parameters; g must be primitive."""
+    check_order_precision(n, (p,))
     if n == 1:
         if g != 0:
             raise NotPrimitive(f"trivial group requires g=0, got {g}")

@@ -1,28 +1,71 @@
-"""Key file serialization.
+"""Key, ciphertext and signature files: UTF-8, split on LF alone, final LF optional.
 
-Format (UTF-8, LF line endings, lines in this exact order):
+A header, then ``name: <decimal>`` lines in this exact order; a <decimal> is
+ASCII digits 0-9 only (``decimal``, which also reads DH lines and ``--port``).
 
-    circlelog-key v1
-    role: private | public
-    n: <decimal>
+    circlelog-key v1          circlelog-ct v1       circlelog-sig v1
+    role: private | public    c1: <decimal>         R: <decimal>
+    n: <decimal>              c2: <decimal>         s: <decimal>
     g: <decimal>
     p: <decimal>
     x: <decimal>   (private)  /  h: <decimal>   (public)
 
-A private file may carry an optional trailing ``h:`` line; when present it is
+A private key may carry an optional trailing ``h:`` line; when present it is
 checked against g^x and a mismatch raises ConsistencyError. Saving always
 emits only the mandated lines, so load(save(key)) is byte-exact.
 """
 
 from __future__ import annotations
 
+import sys
+from itertools import zip_longest
 from pathlib import Path
+from typing import Callable
 
 from .errors import CircleLogError, ConsistencyError, OutputError, ParseError
-from .group import element, make_params
-from .protocols import KeyPair, PublicKey, generator_power
+from .group import GroupParams, element, make_params
+from .protocols import Ciphertext, KeyPair, PublicKey, Signature, generator_power
 
 MAGIC = "circlelog-key v1"
+CT_MAGIC = "circlelog-ct v1"
+SIG_MAGIC = "circlelog-sig v1"
+
+
+def decimal(text: str) -> int:
+    """The value of one or more ASCII digits 0-9; any other text raises ParseError."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError("not a decimal integer")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on decimal digits
+        raise ParseError(f"more than {sys.get_int_max_str_digits()} digits") from None
+
+
+def _lines(text: str, magic: str) -> list[str]:
+    """A record's lines, split on LF alone with the final LF optional, under ``magic``."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != magic:
+        raise ParseError(f"line 1: expected header {magic!r}")
+    return lines
+
+
+def _fields(lines: list[str], first: int, names: tuple[str, ...]) -> list[int]:
+    """The ``name: <decimal>`` lines from index ``first`` on, one per name, and no more."""
+    values = []
+    for number, (name, line) in enumerate(zip_longest(names, lines[first:]), first + 1):
+        if name is None:
+            raise ParseError(f"line {number}: trailing data {line!r}")
+        if line is None:
+            raise ParseError(f"line {number}: missing '{name}:' line")
+        if not line.startswith(f"{name}: "):
+            raise ParseError(f"line {number}: expected '{name}: <decimal>', got {line!r}")
+        try:
+            values.append(decimal(line[len(name) + 2:]))
+        except ParseError as exc:
+            raise ParseError(f"line {number}: field '{name}': {exc}") from None
+    return values
 
 
 def serialize_key(key: KeyPair | PublicKey) -> str:
@@ -38,67 +81,64 @@ def save_key(key: KeyPair | PublicKey, path: str | Path) -> None:
     write_text(path, serialize_key(key))
 
 
-def _field(lines: list[str], index: int, name: str) -> int:
-    if index >= len(lines):
-        raise ParseError(f"line {index + 1}: missing '{name}:' line")
-    line = lines[index]
-    if not line.startswith(f"{name}: "):
-        raise ParseError(f"line {index + 1}: expected '{name}: <decimal>', got {line!r}")
-    body = line[len(name) + 2:]
-    try:
-        return int(body, 10)
-    except ValueError:
-        raise ParseError(f"line {index + 1}: field '{name}' is not a decimal integer") from None
-
-
 def parse_key(text: str) -> KeyPair | PublicKey:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != MAGIC:
-        raise ParseError(f"line 1: expected header {MAGIC!r}")
-    if len(lines) < 2 or lines[1] not in ("role: private", "role: public"):
+    lines = _lines(text, MAGIC)
+    private = lines[1:2] == ["role: private"]
+    if not private and lines[1:2] != ["role: public"]:
         raise ParseError("line 2: expected 'role: private' or 'role: public'")
-    private = lines[1] == "role: private"
-    n = _field(lines, 2, "n")
-    g = _field(lines, 3, "g")
-    p = _field(lines, 4, "p")
+    if private:  # the h: line is optional
+        names = ("n", "g", "p", "x", "h")[: max(4, len(lines) - 2)]
+        n, g, p, x, *stored = _fields(lines, 2, names)
+    else:
+        n, g, p, h = _fields(lines, 2, ("n", "g", "p", "h"))
     try:
         params = make_params(n, g, p)
     except CircleLogError as exc:
         raise ParseError(f"invalid parameters: {exc}") from exc
 
-    if private:
-        x = _field(lines, 5, "x")
-        if not 1 <= x < n:
-            raise ParseError(f"line 6: private exponent x={x} outside [1, n)")
-        h = generator_power(params, x)
-        if len(lines) > 6:
-            stored_h = _field(lines, 6, "h")
-            if stored_h != h.k:
-                raise ConsistencyError(
-                    f"stored h={stored_h} disagrees with g^x={h.k}"
-                )
-            if len(lines) > 7:
-                raise ParseError(f"line 8: trailing data {lines[7]!r}")
-        return KeyPair(params, x, h)
-
-    h = _field(lines, 5, "h")
-    if not 0 <= h < n:
-        raise ParseError(f"line 6: public exponent h={h} outside [0, n)")
-    if len(lines) > 6:
-        raise ParseError(f"line 7: trailing data {lines[6]!r}")
-    return PublicKey(params, element(params, h))
+    if not private:
+        if h >= n:
+            raise ParseError(f"line 6: public exponent h={h} outside [0, n)")
+        return PublicKey(params, element(params, h))
+    if not 1 <= x < n:
+        raise ParseError(f"line 6: private exponent x={x} outside [1, n)")
+    h = generator_power(params, x)
+    if stored and stored[0] != h.k:
+        raise ConsistencyError(f"stored h={stored[0]} disagrees with g^x={h.k}")
+    return KeyPair(params, x, h)
 
 
-def read_text(path: str | Path) -> str:
-    """An input file's text; a missing, unreadable or non-UTF-8 file raises ParseError."""
+def serialize_ciphertext(ct: Ciphertext) -> str:
+    return f"{CT_MAGIC}\nc1: {ct.c1.k}\nc2: {ct.c2.k}\n"
+
+
+def parse_ciphertext(text: str, params: GroupParams) -> Ciphertext:
+    c1, c2 = _fields(_lines(text, CT_MAGIC), 1, ("c1", "c2"))
+    return Ciphertext(element(params, c1), element(params, c2))
+
+
+def serialize_signature(sig: Signature) -> str:
+    return f"{SIG_MAGIC}\nR: {sig.R}\ns: {sig.s}\n"
+
+
+def parse_signature(text: str) -> Signature:
+    return Signature(*_fields(_lines(text, SIG_MAGIC), 1, ("R", "s")))
+
+
+def load(path: str | Path, parse: Callable, *args):
+    """``parse(text, *args)`` on a file's UTF-8 text; every CircleLogError names the path."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return parse(Path(path).read_bytes().decode("utf-8"), *args)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
+    except CircleLogError as exc:  # keeps its type
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def load_key(path: str | Path) -> KeyPair | PublicKey:
+    return load(path, parse_key)
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -107,7 +147,3 @@ def write_text(path: str | Path, text: str) -> None:
         Path(path).write_bytes(text.encode("utf-8"))
     except OSError as exc:
         raise OutputError(f"{path}: {exc.strerror or exc}") from None
-
-
-def load_key(path: str | Path) -> KeyPair | PublicKey:
-    return parse_key(read_text(path))

@@ -19,7 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import InvalidOrder, OrderTooLarge
+from .errors import InvalidOrder, OrderTooLarge, UsageError
 from .group import complex_value, element, make_params, to_numeric
 
 DENSE_ORDER_GUARD = 1 << 10  # n x n complex matrices: 16 MB each at the guard
@@ -64,6 +64,7 @@ def eigenvalues_of_shift(n: int) -> np.ndarray:
 
     The shift is circulant, so this is the FFT of its first column, e_(n-1).
     """
+    _require_order(n, CHECK_ORDER_GUARD, "shift eigenvalues")
     return np.fft.fft(np.eye(1, n, n - 1)[0])
 
 
@@ -85,9 +86,12 @@ def log_operator(n: int) -> DenseOperator:
 
 
 def exp_operator(op: DenseOperator) -> DenseOperator:
-    """Matrix exponential via the known Fourier diagonalization."""
+    """Matrix exponential via the Fourier diagonal; a non-circulant op raises UsageError."""
     f = dft_matrix(op.dim).entries
-    diag = np.diag(f @ op.entries @ f.conj().T)
+    d = f @ op.entries @ f.conj().T
+    diag = np.diag(d)
+    if np.abs(d - np.diag(diag)).max() > 1e-9 * max(1.0, np.abs(diag).max()):
+        raise UsageError("exp_operator needs a circulant operator: F op F* is not diagonal")
     return DenseOperator(op.dim, f.conj().T @ np.diag(np.exp(diag)) @ f)
 
 

@@ -10,17 +10,17 @@ Line protocol (UTF-8, LF-terminated):
     client -> CONFIRM <hex>
     server -> CONFIRM <hex>
 
-where <hex> is the lowercase SHA-256 of the ASCII decimal of the shared
-exponent S.k. Both sides log the session as a transcript with C:/S: line
-prefixes in protocol order; with fixed seeds the transcripts are
-byte-identical on both ends.
+where <dec> is ASCII digits 0-9 (``keyfile.decimal``) and <hex> the
+lowercase SHA-256 of the ASCII decimal of the shared exponent S.k. Both
+sides log the session as a transcript with C:/S: line prefixes in protocol
+order; with fixed seeds the transcripts are byte-identical on both ends.
 
 A peer that stays silent for ``TIMEOUT_S`` seconds, or sends a line longer
 than ``MAX_LINE`` characters (LF included), ends the session with a
 ``ProtocolError`` naming the message waited for, and so does a public A or
-B outside [1, n). The server waits for its client to connect without limit.
-A connection that cannot be made, or a port that cannot be listened on,
-raises a ``ProtocolError`` naming host:port and the step.
+B that is not a <dec> in [1, n). The server waits for its client to connect
+without limit. A connection that cannot be made, or a port that cannot be
+listened on, raises a ``ProtocolError`` naming host:port and the step.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
-from .errors import ParamsMismatch, ProtocolError
+from .errors import ParamsMismatch, ParseError, ProtocolError
 from .group import ExactElement, GroupParams, element, power
+from .keyfile import decimal
 from .protocols import generator_power, random_scalar
 
 HELLO = "HELLO circlelog/1"
@@ -73,15 +74,6 @@ def _recv(reader, transcript: list[str], prefix: str, expected: str) -> str:
     return line
 
 
-def _parse_decimal(line: str, pattern: str, expected: str) -> int:
-    if not line.startswith(pattern):
-        raise ProtocolError(f"expected {expected}, got {line!r}")
-    try:
-        return int(line[len(pattern):], 10)
-    except ValueError:
-        raise ProtocolError(f"expected {expected}, got {line!r}") from None
-
-
 def _shared_secret(
     line: str, name: str, params: GroupParams, secret: int
 ) -> tuple[ExactElement, str]:
@@ -90,7 +82,11 @@ def _shared_secret(
     The public must lie in [1, n): 0 would make the identity the shared
     secret, and a value outside the range would be reduced without a word.
     """
-    public = _parse_decimal(line, f"{name}=", f"{name}=<decimal>")
+    digits = line[len(name) + 1:] if line.startswith(f"{name}=") else ""
+    try:
+        public = decimal(digits)
+    except ParseError:
+        raise ProtocolError(f"expected {name}=<decimal>, got {line!r}") from None
     if not 1 <= public < params.n:
         raise ProtocolError(f"expected {name} in [1, {params.n}), got {public}")
     shared = power(element(params, public), secret)

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior."""
 
 import hashlib
+import re
 import socket
 import threading
+import tracemalloc
 from random import Random
 
 import pytest
@@ -171,6 +173,15 @@ def test_port_outside_range_exits_2(capsys, command, port):
     assert "0-65535" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port", ["\u0669\u0669\u0669\u0669", "+80", "8_0", " 80", "80\n"])
+def test_port_must_be_ascii_digits(capsys, port):
+    for command in ("dh-serve", "dh-connect"):  # parsing only: nothing listens or connects
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--port", port])
+        assert exc.value.code == 2
+        assert "0-65535" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("port", [0, 65535])
 def test_port_range_ends_are_accepted(port):
     for command in ("dh-serve", "dh-connect"):
@@ -288,6 +299,62 @@ def test_non_decimal_ciphertext_field_exits_1(keys, capsys):
     keys["ct"].write_text("circlelog-ct v1\nc1: abc\nc2: 5\n")
     err = _exits_1_with_error(capsys, _decrypt(keys))
     assert "c1" in err and str(keys["ct"]) in err
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.replace("c1: ", "c1: +"),
+    lambda text: re.sub(r"c1: (\d)", r"c1: \1_", text),
+    lambda text: re.sub(r"c1: (\d+)", lambda m: "c1: " + m[1].translate(ARABIC_INDIC), text),
+], ids=["crlf", "plus-sign", "underscore", "arabic-indic-digits"])
+def test_ciphertext_outside_the_format_exits_1(keys, capsys, edit):
+    keys["ct"].write_bytes(edit(keys["ct"].read_text()).encode())
+    assert str(keys["ct"]) in _exits_1_with_error(capsys, _decrypt(keys))
+
+
+def test_malformed_key_file_error_names_its_path(keys, capsys):
+    text = keys["priv"].read_text()
+    keys["priv"].write_text(text.replace("x: ", "x: abc"))
+    err = _exits_1_with_error(capsys, _decrypt(keys))
+    assert err.startswith(f"error: {keys['priv']}: line 6: field 'x'")
+
+
+def _peak_allocation(argv):
+    """(exit code, peak bytes Python allocated) of one in-process CLI run."""
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+HUGE_P = "99999999999"  # (k mod n) << p would need ~12.5 GB
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--n", "1000", "--p", HUGE_P, "--trials", "10"],
+    ["accumulate", "--n", "1000", "--p", HUGE_P, "--m-max", "2", "--trials", "10"],
+    ["sweep", "--n", "1000", "--p-min", "2", "--p-max", HUGE_P, "--trials", "10"],
+    ["keygen", "--p", HUGE_P, "--seed", "1", "--out", "OUT"],
+])
+def test_precision_above_bound_exits_1_without_allocating(tmp_path, capsys, argv):
+    argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
+    code, peak = _peak_allocation(argv)
+    assert code == 1 and peak < 1 << 20
+    assert "precision" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_key_file_precision_above_bound_exits_1_without_allocating(keys, capsys):
+    text = keys["pub"].read_text()
+    keys["pub"].write_text(re.sub(r"p: \d+", f"p: {HUGE_P}", text))
+    code, peak = _peak_allocation(["encrypt", "--pub", str(keys["pub"]), "--message", "hi"])
+    assert code == 1 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert str(keys["pub"]) in err and "precision" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,7 @@ from circlelog import (
     power,
     to_numeric,
 )
-from circlelog.group import NumericElement
+from circlelog.group import MAX_PRECISION, NumericElement
 
 
 def euclid_gcd(a, b):
@@ -55,6 +55,12 @@ class TestMakeParams:
     def test_zero_precision(self):
         with pytest.raises(InvalidOrder):
             make_params(4, 1, 0)
+
+    def test_precision_bound(self):
+        assert make_params(4, 1, MAX_PRECISION).p == MAX_PRECISION
+        for p in (MAX_PRECISION + 1, 99_999_999_999):  # refused before any shift by p
+            with pytest.raises(InvalidOrder, match="precision"):
+                make_params(4, 1, p)
 
 
 class TestExactArithmetic:

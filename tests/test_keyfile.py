@@ -1,11 +1,12 @@
 """Key file serialization round trips and validation."""
 
+import re
 from random import Random
 
 import pytest
 
 from circlelog import ConsistencyError, ParseError, keygen, make_params
-from circlelog.keyfile import load_key, parse_key, save_key, serialize_key
+from circlelog.keyfile import decimal, load_key, parse_key, save_key, serialize_key
 from circlelog.protocols import KeyPair, PublicKey
 
 
@@ -63,6 +64,13 @@ def test_non_primitive_generator_rejected():
         parse_key(text)
 
 
+PUBLIC = "circlelog-key v1\nrole: public\nn: 10007\ng: 3\np: 64\nh: 5\n"
+
+
+def _edit(old, new, fragment, name):
+    return pytest.param(PUBLIC.replace(old, new), fragment, id=name)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -72,8 +80,37 @@ def test_non_primitive_generator_rejected():
         ("circlelog-key v1\nrole: public\nn: 97\ng: 5\np: 16\n", "h"),
         ("circlelog-key v1\nrole: private\nn: 97\ng: 5\np: 16\nx: 0\n", "x="),
         ("circlelog-key v1\nrole: public\nn: 97\ng: 5\np: 16\nh: 3\nextra\n", "trailing"),
+        # a field is ASCII digits only, and lines end in LF alone
+        _edit("n: 10007", "n: \u0661\u0660\u0660\u0660\u0667", "field 'n'", "arabic-indic-n"),
+        _edit("p: 64", "p: 6_4 ", "field 'p'", "underscore-space-p"),
+        _edit("p: 64", "p: +64", "field 'p'", "plus-p"),
+        _edit("p: 64", "p:  64", "field 'p'", "two-spaces-p"),
+        _edit("h: 5", "h: 5\r", "field 'h'", "cr-h"),
+        _edit("h: 5", "h: 5" + "0" * 5000, "digits", "5001-digit-h"),
+        _edit("\n", "\r\n", "header", "crlf"),
+        _edit("p: 64", "p: 99999999999", "precision", "precision-above-bound"),
     ],
 )
 def test_malformed_files_name_the_problem(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_key(text)
+
+
+def test_final_lf_optional():
+    assert parse_key(PUBLIC.rstrip("\n")) == parse_key(PUBLIC)
+
+
+def test_load_names_the_path_and_keeps_the_type(tmp_path, keypair):
+    path = tmp_path / "key.priv"
+    path.write_text(serialize_key(keypair) + f"h: {(keypair.h.k + 1) % 97}\n")
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(str(path))}: stored h="):
+        load_key(path)
+    path.write_text(serialize_key(keypair).replace("x: ", "x: +"))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 6: field 'x'"):
+        load_key(path)
+
+
+@pytest.mark.parametrize("text", ["", "-1", "+1", " 1", "1 ", "1_0", "0x10", "\u0661", "\u00b2"])
+def test_decimal_refuses_everything_but_ascii_digits(text):
+    with pytest.raises(ParseError):
+        decimal(text)

@@ -9,6 +9,7 @@ import pytest
 from circlelog import (
     InvalidOrder,
     OrderTooLarge,
+    UsageError,
     complex_value,
     element,
     make_params,
@@ -102,6 +103,13 @@ def test_exp_of_log_is_shift(n):
     assert np.abs(rebuilt - shift_operator(n).entries).max() < 1e-8
 
 
+def test_exp_refuses_non_circulant():
+    # the DFT does not diagonalize a nilpotent Jordan block; expm would be [[1, 1], [0, 1]]
+    jordan = DenseOperator(2, np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(UsageError, match="circulant"):
+        exp_operator(jordan)
+
+
 def test_log_eigenvalues_principal_branch():
     n = 16
     f = dft_matrix(n).entries
@@ -130,7 +138,7 @@ def test_check_rows_pass(n):
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_nonpositive_order_rejected(n):
-    for build in (check, *OPERATORS.values()):
+    for build in (check, eigenvalues_of_shift, *OPERATORS.values()):
         with pytest.raises(InvalidOrder):
             build(n)
 

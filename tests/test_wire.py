@@ -1,5 +1,6 @@
 """Loopback DH sessions over TCP."""
 
+import io
 import socket
 import threading
 from pathlib import Path
@@ -163,7 +164,17 @@ def test_degenerate_client_public_rejected(a_pub):
     thread.join(5)
     err = box.get("error")
     assert isinstance(err, ProtocolError)
-    assert str(err) == f"expected A in [1, 101), got {a_pub}"
+    expected = {"-1": "expected A=<decimal>, got 'A=-1'"}  # a sign is not a <decimal>
+    assert str(err) == expected.get(a_pub, f"expected A in [1, 101), got {a_pub}")
+
+
+@pytest.mark.parametrize("a_line", ["A= 5", "A=+5", "A=5 ", "A=0_5", "A=\u0665", "A=5\r"])
+def test_non_decimal_client_public_rejected(a_line):
+    reader = io.StringIO(f"HELLO circlelog/1\nPARAMS n=101 g=2\n{a_line}\n")
+    writer = io.StringIO()
+    with pytest.raises(ProtocolError, match="expected A=<decimal>"):
+        wire._serve_session(reader, writer, PARAMS, Random(SERVER_SEED))
+    assert writer.getvalue() == "OK\n"  # no B= for a refused public
 
 
 def test_degenerate_server_public_rejected():
