@@ -159,19 +159,26 @@ def _draw_block(seed: int, head: int, n: int, trials: int, m: int):
 
 
 def _experiment_inputs(
-    n: int, p_values: Sequence[int], trials: int, delta: Fraction
+    n: int,
+    p_values: Sequence[int],
+    trials: int,
+    delta: Fraction,
+    chain_lengths: Sequence[int] = (1,),
 ) -> tuple[int, int]:
     """Check an experiment's inputs before any draw or kernel sees them.
 
     A request of impossible shape (fewer than one trial, an empty precision
-    range, a tolerance outside [0, 1/2)) raises ``UsageError``; an order or
-    precision no group has raises ``InvalidOrder``, at the first p out of
-    range. Returns delta as (numerator, denominator).
+    or chain-length range, a chain length m < 1, a tolerance outside
+    [0, 1/2)) raises ``UsageError``; an order or precision no group has
+    raises ``InvalidOrder``, at the first p out of range. Returns delta as
+    (numerator, denominator).
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     if not p_values:
         raise UsageError("precision range is empty (p-min > p-max?)")
+    if not chain_lengths or min(chain_lengths) < 1:
+        raise UsageError("chain lengths must be a non-empty range of m >= 1 (m-max < 1?)")
     dnum, dden = _kernels.tolerance(delta)
     check_order_precision(n, p_values)
     return dnum, dden
@@ -301,7 +308,7 @@ def accumulation_experiment(
     m = floor((1/2 - delta)*2^p / max|e|) + 1 (never if n divides 2^p, where
     e = 0). At n = 1000, p = 12, delta = 1/5, max|e| = 496 and that m is 3.
     """
-    dnum, dden = _experiment_inputs(n, (p,), trials, delta)
+    dnum, dden = _experiment_inputs(n, (p,), trials, delta, chain_lengths)
     rows = []
     for m in chain_lengths:
         ks = _draw_block(seed, p, n, trials, m)

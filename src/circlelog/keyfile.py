@@ -1,7 +1,8 @@
 """Key, ciphertext and signature files: UTF-8, split on LF alone, final LF optional.
 
 A header, then ``name: <decimal>`` lines in this exact order; a <decimal> is
-ASCII digits 0-9 only (``decimal``, which also reads DH lines and ``--port``).
+ASCII digits 0-9 only (``decimal``, which also reads DH lines and the CLI's
+numeric flags).
 
     circlelog-key v1          circlelog-ct v1       circlelog-sig v1
     role: private | public    c1: <decimal>         R: <decimal>
@@ -10,9 +11,11 @@ ASCII digits 0-9 only (``decimal``, which also reads DH lines and ``--port``).
     p: <decimal>
     x: <decimal>   (private)  /  h: <decimal>   (public)
 
-A private key may carry an optional trailing ``h:`` line; when present it is
-checked against g^x and a mismatch raises ConsistencyError. Saving always
-emits only the mandated lines, so load(save(key)) is byte-exact.
+Public h and private x lie in [1, n), c1 and c2 in [0, n); a value outside
+raises ParseError naming its line. A private key may carry an optional
+trailing ``h:`` line; when present it is checked against g^x and a mismatch
+raises ConsistencyError. Saving always emits only the mandated lines, so
+load(save(key)) is byte-exact.
 """
 
 from __future__ import annotations
@@ -68,6 +71,13 @@ def _fields(lines: list[str], first: int, names: tuple[str, ...]) -> list[int]:
     return values
 
 
+def _in_range(number: int, name: str, value: int, low: int, n: int) -> int:
+    """``value`` if it lies in [low, n); else a ParseError naming line ``number``'s field."""
+    if not low <= value < n:
+        raise ParseError(f"line {number}: field '{name}': {name}={value} outside [{low}, n)")
+    return value
+
+
 def serialize_key(key: KeyPair | PublicKey) -> str:
     if isinstance(key, KeyPair):
         role, tail = "private", f"x: {key.x}"
@@ -96,13 +106,9 @@ def parse_key(text: str) -> KeyPair | PublicKey:
     except CircleLogError as exc:
         raise ParseError(f"invalid parameters: {exc}") from exc
 
-    if not private:
-        if h >= n:
-            raise ParseError(f"line 6: public exponent h={h} outside [0, n)")
-        return PublicKey(params, element(params, h))
-    if not 1 <= x < n:
-        raise ParseError(f"line 6: private exponent x={x} outside [1, n)")
-    h = generator_power(params, x)
+    if not private:  # h = 0 is the identity: every c2 would be the plaintext itself
+        return PublicKey(params, element(params, _in_range(6, "h", h, 1, n)))
+    h = generator_power(params, _in_range(6, "x", x, 1, n))
     if stored and stored[0] != h.k:
         raise ConsistencyError(f"stored h={stored[0]} disagrees with g^x={h.k}")
     return KeyPair(params, x, h)
@@ -114,7 +120,10 @@ def serialize_ciphertext(ct: Ciphertext) -> str:
 
 def parse_ciphertext(text: str, params: GroupParams) -> Ciphertext:
     c1, c2 = _fields(_lines(text, CT_MAGIC), 1, ("c1", "c2"))
-    return Ciphertext(element(params, c1), element(params, c2))
+    return Ciphertext(
+        element(params, _in_range(2, "c1", c1, 0, params.n)),
+        element(params, _in_range(3, "c2", c2, 0, params.n)),
+    )
 
 
 def serialize_signature(sig: Signature) -> str:

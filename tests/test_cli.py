@@ -1,16 +1,18 @@
 """End-to-end CLI behavior."""
 
+import argparse
 import hashlib
 import re
 import socket
 import threading
 import tracemalloc
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from circlelog import make_params
-from circlelog.cli import DEFAULT_SEED, build_parser, main
+from circlelog.cli import DEFAULT_N, DEFAULT_SEED, build_parser, main
 from circlelog.cryptanalysis import CSV_HEADER
 from circlelog.keyfile import load_key
 from circlelog.spectral import CHECK_ORDER_GUARD, DENSE_ORDER_GUARD, OPERATORS
@@ -188,6 +190,40 @@ def test_port_range_ends_are_accepted(port):
         assert build_parser().parse_args([command, "--port", str(port)]).port == port
 
 
+def _typed_options():
+    """(command, option) for every subcommand option that converts its value."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is not None]
+
+
+@pytest.mark.parametrize("command, option", _typed_options())
+def test_numeric_flags_take_only_ascii_digits(capsys, command, option):
+    for value in ["\u0669", "+1", " 1", "1_0", "1e3"]:  # parsing only: nothing runs
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/10", Fraction(1, 10)), ("0", 0), ("-1/5", Fraction(-1, 5)), ("007/20", Fraction(7, 20)),
+])
+def test_delta_is_an_integer_or_a_ratio_of_integers(text, value):
+    assert build_parser().parse_args(["attack", f"--delta={text}"]).delta == value
+
+
+@pytest.mark.parametrize("text", [
+    "0.2", "1/0", "1/", "/5", "1/2/3", "\u0661/\u0665", "1_0/50", " 1/5 ", "1/ 5", "1/+5",
+])
+def test_delta_outside_the_rule_exits_2(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["attack", "--delta", text])
+    assert exc.value.code == 2
+    assert "argument --delta: " in capsys.readouterr().err
+
+
 def test_experiment_seed_defaults_to_published_seed(capsys):
     argv = ["sweep", "--n", "16", "--p-min", "2", "--p-max", "4", "--trials", "50"]
     main(argv)
@@ -206,7 +242,8 @@ def test_usage_error_exits_2():
 # rows before the draw, kernel and output-writer rewrites; the --seed 4 rows,
 # whose draws go through the exact kernel loop (n > 2^24 or p > 30), before
 # the chunked draw reduction, so a draw handed over as a numpy int64 (which
-# wraps in the exact loop) shows here. --out must write the same bytes.
+# wraps in the exact loop) shows here; the sign and spectral-check rows before
+# every command's text went through main. --out must write the same bytes.
 @pytest.mark.parametrize("argv, digest", [
     (["attack", "--n", "1048576", "--g", "1", "--p", "22", "--trials", "500", "--seed", "1"],
      "cad078f0697fdd823cc3bd304ed627d34f182a3ac9318a5b0ab49666dcc7b2aa"),
@@ -225,11 +262,15 @@ def test_usage_error_exits_2():
     (["accumulate", "--n", "20000000", "--p", "34", "--m-max", "3", "--trials", "300",
       "--seed", "4"],
      "ee9e6fb99fe0fcce18668bd6e39975cfd0adbcb4e7ed43e0855bb11f5cd8376c"),
+    (["sign", "--key", "PRIV", "--message", "pay 100", "--seed", "3"],
+     "582611b538f68972a1580c1386c1d6eb2555619ce98192e9cc275b06fd955532"),
+    (["spectral-check", "--n", "8"],
+     "5c243d2631c54db8bfae0ac2ad6fd534cbc8d732ff18e7c50d07b13701c1bc29"),
 ])
 def test_seeded_experiment_stdout_is_pinned(tmp_path, capsys, argv, digest):
-    pub = tmp_path / "k.pub"
-    main(["keygen", "--seed", "5", "--out", str(tmp_path / "k.priv"), "--pub", str(pub)])
-    argv = [str(pub) if arg == "PUB" else arg for arg in argv]
+    priv, pub = tmp_path / "k.priv", tmp_path / "k.pub"
+    main(["keygen", "--seed", "5", "--out", str(priv), "--pub", str(pub)])
+    argv = [{"PUB": str(pub), "PRIV": str(priv)}.get(arg, arg) for arg in argv]
     assert main(argv) == 0
     stdout = capsys.readouterr().out.encode()
     assert hashlib.sha256(stdout).hexdigest() == digest
@@ -246,6 +287,8 @@ def test_seeded_experiment_stdout_is_pinned(tmp_path, capsys, argv, digest):
     ["accumulate", "--trials", "-1"],
     ["attack", "--trials", "0"],
     ["attack", "--delta", "1/2"],
+    ["accumulate", "--m-max", "0"],
+    ["accumulate", "--m-max", "-2"],
 ])
 def test_bad_experiment_shape_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -309,10 +352,20 @@ ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))
     lambda text: text.replace("c1: ", "c1: +"),
     lambda text: re.sub(r"c1: (\d)", r"c1: \1_", text),
     lambda text: re.sub(r"c1: (\d+)", lambda m: "c1: " + m[1].translate(ARABIC_INDIC), text),
-], ids=["crlf", "plus-sign", "underscore", "arabic-indic-digits"])
+    lambda text: re.sub(r"c1: (\d+)", lambda m: f"c1: {int(m[1]) + DEFAULT_N}", text),
+    lambda text: re.sub(r"c2: (\d+)", lambda m: f"c2: {int(m[1]) + DEFAULT_N}", text),
+], ids=["crlf", "plus-sign", "underscore", "arabic-indic-digits", "c1-plus-n", "c2-plus-n"])
 def test_ciphertext_outside_the_format_exits_1(keys, capsys, edit):
     keys["ct"].write_bytes(edit(keys["ct"].read_text()).encode())
     assert str(keys["ct"]) in _exits_1_with_error(capsys, _decrypt(keys))
+
+
+def test_public_key_with_zero_h_exits_1(keys, tmp_path, capsys):
+    keys["pub"].write_text(re.sub(r"h: \d+", "h: 0", keys["pub"].read_text()))
+    out = tmp_path / "zero.ct"
+    argv = ["encrypt", "--pub", str(keys["pub"]), "--message", "hi", "--out", str(out)]
+    assert _exits_1_with_error(capsys, argv).startswith(f"error: {keys['pub']}: line 6: field 'h'")
+    assert not out.exists()
 
 
 def test_malformed_key_file_error_names_its_path(keys, capsys):

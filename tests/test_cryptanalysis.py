@@ -324,6 +324,8 @@ class TestInputValidation:
         lambda: accumulation_experiment(1000, 12, [1], -1),
         lambda: accumulation_experiment(1000, 12, [1], 10, delta=Fraction(-1, 5)),
         lambda: direct_attack_report(make_params(16, 1, 6), 0),
+        lambda: accumulation_experiment(1000, 12, [], 10),
+        lambda: accumulation_experiment(1000, 12, [0, 2], 10),
     ])
     def test_request_shape_is_usage_error(self, call):
         with pytest.raises(UsageError):

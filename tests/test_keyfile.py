@@ -6,7 +6,14 @@ from random import Random
 import pytest
 
 from circlelog import ConsistencyError, ParseError, keygen, make_params
-from circlelog.keyfile import decimal, load_key, parse_key, save_key, serialize_key
+from circlelog.keyfile import (
+    decimal,
+    load_key,
+    parse_ciphertext,
+    parse_key,
+    save_key,
+    serialize_key,
+)
 from circlelog.protocols import KeyPair, PublicKey
 
 
@@ -86,6 +93,8 @@ def _edit(old, new, fragment, name):
         _edit("p: 64", "p: +64", "field 'p'", "plus-p"),
         _edit("p: 64", "p:  64", "field 'p'", "two-spaces-p"),
         _edit("h: 5", "h: 5\r", "field 'h'", "cr-h"),
+        _edit("h: 5", "h: 0", "field 'h': h=0 outside", "zero-h"),
+        _edit("h: 5", "h: 10007", "field 'h': h=10007 outside", "h-equal-to-n"),
         _edit("h: 5", "h: 5" + "0" * 5000, "digits", "5001-digit-h"),
         _edit("\n", "\r\n", "header", "crlf"),
         _edit("p: 64", "p: 99999999999", "precision", "precision-above-bound"),
@@ -94,6 +103,15 @@ def _edit(old, new, fragment, name):
 def test_malformed_files_name_the_problem(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_key(text)
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("circlelog-ct v1\nc1: 97\nc2: 0\n", "line 2: field 'c1': c1=97 outside [0, n)"),
+    ("circlelog-ct v1\nc1: 0\nc2: 194\n", "line 3: field 'c2': c2=194 outside [0, n)"),
+], ids=["c1", "c2"])
+def test_ciphertext_field_at_or_above_n_is_refused(text, fragment):
+    with pytest.raises(ParseError, match=re.escape(fragment)):
+        parse_ciphertext(text, make_params(97, 5, 16))
 
 
 def test_final_lf_optional():
