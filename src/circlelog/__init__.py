@@ -4,6 +4,11 @@ Exact cyclic-group arithmetic, fixed-point angles, the multi-valued
 continuous logarithm, DH/ElGamal/signature protocols, attack experiments,
 and a desk-scale operator model. ``KERNEL_BACKEND`` names the batch kernel
 path ("numpy"); parameters beyond its int64 domain take exact Python ints.
+
+Importing the package loads no numpy, and neither do the protocols, which
+run on exact Python ints. numpy is imported on first use: by a batch kernel
+or the exhaustive scan inside their int64 domain, by the draw reduction for
+n <= 2^32, and by ``circlelog.spectral``.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND

@@ -25,11 +25,16 @@ lies nearest a target. For 1 <= n <= 2^24, p <= 30 and a target in [0, 2^p) it
 scans all angles in numpy, ``_SCAN_CHUNK`` exponents at a time; otherwise it
 takes the exact loop ``_exact_nearest_angle``, its test oracle. Both kernels
 round through ``_angles``, the one numpy copy of the rounding rule.
+
+numpy is imported inside the functions that compute with it (``_angles``,
+``_chain_successes``, ``_batch``, ``roundtrip_all``, ``nearest_angle``), so
+it is loaded at the first batch or scan call and never by the scalar path
+that the protocols use.
 """
 
-from fractions import Fraction
+from __future__ import annotations
 
-import numpy as np
+from fractions import Fraction
 
 from .errors import UsageError
 
@@ -102,6 +107,8 @@ def _angles(r: np.ndarray, n: int, p: int) -> np.ndarray:
 
     Overwrites r; in the int64 domain every intermediate stays below 2^55.
     """
+    import numpy as np
+
     r <<= p
     q = np.empty_like(r)
     np.divmod(r, n, out=(q, r))
@@ -114,6 +121,8 @@ def _angles(r: np.ndarray, n: int, p: int) -> np.ndarray:
 
 def _chain_successes(n: int, p: int, dnum: int, dden: int, ks: np.ndarray) -> int:
     """Numpy kernel over an int64 (trials, m) array of exponents, in the domain."""
+    import numpy as np
+
     # exact product: sum of exponents mod n; reducing first keeps sums small
     r = np.remainder(ks, n)
     k_sum = r.sum(axis=1)
@@ -141,6 +150,8 @@ def _batch(n: int, p: int, dnum: int, dden: int, ks_flat, m: int, trials: int) -
     names (as ``perfbench/tracing.py`` installs) counts each batch once.
     """
     if 1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= dnum < dden <= _DDEN_MAX:
+        import numpy as np
+
         try:
             ks = np.asarray(ks_flat, dtype=np.int64)
         except OverflowError:  # an exponent beyond int64: exact path
@@ -169,6 +180,8 @@ def sweep_success_count(n: int, p: int, dnum: int, dden: int, ks) -> int:
 
 def roundtrip_all(n: int, p: int, dnum: int, dden: int) -> int:
     """Count exponents k in [0, n) surviving to_numeric -> recover intact."""
+    import numpy as np
+
     ks = np.arange(n, dtype=np.int64) if n <= _N_MAX else range(n)
     return _batch(n, p, dnum, dden, ks, 1, n)
 
@@ -193,6 +206,8 @@ def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
     """
     if not (1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= t < 1 << p):
         return _exact_nearest_angle(t, n, p)
+    import numpy as np
+
     full = 1 << p
     best_k, best_dist = 0, full
     for first in range(0, n, _SCAN_CHUNK):

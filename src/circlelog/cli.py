@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from . import cryptanalysis, keyfile, spectral, wire
+from . import cryptanalysis, keyfile, wire
 from .contlog import DEFAULT_TOLERANCE
 from .errors import CircleLogError, OutputError, ParseError, UsageError
 from .group import make_params
@@ -41,6 +41,7 @@ DEFAULT_G = 3
 DEFAULT_P = 128
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 1
+DUMP_OPERATORS = ("shift", "dft", "log")  # spectral.OPERATORS, named without importing numpy
 
 
 def _integer(text: str) -> int:
@@ -125,12 +126,18 @@ def cmd_verify(args, out: io.StringIO) -> int:
 
 def cmd_dh_serve(args, out: io.StringIO) -> int:
     params = make_params(args.n, args.g, args.p)
-    result = wire.dh_serve(args.port, params, _rng(args), host=args.host)
+
+    def listening(port: int) -> None:  # flushed at once: with --port 0, how a client learns the port
+        print(f"listening on {args.host}:{port}", file=sys.stderr, flush=True)
+
+    result = wire.dh_serve(args.port, params, _rng(args), host=args.host, on_listen=listening)
     out.write(f"{result.transcript}CONFIRM {result.confirm}\n")
     return 0
 
 
 def cmd_dh_connect(args, out: io.StringIO) -> int:
+    if args.port == 0:
+        raise UsageError("--port 0 (any free port) is only for dh-serve; give the server's port")
     params = make_params(args.n, args.g, args.p)
     result = wire.dh_connect(args.host, args.port, params, _rng(args))
     out.write(f"{result.transcript}CONFIRM {result.confirm}\n")
@@ -161,6 +168,8 @@ def cmd_accumulate(args, out: io.StringIO) -> int:
 
 
 def cmd_spectral_check(args, out: io.StringIO) -> int:
+    from . import spectral  # numpy throughout: loaded only for this command
+
     if args.dump:
         spectral.dump_operator(spectral.OPERATORS[args.dump](args.n), out)
         return 0
@@ -170,6 +179,30 @@ def cmd_spectral_check(args, out: io.StringIO) -> int:
         ok &= passed
         out.write(f"{name}: max deviation {deviation:.3e} {'PASS' if passed else 'FAIL'}\n")
     return 0 if ok else 1
+
+
+def cmd_info(args, out: io.StringIO) -> int:
+    import numpy  # imported here only to report its version
+
+    from . import __version__, _kernels, spectral
+    from .cryptanalysis import EXHAUSTIVE_ORDER_GUARD
+    from .group import MAX_PRECISION
+    from .protocols import _PSI13
+
+    for key, value in [
+        ("circlelog", __version__),
+        ("numpy", numpy.__version__),
+        ("kernel_n_max", _kernels._N_MAX),
+        ("kernel_p_max", _kernels._P_MAX),
+        ("kernel_dden_max", _kernels._DDEN_MAX),
+        ("max_precision", MAX_PRECISION),
+        ("exhaustive_order_guard", EXHAUSTIVE_ORDER_GUARD),
+        ("dense_order_guard", spectral.DENSE_ORDER_GUARD),
+        ("check_order_guard", spectral.CHECK_ORDER_GUARD),
+        ("prime_order_guard", _PSI13),
+    ]:
+        out.write(f"{key}: {value}\n")
+    return 0
 
 
 def _flags(*arguments: tuple[str, dict]) -> argparse.ArgumentParser:
@@ -248,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("spectral-check", cmd_spectral_check, [output], help="operator-model checks")
     p.add_argument("--n", type=_integer, default=64)
-    p.add_argument("--dump", choices=spectral.OPERATORS, help="dump a matrix instead")
+    p.add_argument("--dump", choices=DUMP_OPERATORS, help="dump a matrix instead")
+
+    add("info", cmd_info, help="versions, kernel domain and size guards")
 
     return parser
 

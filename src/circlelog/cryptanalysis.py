@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
-import numpy as np
-
 from . import _kernels
 from .contlog import DEFAULT_TOLERANCE
 from .errors import OrderTooLarge, UsageError
@@ -104,6 +102,8 @@ def _reduce_ints(digests: list[bytes], n: int, limit: int) -> tuple[array | list
 
 def _reduce_words(digests: list[bytes], n: int, limit: int) -> tuple[array, list[int]]:
     """``_reduce_ints`` in numpy for n <= 2^32, the values as an int64 array."""
+    import numpy as np
+
     words = np.frombuffer(b"".join(digests), dtype=">u4").reshape(-1, 8)
     # Horner over the eight 32-bit words: acc < n <= 2^32, so acc << 32 | w fits.
     # Every operand is uint64 by its own dtype, so the result does not hang on

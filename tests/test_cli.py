@@ -9,11 +9,13 @@ import tracemalloc
 from fractions import Fraction
 from random import Random
 
+import numpy
 import pytest
 
-from circlelog import make_params
-from circlelog.cli import DEFAULT_N, DEFAULT_SEED, build_parser, main
-from circlelog.cryptanalysis import CSV_HEADER
+from circlelog import _kernels, __version__, make_params
+from circlelog.cli import DEFAULT_N, DEFAULT_SEED, DUMP_OPERATORS, build_parser, main
+from circlelog.cryptanalysis import CSV_HEADER, EXHAUSTIVE_ORDER_GUARD
+from circlelog.group import MAX_PRECISION
 from circlelog.keyfile import load_key
 from circlelog.spectral import CHECK_ORDER_GUARD, DENSE_ORDER_GUARD, OPERATORS
 from circlelog.wire import dh_serve
@@ -146,6 +148,10 @@ def test_spectral_check_labels(capsys):
 def test_spectral_dump_is_pinned(capsys, op, n, digest):
     assert main(["spectral-check", "--n", str(n), "--dump", op]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_dump_choices_are_the_spectral_operators():
+    assert DUMP_OPERATORS == tuple(OPERATORS)
 
 
 @pytest.mark.parametrize("argv", [
@@ -420,6 +426,32 @@ def test_out_in_missing_directory_exits_1(tmp_path, capsys, argv):
     argv = [{"OUT": out, "PRIV": str(tmp_path / "k")}.get(arg, arg) for arg in argv]
     assert out in _exits_1_with_error(capsys, argv)
     assert list(tmp_path.iterdir()) == []  # no private key left behind either
+
+
+def test_dh_connect_to_port_0_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dh-connect", "--port", "0", "--n", "101", "--g", "2", "--p", "16"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "only for dh-serve" in captured.err
+
+
+def test_info_reports_versions_domain_and_guards(capsys):
+    assert main(["info"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert dict(line.split(": ", 1) for line in lines) == {
+        "circlelog": __version__,
+        "numpy": numpy.__version__,
+        "kernel_n_max": str(_kernels._N_MAX),
+        "kernel_p_max": str(_kernels._P_MAX),
+        "kernel_dden_max": str(_kernels._DDEN_MAX),
+        "max_precision": str(MAX_PRECISION),
+        "exhaustive_order_guard": str(EXHAUSTIVE_ORDER_GUARD),
+        "dense_order_guard": str(DENSE_ORDER_GUARD),
+        "check_order_guard": str(CHECK_ORDER_GUARD),
+        "prime_order_guard": "3317044064679887385961981",
+    }
+    assert len(lines) == 10
 
 
 def test_dh_connect_refused_exits_1(capsys):
