@@ -13,9 +13,12 @@ Conventions:
 The scalar ``to_numeric_t``/``recover_t`` use exact Python ints: per call
 they beat numpy scalars. The batch entry points (``roundtrip_all``,
 ``sweep_success_count``, ``chain_success_count``) all count round-trip
-successes over a ``(trials, m)`` block of exponents. Inside the int64-safe
-domain (1 <= n <= 2^24, p <= 30, dden <= 2^16, 0 <= dnum < dden) every
-intermediate stays below 2^55, so one vectorised numpy kernel computes them.
+successes over a ``(trials, m)`` block of exponents. The package calls
+only ``chain_success_count``, once per draw chunk of an experiment; the
+other two remain for the tests and the benchmark's probes. Inside the
+int64-safe domain (1 <= n <= 2^24, p <= 30, dden <= 2^16, 0 <= dnum < dden)
+every intermediate stays below 2^55, so one vectorised numpy kernel computes
+them.
 Outside it, for instance at the protocol default n = 2^61 - 1, p = 128, they
 take the exact loop ``_exact_chain_successes``, which tests also use as the
 oracle for the numpy kernel.

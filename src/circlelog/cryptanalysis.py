@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, TextIO
 
 from . import _kernels
 from .contlog import DEFAULT_TOLERANCE
-from .errors import OrderTooLarge, UsageError
+from .errors import InvalidOrder, OrderTooLarge, UsageError
 from .group import ExactElement, GroupParams, NumericElement, check_order_precision
 
 try:  # CPython's built-in SHA-256: its copy() is a struct copy, not an OpenSSL one
@@ -71,12 +71,12 @@ def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
     The contract is the byte string: the draw is v mod n for the first
     counter = 0, 1, ... at which v, the SHA-256 digest of the ASCII path
     "seed/i1/.../ik/counter" read big-endian, falls below the largest multiple
-    of n at or under 2^256. SHA-256 is a streaming hash, so hashing a prefix of
-    the path once and feeding the rest to copies of that state gives the same
-    digest: ``_draw_block`` relies on this to draw whole blocks without
-    rebuilding and rehashing each path.
+    of n at or under 2^256 (n > 2^256 is ``InvalidOrder``). SHA-256 is a
+    streaming hash, so a copy of the state after a path prefix gives the same
+    digest: ``_draw_chunks`` relies on this to stream draws, at most
+    ``max(_CHUNK, m)`` held at once, without rebuilding and rehashing each path.
     """
-    limit = (1 << 256) - (1 << 256) % n
+    limit = _limit(n)
     counter = 0
     path = "/".join(str(i) for i in (seed, *indices))
     while True:
@@ -87,17 +87,21 @@ def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
         counter += 1
 
 
-def _reduce_ints(digests: list[bytes], n: int, limit: int) -> tuple[array | list, list[int]]:
+def _limit(n: int) -> int:
+    """The largest multiple of n at or under 2^256; for n > 2^256 it would be 0."""
+    if n > 1 << 256:  # every digest would be redrawn forever
+        raise InvalidOrder(f"seeded draws need a group order n <= 2^256, got n={n}")
+    return (1 << 256) - (1 << 256) % n
+
+
+def _reduce_ints(digests: list[bytes], n: int, limit: int) -> tuple[list[int], list[int]]:
     """v mod n for every digest v (read big-endian), and where v >= limit.
 
     The exact reduction, for any n: rejected positions are returned by index
-    (their value is meaningless). The values come in the container that
-    ``_draw_block`` returns. ``_reduce_words`` must agree with it.
+    (their value is meaningless). ``_reduce_words`` must agree with it.
     """
     vs = [int.from_bytes(d, "big") for d in digests]
-    values = [v % n for v in vs]
-    rejected = [i for i, v in enumerate(vs) if v >= limit]
-    return (array("q", values) if n <= 1 << 63 else values), rejected
+    return [v % n for v in vs], [i for i, v in enumerate(vs) if v >= limit]
 
 
 def _reduce_words(digests: list[bytes], n: int, limit: int) -> tuple[array, list[int]]:
@@ -122,20 +126,18 @@ def _reduce_words(digests: list[bytes], n: int, limit: int) -> tuple[array, list
     return array("q", acc.tobytes()), rejected  # acc < 2^32: the same bytes as int64
 
 
-def _draw_block(seed: int, head: int, n: int, trials: int, m: int):
+def _draw_chunks(seed: int, head: int, n: int, trials: int, m: int):
     """``derive_uniform(seed, (head, m, t, j), n)`` for every trial t and element j.
 
-    Flat in (t, j) order. "seed/head/m/" is hashed once per block and "t/"
-    once per trial; each draw then hashes only "j/0" into a copy of the trial
-    state. The digests of whole trials, up to ``_CHUNK`` draws (one trial if
-    m is larger), are reduced mod n at once: in numpy for n <= 2^32, with
-    Python ints above. A digest rejected at counter 0 is redrawn by
-    ``derive_uniform``.
-    Returns an int64 array, or a list when n > 2^63 lets a draw exceed int64.
+    Yields them in (t, j) order, in chunks of whole trials and at most
+    ``max(_CHUNK, m)`` draws. "seed/head/m/" is hashed once and "t/" once per
+    trial; each draw then hashes only "j/0" into a copy of the trial state. A
+    chunk is reduced mod n at once: in numpy for n <= 2^32 (an int64 array),
+    with Python ints above (a list). A digest rejected at counter 0 is redrawn
+    by ``derive_uniform``.
     """
-    limit = (1 << 256) - (1 << 256) % n
+    limit = _limit(n)
     reduce = _reduce_words if n <= 1 << 32 else _reduce_ints
-    out = (array("q", [0]) if n <= 1 << 63 else [0]) * (trials * m)
     block = _sha256(f"{seed}/{head}/{m}/".encode("ascii"))
     tails = [b"%d/0" % j for j in range(m)]
     per_chunk = max(1, _CHUNK // max(m, 1))
@@ -154,8 +156,15 @@ def _draw_block(seed: int, head: int, n: int, trials: int, m: int):
         for i in rejected:
             t, j = divmod(i, m)
             values[i] = derive_uniform(seed, (head, m, first + t, j), n)
-        out[first * m:first * m + len(values)] = values
-    return out
+        yield values
+
+
+def _row(variable: int, n: int, p: int, m: int, trials: int, dnum: int, dden: int,
+         seed: int) -> SweepRow:
+    """Seeded m-fold chains at precision p that recover intact, one draw chunk at a time."""
+    successes = sum(_kernels.chain_success_count(n, p, dnum, dden, ks, m, len(ks) // m)
+                    for ks in _draw_chunks(seed, p, n, trials, m))
+    return SweepRow(variable=variable, successes=successes, trials=trials)
 
 
 def _experiment_inputs(
@@ -231,12 +240,10 @@ def direct_attack_report(
     """Aggregate the direct attack over random exponents.
 
     Each trial draws a random k, publishes its rounded angle, runs one
-    recovery, and counts success iff the original k comes back.
+    recovery, and counts success iff k comes back: one ``precision_sweep`` row.
     """
     n, p = params.n, params.p
-    dnum, dden = _experiment_inputs(n, (p,), trials, delta)
-    ks = _draw_block(seed, p, n, trials, 1)
-    successes = _kernels.sweep_success_count(n, p, dnum, dden, ks)
+    successes = precision_sweep(n, (p,), trials, delta, seed)[0].successes
     notes = (
         "claim under test: inverting the angle map (the continuous logarithm) "
         "is computationally hard. measured: "
@@ -281,12 +288,7 @@ def precision_sweep(
 ) -> list[SweepRow]:
     """Round-trip success rate vs angular precision, one row per p."""
     dnum, dden = _experiment_inputs(n, p_range, trials_per_p, delta)
-    rows = []
-    for p in sorted(p_range):
-        ks = _draw_block(seed, p, n, trials_per_p, 1)
-        successes = _kernels.chain_success_count(n, p, dnum, dden, ks, 1, trials_per_p)
-        rows.append(SweepRow(variable=p, successes=successes, trials=trials_per_p))
-    return rows
+    return [_row(p, n, p, 1, trials_per_p, dnum, dden, seed) for p in sorted(p_range)]
 
 
 def accumulation_experiment(
@@ -309,12 +311,7 @@ def accumulation_experiment(
     e = 0). At n = 1000, p = 12, delta = 1/5, max|e| = 496 and that m is 3.
     """
     dnum, dden = _experiment_inputs(n, (p,), trials, delta, chain_lengths)
-    rows = []
-    for m in chain_lengths:
-        ks = _draw_block(seed, p, n, trials, m)
-        successes = _kernels.chain_success_count(n, p, dnum, dden, ks, m, trials)
-        rows.append(SweepRow(variable=m, successes=successes, trials=trials))
-    return rows
+    return [_row(m, n, p, m, trials, dnum, dden, seed) for m in chain_lengths]
 
 
 def write_csv(rows: Iterable[SweepRow], stream: TextIO) -> None:

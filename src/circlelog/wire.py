@@ -15,12 +15,13 @@ lowercase SHA-256 of the ASCII decimal of the shared exponent S.k. Both
 sides log the session as a transcript with C:/S: line prefixes in protocol
 order; with fixed seeds the transcripts are byte-identical on both ends.
 
-A peer that stays silent for ``TIMEOUT_S`` seconds, or sends a line longer
-than ``MAX_LINE`` characters (LF included), ends the session with a
-``ProtocolError`` naming the message waited for, and so does a public A or
-B that is not a <dec> in [1, n). The server waits for its client to connect
-without limit. A connection that cannot be made, or a port that cannot be
-listened on, raises a ``ProtocolError`` naming host:port and the step.
+A peer that stays silent for ``TIMEOUT_S`` seconds, sends a line longer
+than ``MAX_LINE`` characters (LF included) or sends bytes that are not
+UTF-8 ends the session with a ``ProtocolError`` naming the message waited
+for, and so does a public A or B that is not a <dec> in [1, n). The server
+waits for its client to connect without limit. A connection that cannot be
+made, or a port that cannot be listened on, raises a ``ProtocolError``
+naming host:port and the step.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def _recv(reader, transcript: list[str], prefix: str, expected: str) -> str:
         raw = reader.readline(MAX_LINE)
     except TimeoutError:
         raise ProtocolError(f"timed out after {TIMEOUT_S} s waiting for {expected}") from None
+    except UnicodeDecodeError:
+        raise ProtocolError(f"bytes that are not UTF-8 while waiting for {expected}") from None
     if not raw.endswith("\n"):
         if len(raw) == MAX_LINE:
             raise ProtocolError(

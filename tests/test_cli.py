@@ -12,7 +12,7 @@ from random import Random
 import numpy
 import pytest
 
-from circlelog import _kernels, __version__, make_params
+from circlelog import _kernels, __version__, cryptanalysis, make_params
 from circlelog.cli import DEFAULT_N, DEFAULT_SEED, DUMP_OPERATORS, build_parser, main
 from circlelog.cryptanalysis import CSV_HEADER, EXHAUSTIVE_ORDER_GUARD
 from circlelog.group import MAX_PRECISION
@@ -249,7 +249,10 @@ def test_usage_error_exits_2():
 # whose draws go through the exact kernel loop (n > 2^24 or p > 30), before
 # the chunked draw reduction, so a draw handed over as a numpy int64 (which
 # wraps in the exact loop) shows here; the sign and spectral-check rows before
-# every command's text went through main. --out must write the same bytes.
+# every command's text went through main; the last four rows (three draw
+# chunks, the last one partial; the list path above 2^63; about half the draws
+# redrawn; the largest order that can be drawn, 2^256) before the experiments
+# counted successes chunk by chunk. --out must write the same bytes.
 @pytest.mark.parametrize("argv, digest", [
     (["attack", "--n", "1048576", "--g", "1", "--p", "22", "--trials", "500", "--seed", "1"],
      "cad078f0697fdd823cc3bd304ed627d34f182a3ac9318a5b0ab49666dcc7b2aa"),
@@ -272,6 +275,16 @@ def test_usage_error_exits_2():
      "582611b538f68972a1580c1386c1d6eb2555619ce98192e9cc275b06fd955532"),
     (["spectral-check", "--n", "8"],
      "5c243d2631c54db8bfae0ac2ad6fd534cbc8d732ff18e7c50d07b13701c1bc29"),
+    (["attack", "--n", "1000", "--g", "1", "--p", "12", "--trials", "9000", "--seed", "9"],
+     "06bad3201d1beff3f27a0d86b9b9dbbffb04db59e1b447d996f07e0044344691"),
+    (["attack", "--n", "18446744073709551629", "--g", "2", "--p", "80", "--trials", "200",
+      "--seed", "4"],
+     "4255ac108f8317dee8f34c3a496d4b407b6570ae2ad867c3957555a412c1e975"),
+    (["accumulate", "--n", str(2**255 + 1), "--p", "300", "--m-max", "2", "--trials", "60",
+      "--seed", "3"],
+     "8eb025fc4454b86476b0327fa2aa2a9e73e431ad888253fbd3d9109274541691"),
+    (["attack", "--n", str(2**256), "--g", "3", "--p", "300", "--trials", "50", "--seed", "2"],
+     "129f7ad106289e5d168320fff72203464624b5d4927801392ab45699fe3a8344"),
 ])
 def test_seeded_experiment_stdout_is_pinned(tmp_path, capsys, argv, digest):
     priv, pub = tmp_path / "k.priv", tmp_path / "k.pub"
@@ -463,6 +476,33 @@ def test_dh_connect_refused_exits_1(capsys):
             capsys, ["dh-connect", "--port", str(port), "--n", "101", "--g", "2", "--p", "16"]
         )
     assert f"connect to 127.0.0.1:{port}" in err
+
+
+def test_dh_connect_non_utf8_reply_exits_1(capsys):
+    def fake_server(server):
+        conn, _ = server.accept()
+        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+            for _ in range(2):  # HELLO, PARAMS
+                reader.readline()
+            conn.sendall(b"\xff\xfe\n")
+
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        thread = threading.Thread(target=fake_server, args=(server,), daemon=True)
+        thread.start()
+        err = _exits_1_with_error(capsys, ["dh-connect", "--port", str(server.getsockname()[1]),
+                                           "--n", "101", "--g", "2", "--p", "16"])
+        thread.join(5)
+    assert "not UTF-8" in err and "OK" in err and "Traceback" not in err
+
+
+def test_order_above_2_256_exits_1(monkeypatch, capsys):
+    # at such n the limit is 0: every digest would be redrawn forever
+    def unreachable(*args):
+        raise AssertionError("a draw was attempted")
+
+    monkeypatch.setattr(cryptanalysis, "derive_uniform", unreachable)
+    argv = ["attack", "--n", str((1 << 256) + 1), "--g", "2", "--p", "300", "--trials", "1"]
+    assert "n <= 2^256" in _exits_1_with_error(capsys, argv)
 
 
 @pytest.mark.parametrize("flag", ["key", "ct", "sig", "pub"])

@@ -4,6 +4,7 @@ import hashlib
 import io
 from array import array
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from circlelog import (
 from circlelog.cryptanalysis import (
     CSV_HEADER,
     SweepRow,
-    _draw_block,
+    _draw_chunks,
     _reduce_ints,
     _reduce_words,
     accumulation_experiment,
@@ -228,9 +229,13 @@ def _expected_draws(seed, head, n, trials, m):
     return [derive_uniform(seed, (head, m, t, j), n) for t in range(trials) for j in range(m)]
 
 
+def _unreachable(*args):
+    raise AssertionError("a draw was attempted")
+
+
 @pytest.fixture
 def redraws(monkeypatch):
-    """The argument tuples ``_draw_block`` hands back to ``derive_uniform``."""
+    """The argument tuples ``_draw_chunks`` hands back to ``derive_uniform``."""
     calls = []
 
     def counting(*args):
@@ -241,7 +246,23 @@ def redraws(monkeypatch):
     return calls
 
 
+def _chunks(seed, head, n, trials, m):
+    """``_draw_chunks`` as a list, each chunk checked: whole trials, bounded, its container."""
+    chunks = list(_draw_chunks(seed, head, n, trials, m))
+    for chunk in chunks:
+        assert isinstance(chunk, array if n <= 1 << 32 else list)
+        assert len(chunk) <= max(cryptanalysis._CHUNK, m)
+        assert m == 0 or len(chunk) % m == 0
+    return chunks
+
+
+def _flat(chunks):
+    return [v for chunk in chunks for v in chunk]
+
+
 class TestDrawBlock:
+    """A row's block of draws, as ``_draw_chunks`` streams it."""
+
     @pytest.mark.parametrize("seed, head, n, trials, m", [
         (1, 12, 1000, 60, 16),
         (7, 3, 1, 5, 2),
@@ -259,9 +280,7 @@ class TestDrawBlock:
     ])
     def test_matches_derive_uniform(self, redraws, seed, head, n, trials, m):
         expected = _expected_draws(seed, head, n, trials, m)
-        draws = _draw_block(seed, head, n, trials, m)
-        assert list(draws) == expected
-        assert isinstance(draws, array if n <= 1 << 63 else list)
+        assert _flat(_chunks(seed, head, n, trials, m)) == expected
         # only digests rejected at counter 0 go back to derive_uniform
         if n == 2**255 + 1:
             assert len(redraws) > len(expected) // 4
@@ -281,7 +300,7 @@ class TestDrawBlock:
             assert v >> 32 == (1 << 224) - 1
         rigged = _rigged_sha256(b"%d/%d/%d/%d/%d/0" % (seed, head, m, t, j), v.to_bytes(32, "big"))
         monkeypatch.setattr(cryptanalysis, "_sha256", rigged)
-        draws = _draw_block(seed, head, n, trials, m)
+        draws = _flat(_chunks(seed, head, n, trials, m))
         expected = _expected_draws(seed, head, n, trials, m)
         pos = t * m + j
         if rejected:
@@ -289,7 +308,7 @@ class TestDrawBlock:
         else:
             assert redraws == []
             expected[pos] = v % n
-        assert list(draws) == expected
+        assert draws == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -307,14 +326,40 @@ class TestDrawBlock:
         limit = _limit(n)
         words, words_rejected = _reduce_words(digests, n, limit)
         ints, ints_rejected = _reduce_ints(digests, n, limit)
-        assert isinstance(words, array) and list(words) == list(ints)
+        assert isinstance(words, array) and isinstance(ints, list)
+        assert list(words) == ints
         assert words_rejected == ints_rejected == [i for i, v in enumerate(values) if v >= limit]
 
     @pytest.mark.parametrize("args", [(1, 12, 1000, 600, 16), (5, 250, 2**255 + 1, 60, 3)])
     def test_same_draws_with_hashlib_sha256(self, monkeypatch, args):
-        builtin = _draw_block(*args)
+        builtin = _chunks(*args)
         monkeypatch.setattr(cryptanalysis, "_sha256", hashlib.sha256)
-        assert _draw_block(*args) == builtin
+        assert _chunks(*args) == builtin
+
+    @pytest.mark.parametrize("m", [1, 3, "_CHUNK + 1"])
+    def test_kernel_sees_one_chunk_at_a_time(self, monkeypatch, m):
+        # a small _CHUNK keeps m = _CHUNK + 1 cheap; the counts must not depend on it
+        chunk = 16
+        trials, m = 3 * chunk + 5, chunk + 1 if m == "_CHUNK + 1" else m
+
+        def run():
+            return (precision_sweep(1000, [11, 12], trials, seed=5),
+                    accumulation_experiment(1000, 12, [m], trials, seed=5))
+
+        one_chunk = run()  # at the default _CHUNK every row is one chunk
+        monkeypatch.setattr(cryptanalysis, "_CHUNK", chunk)
+        seen = []
+        count = _kernels.chain_success_count
+
+        def recording(n, p, dnum, dden, ks, m, trials):
+            assert len(ks) == m * trials
+            seen.append(len(ks))
+            return count(n, p, dnum, dden, ks, m, trials)
+
+        monkeypatch.setattr(_kernels, "chain_success_count", recording)
+        assert run() == one_chunk
+        assert max(seen) <= max(chunk, m)
+        assert sum(seen) == trials * (2 + m)
 
 
 class TestInputValidation:
@@ -340,3 +385,24 @@ class TestInputValidation:
     def test_order_and_precision_are_domain_errors(self, call):
         with pytest.raises(InvalidOrder):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda n: direct_attack_report(make_params(n, 2, 300), 1),
+        lambda n: precision_sweep(n, [299, 300], 1),
+        lambda n: accumulation_experiment(n, 300, [1, 2], 1),
+    ])
+    def test_order_above_2_256_refused_before_any_draw(self, monkeypatch, call):
+        # at such n the limit is 0: every digest would be redrawn forever
+        monkeypatch.setattr(cryptanalysis, "derive_uniform", _unreachable)
+        with pytest.raises(InvalidOrder, match=r"n <= 2\^256"):
+            call((1 << 256) + 1)
+
+    def test_derive_uniform_refuses_order_above_2_256(self, monkeypatch):
+        monkeypatch.setattr(cryptanalysis, "hashlib", SimpleNamespace(sha256=_unreachable))
+        with pytest.raises(InvalidOrder, match=r"n <= 2\^256"):
+            derive_uniform(0, (1,), (1 << 256) + 1)
+
+    def test_attack_direct_draws_nothing_and_takes_any_order(self):
+        params = make_params((1 << 256) + 1, 2, 300)
+        report = attack_direct(to_numeric(element(params, 5)), params)
+        assert report.successes == 1 and report.recovered == 5

@@ -197,3 +197,30 @@ def test_degenerate_server_public_rejected():
             dh_connect("127.0.0.1", server.getsockname()[1], PARAMS, Random(CLIENT_SEED))
         thread.join(5)
     assert box["after_b"] == ""  # the client sent no CONFIRM
+
+
+def test_non_utf8_client_line_names_hello():
+    box, thread = serve_in_thread(PARAMS, SERVER_SEED)
+    with socket.create_connection(("127.0.0.1", box["port"]), timeout=5) as sock:
+        sock.sendall(b"\xff\xfe\n")
+        thread.join(5)
+    assert not thread.is_alive()
+    err = box.get("error")
+    assert isinstance(err, ProtocolError)
+    assert str(err) == "bytes that are not UTF-8 while waiting for HELLO"
+
+
+def test_non_utf8_server_line_names_ok():
+    def fake_server(server):
+        conn, _ = server.accept()
+        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+            for _ in range(2):  # HELLO, PARAMS
+                reader.readline()
+            conn.sendall(b"\xff\xfe\n")
+
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        thread = threading.Thread(target=fake_server, args=(server,), daemon=True)
+        thread.start()
+        with pytest.raises(ProtocolError, match="^bytes that are not UTF-8 while waiting for OK$"):
+            dh_connect("127.0.0.1", server.getsockname()[1], PARAMS, Random(CLIENT_SEED))
+        thread.join(5)
