@@ -2,8 +2,10 @@
 
 Exact cyclic-group arithmetic, fixed-point angles, the multi-valued
 continuous logarithm, DH/ElGamal/signature protocols, attack experiments,
-and a desk-scale operator model. ``KERNEL_BACKEND`` names the batch kernel
-path ("numpy"); parameters beyond its int64 domain take exact Python ints.
+and a desk-scale operator model. ``KERNEL_BACKEND`` is a fixed label
+("numpy") that perfbench's provenance line reads; it does not say which path
+ran. The kernels' int64 domain decides that per call (parameters beyond it
+take exact Python ints), and ``circlelog info`` prints the domain.
 
 Importing the package loads no numpy, and neither do the protocols, which
 run on exact Python ints. numpy is imported on first use: by a batch kernel

@@ -60,11 +60,26 @@ def _fraction(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"not a rational a or a/b: {text!r}")
 
 
+def _utf8(text: str) -> bytes:
+    """The UTF-8 bytes of ``text``; an argv byte that was not UTF-8 is a usage error."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"not UTF-8 text: {text!r}") from None
+
+
 def _port(text: str) -> int:
     with suppress(argparse.ArgumentTypeError):
         if 0 <= (port := _integer(text)) <= 65535:
             return port
     raise argparse.ArgumentTypeError(f"not a TCP port in 0-65535: {text!r}")
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same existing file (links count) or resolved path."""
+    with suppress(OSError):  # either file is missing
+        return Path(a).samefile(b)
+    return Path(a).resolve() == Path(b).resolve()
 
 
 def _rng(args) -> Random:
@@ -79,6 +94,8 @@ def _load_private(path: str) -> KeyPair:
 
 
 def cmd_keygen(args, out: io.StringIO) -> int:
+    if args.pub and _same_file(args.pub, args.key):
+        raise UsageError("--pub and --out name the same file; the private key would be lost")
     params = make_params(args.n, args.g, args.p)
     key = keygen(params, _rng(args))
     keyfile.save_key(key, args.key)
@@ -93,7 +110,7 @@ def cmd_keygen(args, out: io.StringIO) -> int:
 
 def cmd_encrypt(args, out: io.StringIO) -> int:
     pk = keyfile.load_key(args.pub)
-    m = encode_message(args.message.encode("utf-8"), pk.params)
+    m = encode_message(args.message, pk.params)
     out.write(keyfile.serialize_ciphertext(elgamal_encrypt(pk, m, _rng(args))))
     return 0
 
@@ -111,7 +128,7 @@ def cmd_decrypt(args, out: io.StringIO) -> int:
 
 def cmd_sign(args, out: io.StringIO) -> int:
     sk = _load_private(args.key)
-    sig = sign(sk, args.message.encode("utf-8"), _rng(args))
+    sig = sign(sk, args.message, _rng(args))
     out.write(keyfile.serialize_signature(sig))
     return 0
 
@@ -119,7 +136,7 @@ def cmd_sign(args, out: io.StringIO) -> int:
 def cmd_verify(args, out: io.StringIO) -> int:
     pk = keyfile.load_key(args.pub)
     sig = keyfile.load(args.sig, keyfile.parse_signature)
-    accepted = verify(pk, args.message.encode("utf-8"), sig)
+    accepted = verify(pk, args.message, sig)
     out.write("ACCEPT\n" if accepted else "REJECT\n")
     return 0 if accepted else 1
 
@@ -233,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--seed", dict(type=_integer, default=DEFAULT_SEED)),
     )
     output = _flags(("--out", dict(help="write stdout's bytes to this file instead")))
+    message = _flags(("--message", dict(type=_utf8, required=True, help="UTF-8 text")))
     dh = _flags(
         ("--host", dict(default="127.0.0.1")),
         ("--port", dict(type=_port, required=True)),
@@ -247,21 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="key", required=True, help="private key path")
     p.add_argument("--pub", help="also write the public key here")
 
-    p = add("encrypt", cmd_encrypt, [seed, output], help="ElGamal-encrypt a message")
+    p = add("encrypt", cmd_encrypt, [message, seed, output], help="ElGamal-encrypt a message")
     p.add_argument("--pub", required=True)
-    p.add_argument("--message", required=True)
 
     p = add("decrypt", cmd_decrypt, [output], help="decrypt a ciphertext file")
     p.add_argument("--key", required=True)
     p.add_argument("--ct", required=True, help="ciphertext path")
 
-    p = add("sign", cmd_sign, [seed, output], help="sign a message")
+    p = add("sign", cmd_sign, [message, seed, output], help="sign a message")
     p.add_argument("--key", required=True)
-    p.add_argument("--message", required=True)
 
-    p = add("verify", cmd_verify, help="verify a signature")
+    p = add("verify", cmd_verify, [message], help="verify a signature")
     p.add_argument("--pub", required=True)
-    p.add_argument("--message", required=True)
     p.add_argument("--sig", required=True)
 
     add("dh-serve", cmd_dh_serve, [group, dh, seed], help="serve one DH session")

@@ -71,9 +71,9 @@ def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
     The contract is the byte string: the draw is v mod n for the first
     counter = 0, 1, ... at which v, the SHA-256 digest of the ASCII path
     "seed/i1/.../ik/counter" read big-endian, falls below the largest multiple
-    of n at or under 2^256 (n > 2^256 is ``InvalidOrder``). SHA-256 is a
-    streaming hash, so a copy of the state after a path prefix gives the same
-    digest: ``_draw_chunks`` relies on this to stream draws, at most
+    of n at or under 2^256 (n outside [1, 2^256] is ``InvalidOrder``). SHA-256
+    is a streaming hash, so a copy of the state after a path prefix gives the
+    same digest: ``_draw_chunks`` relies on this to stream draws, at most
     ``max(_CHUNK, m)`` held at once, without rebuilding and rehashing each path.
     """
     limit = _limit(n)
@@ -88,8 +88,10 @@ def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
 
 
 def _limit(n: int) -> int:
-    """The largest multiple of n at or under 2^256; for n > 2^256 it would be 0."""
-    if n > 1 << 256:  # every digest would be redrawn forever
+    """The largest multiple of n at or under 2^256; n < 1 or n > 2^256 is InvalidOrder."""
+    if n < 1:  # no draw lies in [0, n)
+        raise InvalidOrder(f"seeded draws need a group order n >= 1, got n={n}")
+    if n > 1 << 256:  # the limit would be 0: every digest would be redrawn forever
         raise InvalidOrder(f"seeded draws need a group order n <= 2^256, got n={n}")
     return (1 << 256) - (1 << 256) % n
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 from .errors import CircleLogError, ConsistencyError, OutputError, ParseError
 from .group import GroupParams, element, make_params
-from .protocols import Ciphertext, KeyPair, PublicKey, Signature, generator_power
+from .protocols import Ciphertext, KeyPair, PublicKey, Signature
 
 MAGIC = "circlelog-key v1"
 CT_MAGIC = "circlelog-ct v1"
@@ -108,10 +108,10 @@ def parse_key(text: str) -> KeyPair | PublicKey:
 
     if not private:  # h = 0 is the identity: every c2 would be the plaintext itself
         return PublicKey(params, element(params, _in_range(6, "h", h, 1, n)))
-    h = generator_power(params, _in_range(6, "x", x, 1, n))
-    if stored and stored[0] != h.k:
-        raise ConsistencyError(f"stored h={stored[0]} disagrees with g^x={h.k}")
-    return KeyPair(params, x, h)
+    key = KeyPair(params, _in_range(6, "x", x, 1, n))
+    if stored and stored[0] != key.h.k:
+        raise ConsistencyError(f"stored h={stored[0]} disagrees with g^x={key.h.k}")
+    return key
 
 
 def serialize_ciphertext(ct: Ciphertext) -> str:

@@ -1,10 +1,12 @@
 """Key exchange, encryption, and signatures over the roots-of-unity group.
 
-DH and ElGamal run on exact exponent arithmetic for any n >= 2. The
-signature scheme is an ECDSA-style construction over a prime-order group
-whose commitment value R is recovered from the fixed-point angle through the
-continuous logarithm; parameters must satisfy the recovery bound so that the
-round trip through the numeric representation can never fail.
+Keys, secret scalars and DH shared secrets are made here alone; ``keyfile``
+and ``wire`` call in. A private key holds x, and its h = g^x is derived from
+x. DH and ElGamal run on exact exponent arithmetic. Every secret scalar (key,
+ElGamal ephemeral, signing nonce, DH end) lies in [1, n), so n < 2 raises
+InvalidOrder. Signatures are ECDSA-style over a prime-order group: the
+commitment R is read back from its fixed-point angle by the continuous
+logarithm, and p must meet the recovery bound so that this never fails.
 
 None of this is secure: the cryptanalysis module measures exactly how cheap
 the inversion is. The package exists to make that measurement.
@@ -40,7 +42,10 @@ class PublicKey:
 class KeyPair:
     params: GroupParams
     x: int
-    h: ExactElement
+
+    @property
+    def h(self) -> ExactElement:
+        return generator_power(self.params, self.x)
 
     @property
     def public(self) -> PublicKey:
@@ -60,7 +65,9 @@ class Signature:
 
 
 def random_scalar(rng: Random, n: int) -> int:
-    """Uniform in [1, n) by rejection from ceil(log2 n)-bit strings."""
+    """Uniform in [1, n) by rejection from ceil(log2 n)-bit strings; n < 2 is InvalidOrder."""
+    if n < 2:  # [1, n) is empty: the rejection loop would never end
+        raise InvalidOrder(f"secret scalars need a group of order n >= 2, got n={n}")
     bits = (n - 1).bit_length()
     while True:
         v = rng.getrandbits(bits)
@@ -74,10 +81,7 @@ def generator_power(params: GroupParams, e: int) -> ExactElement:
 
 
 def keygen(params: GroupParams, rng: Random) -> KeyPair:
-    if params.n < 2:
-        raise InvalidOrder("key generation needs a group of order >= 2")
-    x = random_scalar(rng, params.n)
-    return KeyPair(params, x, generator_power(params, x))
+    return KeyPair(params, random_scalar(rng, params.n))
 
 
 def dh_public(keypair: KeyPair) -> ExactElement:
@@ -90,8 +94,6 @@ def dh_shared(own: KeyPair, their_public: ExactElement) -> ExactElement:
 
 
 def elgamal_encrypt(pk: PublicKey | KeyPair, m: ExactElement, rng: Random) -> Ciphertext:
-    if isinstance(pk, KeyPair):
-        pk = pk.public
     y = random_scalar(rng, pk.params.n)
     return Ciphertext(
         c1=generator_power(pk.params, y),
@@ -175,7 +177,7 @@ def sign(sk: KeyPair, message: bytes, rng: Random) -> Signature:
     while True:
         w = random_scalar(rng, n)
         commitment = generator_power(sk.params, w)
-        big_r = recover_exponent(to_numeric(commitment)) % n
+        big_r = recover_exponent(to_numeric(commitment))
         if big_r == 0:
             continue
         s = pow(w, -1, n) * (e + sk.x * big_r) % n
@@ -185,8 +187,6 @@ def sign(sk: KeyPair, message: bytes, rng: Random) -> Signature:
 
 
 def verify(pk: PublicKey | KeyPair, message: bytes, sig: Signature) -> bool:
-    if isinstance(pk, KeyPair):
-        pk = pk.public
     _check_signature_params(pk.params)
     n = pk.params.n
     if not (1 <= sig.R < n and 1 <= sig.s < n):
@@ -196,4 +196,4 @@ def verify(pk: PublicKey | KeyPair, message: bytes, sig: Signature) -> bool:
     u1 = e * s_inv % n
     u2 = sig.R * s_inv % n
     v = mul(generator_power(pk.params, u1), power(pk.h, u2))
-    return recover_exponent(to_numeric(v)) % n == sig.R
+    return recover_exponent(to_numeric(v)) == sig.R

@@ -21,7 +21,8 @@ UTF-8 ends the session with a ``ProtocolError`` naming the message waited
 for, and so does a public A or B that is not a <dec> in [1, n). The server
 waits for its client to connect without limit. A connection that cannot be
 made, or a port that cannot be listened on, raises a ``ProtocolError``
-naming host:port and the step.
+naming host:port and the step. Each end makes its key with ``protocols``
+before it listens or connects, so n < 2 raises ``InvalidOrder`` first.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from random import Random
 from typing import Callable
 
 from .errors import ParamsMismatch, ParseError, ProtocolError
-from .group import ExactElement, GroupParams, element, power
+from .group import ExactElement, GroupParams, element
 from .keyfile import decimal
-from .protocols import generator_power, random_scalar
+from .protocols import KeyPair, dh_public, dh_shared, keygen
 
 HELLO = "HELLO circlelog/1"
 TIMEOUT_S = 30.0  # per blocking socket operation of a session
@@ -77,10 +78,8 @@ def _recv(reader, transcript: list[str], prefix: str, expected: str) -> str:
     return line
 
 
-def _shared_secret(
-    line: str, name: str, params: GroupParams, secret: int
-) -> tuple[ExactElement, str]:
-    """The peer's public ``<name>=<decimal>`` raised to ``secret``, and its confirm digest.
+def _shared_secret(line: str, name: str, own: KeyPair) -> tuple[ExactElement, str]:
+    """``dh_shared`` of ``own`` and the peer's public ``<name>=<decimal>``, and its confirm digest.
 
     The public must lie in [1, n): 0 would make the identity the shared
     secret, and a value outside the range would be reduced without a word.
@@ -90,9 +89,9 @@ def _shared_secret(
         public = decimal(digits)
     except ParseError:
         raise ProtocolError(f"expected {name}=<decimal>, got {line!r}") from None
-    if not 1 <= public < params.n:
-        raise ProtocolError(f"expected {name} in [1, {params.n}), got {public}")
-    shared = power(element(params, public), secret)
+    if not 1 <= public < own.params.n:
+        raise ProtocolError(f"expected {name} in [1, {own.params.n}), got {public}")
+    shared = dh_shared(own, element(own.params, public))
     return shared, confirm_digest(shared)
 
 
@@ -104,21 +103,20 @@ def _open_streams(sock):
     return [sock.makefile(mode, encoding="utf-8", newline="\n") for mode in "rw"]
 
 
-def _serve_session(reader, writer, params: GroupParams, rng: Random) -> SessionResult:
+def _serve_session(reader, writer, own: KeyPair) -> SessionResult:
     transcript: list[str] = []
     hello = _recv(reader, transcript, "C: ", "HELLO")
     if hello != HELLO:
         raise ProtocolError(f"expected {HELLO!r}, got {hello!r}")
     line = _recv(reader, transcript, "C: ", "PARAMS")
-    if line != f"PARAMS n={params.n} g={params.g}":
+    if line != f"PARAMS n={own.params.n} g={own.params.g}":
         _send(writer, transcript, "S: ", "ERR PARAMS")
         raise ParamsMismatch(f"client parameters disagree: {line!r}")
     _send(writer, transcript, "S: ", "OK")
 
     a_line = _recv(reader, transcript, "C: ", "A")
-    b = random_scalar(rng, params.n)
-    shared, confirm = _shared_secret(a_line, "A", params, b)
-    _send(writer, transcript, "S: ", f"B={generator_power(params, b).k}")
+    shared, confirm = _shared_secret(a_line, "A", own)
+    _send(writer, transcript, "S: ", f"B={dh_public(own).k}")
 
     their = _recv(reader, transcript, "C: ", "CONFIRM")
     _send(writer, transcript, "S: ", f"CONFIRM {confirm}")
@@ -138,6 +136,7 @@ def dh_serve(
 
     ``on_listen`` receives the bound port (useful with port=0).
     """
+    own = keygen(params, rng)
     try:
         server = socket.create_server((host, port))
     except OSError as exc:
@@ -149,10 +148,11 @@ def dh_serve(
         conn.settimeout(TIMEOUT_S)
         reader, writer = _open_streams(conn)
         with conn, reader, writer:
-            return _serve_session(reader, writer, params, rng)
+            return _serve_session(reader, writer, own)
 
 
 def dh_connect(host: str, port: int, params: GroupParams, rng: Random) -> SessionResult:
+    own = keygen(params, rng)
     try:
         sock = socket.create_connection((host, port), timeout=TIMEOUT_S)
     except OSError as exc:
@@ -169,10 +169,9 @@ def dh_connect(host: str, port: int, params: GroupParams, rng: Random) -> Sessio
             if line != "OK":
                 raise ProtocolError(f"expected OK, got {line!r}")
 
-            a = random_scalar(rng, params.n)
-            _send(writer, transcript, "C: ", f"A={generator_power(params, a).k}")
+            _send(writer, transcript, "C: ", f"A={dh_public(own).k}")
             b_line = _recv(reader, transcript, "S: ", "B")
-            shared, confirm = _shared_secret(b_line, "B", params, a)
+            shared, confirm = _shared_secret(b_line, "B", own)
             _send(writer, transcript, "C: ", f"CONFIRM {confirm}")
             their = _recv(reader, transcript, "S: ", "CONFIRM")
             if their != f"CONFIRM {confirm}":

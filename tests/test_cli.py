@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import os
 import re
 import socket
 import threading
@@ -34,6 +35,29 @@ def test_keygen_writes_valid_keyfile(tmp_path):
     assert load_key(pub) == key.public
 
 
+@pytest.mark.parametrize("pub", ["k", "./k", "d/../k", "hard", "soft"])
+def test_keygen_pub_onto_out_exits_2(tmp_path, monkeypatch, capsys, pub):
+    # the public key would overwrite the private key it was made from
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "k").write_bytes(b"")
+    os.link("k", "hard")
+    os.symlink("k", "soft")
+    with pytest.raises(SystemExit) as exc:
+        main(["keygen", "--seed", "5", "--out", "k", "--pub", pub])
+    assert exc.value.code == 2
+    assert "same file" in capsys.readouterr().err
+    assert (tmp_path / "k").read_bytes() == b""
+
+
+def test_keygen_pub_onto_missing_out_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["keygen", "--seed", "5", "--out", str(tmp_path / "k"),
+              "--pub", str(tmp_path / "d" / ".." / "k")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "k").exists()
+
+
 def test_keygen_rejects_bad_generator(tmp_path, capsys):
     rc = main(["keygen", "--n", "10", "--g", "5", "--p", "8",
                "--out", str(tmp_path / "k")])
@@ -61,6 +85,21 @@ def test_sign_verify_and_tamper(tmp_path, capsys):
     assert main(["verify", "--pub", str(pub), "--message", "pay 101",
                  "--sig", str(sig)]) == 1
     assert capsys.readouterr().out.strip() == "REJECT"
+
+
+@pytest.mark.parametrize("command", ["encrypt", "sign", "verify"])
+def test_message_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    # an argv byte such as 0xff reaches Python as the lone surrogate U+DCFF
+    priv, pub, sig = (str(tmp_path / n) for n in ("k.priv", "k.pub", "m.sig"))
+    main(["keygen", "--seed", "1", "--out", priv, "--pub", pub])
+    main(["sign", "--key", priv, "--message", "hi", "--seed", "3", "--out", sig])
+    argv = {"encrypt": ["encrypt", "--pub", pub], "sign": ["sign", "--key", priv],
+            "verify": ["verify", "--pub", pub, "--sig", sig]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--message", "\udcff"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--message" in captured.err and "UTF-8" in captured.err
 
 
 def test_seeded_runs_are_byte_identical(tmp_path):
@@ -197,11 +236,12 @@ def test_port_range_ends_are_accepted(port):
 
 
 def _typed_options():
-    """(command, option) for every subcommand option that converts its value."""
+    """(command, option) for every numeric subcommand option: each typed one but --message."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return [(command, action.option_strings[0])
             for command, parser in sub.choices.items()
-            for action in parser._actions if action.type is not None]
+            for action in parser._actions
+            if action.type is not None and action.dest != "message"]
 
 
 @pytest.mark.parametrize("command, option", _typed_options())
@@ -476,6 +516,24 @@ def test_dh_connect_refused_exits_1(capsys):
             capsys, ["dh-connect", "--port", str(port), "--n", "101", "--g", "2", "--p", "16"]
         )
     assert f"connect to 127.0.0.1:{port}" in err
+
+
+def test_dh_connect_order_below_two_exits_1(capsys):
+    # refused before any connection is tried: nothing listens on port 1
+    argv = ["dh-connect", "--n", "1", "--g", "0", "--p", "16", "--port", "1"]
+    err = _exits_1_with_error(capsys, argv)
+    assert "order n >= 2" in err and "connect" not in err
+
+
+def test_dh_serve_order_below_two_exits_1(capsys):
+    box = {}
+    argv = ["dh-serve", "--n", "1", "--g", "0", "--p", "16", "--port", "0"]
+    thread = threading.Thread(target=lambda: box.update(rc=main(argv)), daemon=True)
+    thread.start()
+    thread.join(5)
+    assert not thread.is_alive() and box["rc"] == 1
+    err = capsys.readouterr().err
+    assert "order n >= 2" in err and "listening" not in err
 
 
 def test_dh_connect_non_utf8_reply_exits_1(capsys):

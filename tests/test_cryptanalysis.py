@@ -402,6 +402,11 @@ class TestInputValidation:
         with pytest.raises(InvalidOrder, match=r"n <= 2\^256"):
             derive_uniform(0, (1,), (1 << 256) + 1)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_derive_uniform_refuses_order_below_1(self, n):
+        with pytest.raises(InvalidOrder, match=r"n >= 1"):
+            derive_uniform(0, (1,), n)
+
     def test_attack_direct_draws_nothing_and_takes_any_order(self):
         params = make_params((1 << 256) + 1, 2, 300)
         report = attack_direct(to_numeric(element(params, 5)), params)

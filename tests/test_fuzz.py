@@ -147,7 +147,8 @@ def client_script(seed: int, a: int) -> str:
 
 
 def serve(text: str, seed: int):
-    return wire._serve_session(io.StringIO(text), io.StringIO(), WIRE_PARAMS, Random(seed))
+    key = keygen(WIRE_PARAMS, Random(seed))
+    return wire._serve_session(io.StringIO(text), io.StringIO(), key)
 
 
 @FUZZ

@@ -8,8 +8,10 @@ import pytest
 from circlelog import (
     AmbiguousAngle,
     CompositeOrder,
+    InvalidOrder,
     MessageTooLarge,
     OrderTooLarge,
+    PublicKey,
     Signature,
     decode_message,
     dh_shared,
@@ -67,6 +69,25 @@ class TestKeygen:
         assert all(1 <= random_scalar(rng, p.n) < p.n for _ in range(500))
 
 
+class TestOrderBelowTwo:
+    """[1, n) is empty for n < 2: every secret scalar is refused, not redrawn for ever."""
+
+    params = make_params(1, 0, 16)
+
+    def test_random_scalar_refuses(self):
+        with pytest.raises(InvalidOrder, match="order n >= 2, got n=1"):
+            random_scalar(FixedRandom([0, 0, 0]), 1)
+
+    def test_keygen_refuses(self):
+        with pytest.raises(InvalidOrder, match="order n >= 2"):
+            keygen(self.params, FixedRandom([0, 0, 0]))
+
+    def test_elgamal_ephemeral_refused(self):
+        pk = PublicKey(self.params, element(self.params, 0))
+        with pytest.raises(InvalidOrder, match="order n >= 2"):
+            elgamal_encrypt(pk, element(self.params, 0), FixedRandom([0, 0, 0]))
+
+
 class TestDH:
     def test_small_case_modular_oracle(self):
         p = make_params(12, 1, 8)
@@ -121,6 +142,24 @@ class TestElGamal:
         for _ in range(200):
             m = element(p, rng.randrange(p.n))
             assert elgamal_decrypt(key, elgamal_encrypt(key.public, m, rng)) == m
+
+
+class TestKeyPairServesAsPublicKey:
+    """A KeyPair carries params and h, so it gives the same results as its .public."""
+
+    params = make_params(MERSENNE61, 3, 128)
+
+    def test_elgamal_encrypt_same_ciphertext(self):
+        key = keygen(self.params, Random(1))
+        m = encode_message(b"hi", self.params)
+        assert elgamal_encrypt(key, m, Random(2)) == elgamal_encrypt(key.public, m, Random(2))
+
+    def test_verify_same_verdict(self):
+        key = keygen(self.params, Random(1))
+        sig = sign(key, b"msg", Random(3))
+        for message in (b"msg", b"other"):
+            assert verify(key, message, sig) == verify(key.public, message, sig)
+        assert verify(key, b"msg", sig) and not verify(key, b"other", sig)
 
 
 class TestMessageEncoding:

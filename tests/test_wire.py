@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from circlelog import ParamsMismatch, ProtocolError, make_params, wire
+from circlelog import InvalidOrder, ParamsMismatch, ProtocolError, keygen, make_params, wire
 from circlelog.wire import dh_connect, dh_serve
 
 GOLDEN = Path(__file__).parent / "data" / "dh_transcript.golden"
@@ -153,6 +153,35 @@ def test_port_in_use_names_host_port_and_step():
             dh_serve(port, PARAMS, Random(SERVER_SEED))
 
 
+def test_order_below_two_refused_before_listening():
+    box = {}
+
+    def run():
+        try:
+            dh_serve(0, make_params(1, 0, 16), Random(SERVER_SEED),
+                     on_listen=lambda port: box.update(port=port))
+        except Exception as exc:  # surfaced by the test
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(5)
+    assert not thread.is_alive()
+    assert "port" not in box  # never listened
+    assert isinstance(box.get("error"), InvalidOrder)
+
+
+def test_order_below_two_refused_before_connecting(monkeypatch):
+    monkeypatch.setattr(wire, "TIMEOUT_S", 0.5)  # a connected client would wait for OK
+    with socket.create_server(("127.0.0.1", 0)) as server:  # listens, never accepts
+        server.settimeout(0.2)
+        with pytest.raises(InvalidOrder, match="order n >= 2"):
+            dh_connect("127.0.0.1", server.getsockname()[1], make_params(1, 0, 16),
+                       Random(CLIENT_SEED))
+        with pytest.raises(TimeoutError):  # nothing is queued: no connection was made
+            server.accept()
+
+
 @pytest.mark.parametrize("a_pub", ["0", "101", "-1"])
 def test_degenerate_client_public_rejected(a_pub):
     box, thread = serve_in_thread(PARAMS, SERVER_SEED)
@@ -173,7 +202,7 @@ def test_non_decimal_client_public_rejected(a_line):
     reader = io.StringIO(f"HELLO circlelog/1\nPARAMS n=101 g=2\n{a_line}\n")
     writer = io.StringIO()
     with pytest.raises(ProtocolError, match="expected A=<decimal>"):
-        wire._serve_session(reader, writer, PARAMS, Random(SERVER_SEED))
+        wire._serve_session(reader, writer, keygen(PARAMS, Random(SERVER_SEED)))
     assert writer.getvalue() == "OK\n"  # no B= for a refused public
 
 
