@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from contextlib import suppress
 from fractions import Fraction
@@ -77,9 +78,9 @@ def _port(text: str) -> int:
 
 def _same_file(a: str, b: str) -> bool:
     """Whether two paths name one file: the same existing file (links count) or resolved path."""
-    with suppress(OSError):  # either file is missing
+    with suppress(OSError):  # either file is missing, or a link loops
         return Path(a).samefile(b)
-    return Path(a).resolve() == Path(b).resolve()
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _rng(args) -> Random:

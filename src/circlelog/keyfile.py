@@ -27,7 +27,8 @@ from typing import Callable
 
 from .errors import CircleLogError, ConsistencyError, OutputError, ParseError
 from .group import GroupParams, element, make_params
-from .protocols import Ciphertext, KeyPair, PublicKey, Signature
+# generator_power is not called here; perfbench's tracing test reads keyfile.generator_power.
+from .protocols import Ciphertext, KeyPair, PublicKey, Signature, generator_power  # noqa: F401
 
 MAGIC = "circlelog-key v1"
 CT_MAGIC = "circlelog-ct v1"

@@ -1,12 +1,10 @@
 """Key exchange, encryption, and signatures over the roots-of-unity group.
 
-Keys, secret scalars and DH shared secrets are made here alone; ``keyfile``
-and ``wire`` call in. A private key holds x, and its h = g^x is derived from
-x. DH and ElGamal run on exact exponent arithmetic. Every secret scalar (key,
-ElGamal ephemeral, signing nonce, DH end) lies in [1, n), so n < 2 raises
-InvalidOrder. Signatures are ECDSA-style over a prime-order group: the
-commitment R is read back from its fixed-point angle by the continuous
-logarithm, and p must meet the recovery bound so that this never fails.
+Keys, secret scalars and DH shared secrets are made here alone, beside
+ElGamal and ECDSA-style signatures. A private key holds x; its h = g^x is
+derived. Every secret scalar (key, ephemeral, nonce, DH end) lies in
+[1, n), so n < 2 raises InvalidOrder. Signatures need a prime order and a p
+that meets the recovery bound, so reading R back from its angle never fails.
 
 None of this is secure: the cryptanalysis module measures exactly how cheap
 the inversion is. The package exists to make that measurement.

@@ -36,7 +36,8 @@ from typing import Callable
 from .errors import ParamsMismatch, ParseError, ProtocolError
 from .group import ExactElement, GroupParams, element
 from .keyfile import decimal
-from .protocols import KeyPair, dh_public, dh_shared, keygen
+# generator_power is not called here; perfbench's tracing test reads wire.generator_power.
+from .protocols import KeyPair, dh_public, dh_shared, generator_power, keygen  # noqa: F401
 
 HELLO = "HELLO circlelog/1"
 TIMEOUT_S = 30.0  # per blocking socket operation of a session

@@ -50,6 +50,16 @@ def test_keygen_pub_onto_out_exits_2(tmp_path, monkeypatch, capsys, pub):
     assert (tmp_path / "k").read_bytes() == b""
 
 
+def test_keygen_out_onto_symlink_loop_exits_1(tmp_path, monkeypatch, capsys):
+    # the same-file check must not raise on a loop; save_key reports the path
+    monkeypatch.chdir(tmp_path)
+    os.symlink("loop", "loop")
+    rc = main(["keygen", "--seed", "5", "--out", "loop", "--pub", "x"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_keygen_pub_onto_missing_out_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["keygen", "--seed", "5", "--out", str(tmp_path / "k"),
