@@ -1,5 +1,7 @@
 """Group arithmetic in both representations."""
 
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from circlelog import (
     power,
     to_numeric,
 )
-from circlelog.group import MAX_PRECISION, NumericElement
+from circlelog.group import MAX_PRECISION, ExactElement, GroupParams, NumericElement
 
 
 def euclid_gcd(a, b):
@@ -150,6 +152,64 @@ class TestNumeric:
         assert complex_value(NumericElement(p, 0)) == (1.0, 0.0)
         re, im = complex_value(NumericElement(p, 128))
         assert abs(re + 1) < 1e-12 and abs(im) < 1e-12
+
+
+class TestValueSemantics:
+    """The three group classes are immutable values: equal fields, equal objects."""
+
+    P = make_params(1000, 1, 12)
+
+    def samples(self):
+        return [self.P, element(self.P, 5), to_numeric(element(self.P, 5))]
+
+    def test_equal_fields_equal_objects_and_hashes(self):
+        a, b = element(self.P, 5), element(self.P, 1005)
+        assert a is not b and a == b and hash(a) == hash(b)
+        q = GroupParams(1000, 1, 12)
+        assert q == self.P and hash(q) == hash(self.P)
+        assert NumericElement(q, 409) == NumericElement(self.P, 409)
+        assert hash(NumericElement(q, 409)) == hash(NumericElement(self.P, 409))
+        assert element(self.P, 5) != element(self.P, 6)
+        assert element(self.P, 5) != element(make_params(1001, 1, 12), 5)
+
+    def test_exact_and_numeric_never_equal(self):
+        assert ExactElement(self.P, 5) != NumericElement(self.P, 5)
+        assert len({ExactElement(self.P, 5), NumericElement(self.P, 5)}) == 2
+
+    @pytest.mark.parametrize("field", ["n", "g", "p"])
+    def test_params_are_frozen(self, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.P, field, 7)
+
+    def test_elements_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            element(self.P, 5).k = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            NumericElement(self.P, 5).t = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            element(self.P, 5).params = make_params(7, 1, 4)
+
+    def test_repr(self):
+        assert repr(element(self.P, 5)) == (
+            "ExactElement(params=GroupParams(n=1000, g=1, p=12), k=5)"
+        )
+        assert repr(NumericElement(self.P, 20)) == (
+            "NumericElement(params=GroupParams(n=1000, g=1, p=12), t=20)"
+        )
+
+    def test_replace(self):
+        assert dataclasses.replace(self.P, p=14) == GroupParams(1000, 1, 14)
+        assert dataclasses.replace(element(self.P, 5), k=7) == ExactElement(self.P, 7)
+        assert dataclasses.replace(NumericElement(self.P, 5), t=9) == NumericElement(self.P, 9)
+        for v in self.samples():
+            copy = dataclasses.replace(v)
+            assert copy == v and copy is not v
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for v in self.samples():
+            back = pickle.loads(pickle.dumps(v, protocol))
+            assert back == v and type(back) is type(v) and hash(back) == hash(v)
 
 
 @given(st.integers(1, 1024), st.integers(), st.integers())
