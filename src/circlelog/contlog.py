@@ -5,6 +5,10 @@ integer branch b, so a single point has infinitely many logarithm values.
 ``principal_log`` picks branch 0, ``log_branches`` enumerates a finite window
 of branches, and ``recover_exponent`` inverts the map k -> angle, which is
 the operation whose difficulty the whole scheme rests on.
+
+``DEFAULT_TOLERANCE`` is split into its exact (numerator, denominator) pair
+once, at import; ``recover_exponent`` reuses that pair for the default and
+splits (and range-checks) any other tolerance per call.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .errors import AmbiguousAngle
+from .errors import AmbiguousAngle, UsageError
 from .group import GroupParams, NumericElement
 
 DEFAULT_TOLERANCE = Fraction(1, 5)
+_DEFAULT_SPLIT = _kernels.tolerance(DEFAULT_TOLERANCE)
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,11 @@ def log_branches(q: NumericElement, window: int) -> list[ContinuousLogValue]:
     """Branches -window..+window of the logarithm, 2*window+1 values.
 
     Consecutive values differ by exactly one full turn (2^p turn-units); the
-    full solution set is infinite, the caller picks the window.
+    full solution set is infinite, the caller picks the window. A negative
+    window raises ``UsageError``.
     """
+    if window < 0:
+        raise UsageError(f"branch window must be >= 0, got {window}")
     return [ContinuousLogValue(q.params, q.t, b) for b in range(-window, window + 1)]
 
 
@@ -58,7 +66,10 @@ def recover_exponent(q: NumericElement, tolerance: Fraction = DEFAULT_TOLERANCE)
     the comparison is exact rational arithmetic, never floating division. A
     tolerance outside [0, 1/2) raises ``UsageError``.
     """
-    dnum, dden = _kernels.tolerance(tolerance)
+    if tolerance is DEFAULT_TOLERANCE:
+        dnum, dden = _DEFAULT_SPLIT
+    else:
+        dnum, dden = _kernels.tolerance(tolerance)
     n, p = q.params.n, q.params.p
     k = _kernels.recover_t(q.t, n, p, dnum, dden)
     if k < 0:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, TextIO
 
 from . import _kernels
 from .contlog import DEFAULT_TOLERANCE
-from .errors import InvalidOrder, OrderTooLarge, UsageError
+from .errors import InvalidOrder, OrderTooLarge, ParamsMismatch, UsageError
 from .group import ExactElement, GroupParams, NumericElement, check_order_precision
 
 try:  # CPython's built-in SHA-256: its copy() is a struct copy, not an OpenSSL one
@@ -195,6 +195,11 @@ def _experiment_inputs(
     return dnum, dden
 
 
+def _check_public(public: ExactElement | NumericElement, params: GroupParams) -> None:
+    if public.params != params:
+        raise ParamsMismatch(f"public element from another group: {public.params} vs {params}")
+
+
 def attack_direct(
     public: ExactElement | NumericElement,
     params: GroupParams,
@@ -208,8 +213,10 @@ def attack_direct(
     knows ``true_exponent``, that it matches it: below the recovery bound
     distinct exponents collide on one angle and reproducing the angle is not
     the same as identifying the exponent). For an exact element the exponent
-    is stored outright, costing zero group operations.
+    is stored outright, costing zero group operations. A public element of
+    another group raises ``ParamsMismatch``.
     """
+    _check_public(public, params)
     if isinstance(public, ExactElement):
         return AttackReport(
             attack_name="direct",
@@ -263,9 +270,11 @@ def direct_attack_report(
 def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackReport:
     """Baseline: try every exponent, keep the nearest angle (wrap-around metric).
 
-    Refuses n > ``EXHAUSTIVE_ORDER_GUARD`` (``OrderTooLarge``) and an angle t
-    outside [0, 2^p) (``UsageError``).
+    Refuses a public element of another group (``ParamsMismatch``), n >
+    ``EXHAUSTIVE_ORDER_GUARD`` (``OrderTooLarge``) and an angle t outside
+    [0, 2^p) (``UsageError``).
     """
+    _check_public(public, params)
     n, p = params.n, params.p
     if n > EXHAUSTIVE_ORDER_GUARD:
         raise OrderTooLarge(f"exhaustive search refused for n={n} > 2^24")

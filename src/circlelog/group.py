@@ -5,6 +5,9 @@ modular arithmetic; it is what the protocols run on. ``NumericElement``
 stores the angle as a p-bit fixed-point fraction of a full turn; converting
 an exact element to it is the single rounding step in the package, which is
 what makes angular-error experiments reproducible.
+
+All three classes are frozen, slotted dataclasses: immutable values compared
+field by field, cheap to build and read on the scalar round trip.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import InvalidOrder, NotPrimitive, ParamsMismatch
 MAX_PRECISION = 1 << 16  # bits; to_numeric shifts k mod n left by p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupParams:
     """Group order n, generator exponent g, and angular precision p (bits)."""
 
@@ -28,7 +31,7 @@ class GroupParams:
     p: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactElement:
     """The root e^{i*2*pi*k/n}, held as its canonical exponent k in [0, n)."""
 
@@ -36,7 +39,7 @@ class ExactElement:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumericElement:
     """A point on the circle as a fixed-point angle: theta = 2*pi*t/2^p."""
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from circlelog import (
     AmbiguousAngle,
     UsageError,
+    _kernels,
     element,
     exponent_recovery_bound,
     log_branches,
@@ -19,6 +20,7 @@ from circlelog import (
     recover_exponent,
     to_numeric,
 )
+from circlelog.contlog import DEFAULT_TOLERANCE
 from circlelog.group import NumericElement
 
 
@@ -58,6 +60,12 @@ class TestLogBranches:
         diffs = {b.turn_units() - a.turn_units() for a, b in zip(vs, vs[1:])}
         assert diffs == {1 << 8}
 
+    @pytest.mark.parametrize("window", [-1, -5])
+    def test_negative_window_refused(self, window):
+        q = NumericElement(make_params(4, 1, 8), 64)
+        with pytest.raises(UsageError, match="window"):
+            log_branches(q, window)
+
 
 class TestRecoverExponent:
     def test_exact_representable(self):
@@ -92,6 +100,40 @@ class TestRecoverExponent:
     def test_wraps_past_full_turn(self):
         p = make_params(4, 1, 8)
         assert recover_exponent(NumericElement(p, 255)) == 0
+
+
+class TestDefaultTolerance:
+    """The default tolerance is split once; any other value is split per call."""
+
+    @pytest.mark.parametrize("n, bits", [(1000, 12), (4096, 14), (10007, 16)])
+    def test_default_and_equal_fraction_agree(self, n, bits):
+        equal = Fraction(1, 5)
+        assert equal == DEFAULT_TOLERANCE and equal is not DEFAULT_TOLERANCE
+        params = make_params(n, 1, bits)
+        for k in range(n):
+            q = to_numeric(element(params, k))
+            assert recover_exponent(q) == recover_exponent(q, equal) == k
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-1, 5)])
+    def test_out_of_range_still_refused(self, delta):
+        q = to_numeric(element(make_params(1000, 1, 12), 7))
+        with pytest.raises(UsageError, match="delta must lie in"):
+            recover_exponent(q, delta)
+
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(49, 100)])
+    @pytest.mark.parametrize("n, bits", [(1000, 8), (12, 6), (1000, 12)])
+    def test_other_tolerances_match_the_kernel(self, delta, n, bits):
+        params = make_params(n, 1, bits)
+        ambiguous = 0
+        for t in range(1 << bits):
+            k = _kernels.recover_t(t, n, bits, delta.numerator, delta.denominator)
+            if k < 0:
+                ambiguous += 1
+                with pytest.raises(AmbiguousAngle):
+                    recover_exponent(NumericElement(params, t), delta)
+            else:
+                assert recover_exponent(NumericElement(params, t), delta) == k
+        assert (ambiguous > 0) == (delta > 0)  # delta = 0 accepts every angle
 
 
 class TestRecoveryBound:

@@ -14,6 +14,7 @@ from circlelog import (
     InvalidOrder,
     NumericElement,
     OrderTooLarge,
+    ParamsMismatch,
     UsageError,
     _kernels,
     cryptanalysis,
@@ -66,6 +67,13 @@ class TestDirect:
         )
         assert successes < 16
 
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_public_from_another_group_refused(self, numeric):
+        other, params = make_params(1000, 1, 12), make_params(4096, 1, 14)
+        public = element(other, 777)
+        with pytest.raises(ParamsMismatch):
+            attack_direct(to_numeric(public) if numeric else public, params)
+
 
 class TestExhaustive:
     def test_trivial_group(self):
@@ -96,6 +104,11 @@ class TestExhaustive:
         p = make_params(10, 1, 8)
         with pytest.raises(UsageError, match=f"t={t} outside \\[0, 2\\^8\\)"):
             attack_exhaustive(NumericElement(p, t), p)
+
+    def test_public_from_another_group_refused(self):
+        other, params = make_params(1000, 1, 12), make_params(4096, 1, 14)
+        with pytest.raises(ParamsMismatch):
+            attack_exhaustive(to_numeric(element(other, 777)), params)
 
     def test_order_guard(self):
         p = make_params(1 << 25, 1, 28)

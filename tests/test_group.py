@@ -211,6 +211,11 @@ class TestValueSemantics:
             back = pickle.loads(pickle.dumps(v, protocol))
             assert back == v and type(back) is type(v) and hash(back) == hash(v)
 
+    def test_slotted(self):
+        # slots make construction and attribute reads on the scalar path cheaper
+        for v in self.samples():
+            assert "__slots__" in type(v).__dict__ and not hasattr(v, "__dict__")
+
 
 @given(st.integers(1, 1024), st.integers(), st.integers())
 def test_numeric_mul_commutes(n, t1, t2):
