@@ -270,10 +270,15 @@ def direct_attack_report(
 def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackReport:
     """Baseline: try every exponent, keep the nearest angle (wrap-around metric).
 
-    Refuses a public element of another group (``ParamsMismatch``), n >
-    ``EXHAUSTIVE_ORDER_GUARD`` (``OrderTooLarge``) and an angle t outside
-    [0, 2^p) (``UsageError``).
+    Refuses a public value that is not a ``NumericElement`` (``UsageError``;
+    an exact element leaks k, see ``attack_direct``), a public element of
+    another group (``ParamsMismatch``), n > ``EXHAUSTIVE_ORDER_GUARD``
+    (``OrderTooLarge``) and an angle t outside [0, 2^p) (``UsageError``).
     """
+    if not isinstance(public, NumericElement):
+        raise UsageError(
+            f"exhaustive search needs a NumericElement, got {type(public).__name__}"
+        )
     _check_public(public, params)
     n, p = params.n, params.p
     if n > EXHAUSTIVE_ORDER_GUARD:

@@ -115,6 +115,13 @@ class TestExhaustive:
         with pytest.raises(OrderTooLarge):
             attack_exhaustive(to_numeric(element(p, 1)), p)
 
+    @pytest.mark.parametrize("public", [element(make_params(1000, 1, 12), 5), 409, None])
+    def test_public_not_numeric_refused(self, public):
+        # an ExactElement of the same group used to end in AttributeError on .t
+        name = type(public).__name__
+        with pytest.raises(UsageError, match=f"needs a NumericElement, got {name}$"):
+            attack_exhaustive(public, make_params(1000, 1, 12))
+
     def test_agrees_with_direct_exhaustively_small(self):
         for n in (17, 64, 100, 257):
             p = make_params(n, 1, (n - 1).bit_length() + 2)

@@ -1,6 +1,8 @@
 """Group arithmetic in both representations."""
 
+import copy
 import dataclasses
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -20,8 +22,10 @@ from circlelog import (
     mul,
     mul_numeric,
     power,
+    recover_exponent,
     to_numeric,
 )
+from circlelog import _kernels
 from circlelog.group import MAX_PRECISION, ExactElement, GroupParams, NumericElement
 
 
@@ -215,6 +219,64 @@ class TestValueSemantics:
         # slots make construction and attribute reads on the scalar path cheaper
         for v in self.samples():
             assert "__slots__" in type(v).__dict__ and not hasattr(v, "__dict__")
+
+
+class TestElementConstructor:
+    """Both element classes build through their own __init__, same contract as generated."""
+
+    P = make_params(1000, 1, 12)
+    CLASSES = [(ExactElement, "k"), (NumericElement, "t")]
+
+    @pytest.mark.parametrize("cls, field", CLASSES)
+    def test_positional_and_keyword(self, cls, field):
+        a = cls(self.P, 5)
+        assert a.params == self.P and getattr(a, field) == 5
+        assert cls(params=self.P, **{field: 5}) == a == cls(self.P, **{field: 5})
+        with pytest.raises(TypeError):
+            cls(self.P)
+        with pytest.raises(TypeError):
+            cls(self.P, 5, 6)
+
+    @pytest.mark.parametrize("cls, field", CLASSES)
+    def test_signature_and_fields(self, cls, field):
+        params = inspect.signature(cls).parameters.values()
+        assert [(q.name, q.kind, q.default) for q in params] == [
+            (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+            for name in ("params", field)
+        ]
+        assert [f.name for f in dataclasses.fields(cls)] == ["params", field]
+
+    def test_class_stores_k_as_given_element_reduces(self):
+        assert ExactElement(self.P, 1005).k == 1005
+        assert ExactElement(self.P, -1).k == -1
+        assert element(self.P, 1005).k == 5 and element(self.P, -1).k == 999
+        assert NumericElement(self.P, 1 << 12).t == 1 << 12
+
+    @pytest.mark.parametrize("cls, field", CLASSES)
+    def test_copy_and_deepcopy(self, cls, field):
+        a = cls(self.P, 5)
+        for b in (copy.copy(a), copy.deepcopy(a)):
+            assert b == a and type(b) is cls and hash(b) == hash(a)
+
+    @pytest.mark.parametrize("cls, field", CLASSES)
+    def test_assign_and_delete_refused(self, cls, field):
+        a = cls(self.P, 5)
+        for name in ("params", field):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, 6)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(a, name)
+        assert a == cls(self.P, 5)
+
+
+@pytest.mark.parametrize("n, bits", [(1000, 12), (4096, 14), (10007, 16)])
+def test_round_trip_identity_every_exponent(n, bits):
+    # the per-element identity the exhaustive benchmark workload digests
+    params = make_params(n, 1, bits)
+    for k in range(n):
+        q = to_numeric(element(params, k))
+        assert q == NumericElement(params, _kernels.to_numeric_t(k, n, bits))
+        assert recover_exponent(q) == k
 
 
 @given(st.integers(1, 1024), st.integers(), st.integers())

@@ -1,14 +1,17 @@
 """DH, ElGamal, and the continuous-log signature scheme."""
 
 import hashlib
+import pickle
 from random import Random
 
 import pytest
 
 from circlelog import (
     AmbiguousAngle,
+    Ciphertext,
     CompositeOrder,
     InvalidOrder,
+    KeyPair,
     MessageTooLarge,
     OrderTooLarge,
     PublicKey,
@@ -160,6 +163,41 @@ class TestKeyPairServesAsPublicKey:
         for message in (b"msg", b"other"):
             assert verify(key, message, sig) == verify(key.public, message, sig)
         assert verify(key, b"msg", sig) and not verify(key, b"other", sig)
+
+
+class TestValuesOnElements:
+    """Protocol values holding group elements compare by value and survive pickling."""
+
+    params = make_params(MERSENNE61, 3, 128)
+
+    def values(self, seed):
+        rng = Random(seed)
+        key = keygen(self.params, rng)
+        ct = elgamal_encrypt(key, encode_message(b"hi", self.params), rng)
+        return key, key.public, ct
+
+    def test_rebuilt_values_equal(self):
+        key, public, ct = self.values(7)
+        key2, public2, ct2 = self.values(7)
+        assert key.h is not key2.h and key.h == key2.h
+        assert hash(key.h) == hash(key2.h)
+        assert public == public2 == PublicKey(self.params, element(self.params, key.h.k))
+        assert ct == ct2 == Ciphertext(ct.c1, element(self.params, ct.c2.k))
+        assert hash(public) == hash(public2) and hash(ct) == hash(ct2)
+        _, other_public, other_ct = self.values(8)
+        assert public != other_public and ct != other_ct
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        key, public, ct = self.values(7)
+        for v in (key, public, ct, key.h, ct.c1):
+            back = pickle.loads(pickle.dumps(v, protocol))
+            assert back == v and type(back) is type(v)
+        back = pickle.loads(pickle.dumps(key, protocol))
+        assert isinstance(back, KeyPair) and back.h == key.h and back.public == public
+        assert elgamal_decrypt(back, pickle.loads(pickle.dumps(ct, protocol))) == (
+            encode_message(b"hi", self.params)
+        )
 
 
 class TestMessageEncoding:

@@ -1,6 +1,7 @@
 """Loopback DH sessions over TCP."""
 
 import io
+import pickle
 import socket
 import threading
 from pathlib import Path
@@ -48,6 +49,18 @@ def test_loopback_session_agrees():
     assert server.shared == client.shared
     assert server.confirm == client.confirm
     assert server.transcript == client.transcript
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_session_result_compares_and_pickles(protocol):
+    box, thread = serve_in_thread(PARAMS, SERVER_SEED)
+    client = dh_connect("127.0.0.1", box["port"], PARAMS, Random(CLIENT_SEED))
+    thread.join(5)
+    server = box["result"]
+    assert server.shared is not client.shared and server == client
+    assert hash(server.shared) == hash(client.shared)
+    back = pickle.loads(pickle.dumps(server, protocol))
+    assert back == server and back.shared == client.shared
 
 
 def test_transcript_matches_golden():
