@@ -11,17 +11,16 @@ Conventions:
 - recovery returns the exponent in [0, n), or -1 for an ambiguous angle.
 
 The scalar ``to_numeric_t``/``recover_t`` use exact Python ints: per call
-they beat numpy scalars. The batch entry points (``roundtrip_all``,
-``sweep_success_count``, ``chain_success_count``) all count round-trip
-successes over a ``(trials, m)`` block of exponents. The package calls
-only ``chain_success_count``, once per draw chunk of an experiment; the
-other two remain for the tests and the benchmark's probes. Inside the
+they beat numpy scalars. ``chain_success_count`` counts round-trip
+successes over a ``(trials, m)`` block of exponents; the package calls it
+once per draw chunk of an experiment. ``sweep_success_count`` and
+``roundtrip_all`` remain for the tests and the benchmark's probes and call
+it, so a traced direct call to either counts as two batch calls. Inside the
 int64-safe domain (1 <= n <= 2^24, p <= 30, dden <= 2^16, 0 <= dnum < dden)
-every intermediate stays below 2^55, so one vectorised numpy kernel computes
-them.
-Outside it, for instance at the protocol default n = 2^61 - 1, p = 128, they
-take the exact loop ``_exact_chain_successes``, which tests also use as the
-oracle for the numpy kernel.
+every intermediate stays below 2^55, so one vectorised numpy kernel counts
+them. Outside it, for instance at the protocol default n = 2^61 - 1, p = 128,
+the count takes the exact loop ``_exact_chain_successes``, which tests also
+use as the oracle for the numpy kernel.
 
 ``nearest_angle`` is the exhaustive-search baseline: the exponent whose angle
 lies nearest a target. For 1 <= n <= 2^24, p <= 30 and a target in [0, 2^p) it
@@ -30,9 +29,9 @@ takes the exact loop ``_exact_nearest_angle``, its test oracle. Both kernels
 round through ``_angles``, the one numpy copy of the rounding rule.
 
 numpy is imported inside the functions that compute with it (``_angles``,
-``_chain_successes``, ``_batch``, ``roundtrip_all``, ``nearest_angle``), so
-it is loaded at the first batch or scan call and never by the scalar path
-that the protocols use.
+``_chain_successes``, ``chain_success_count``, ``roundtrip_all``,
+``nearest_angle``), so it is loaded at the first batch or scan call and never
+by the scalar path that the protocols use.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ _SCAN_CHUNK = 1 << 20  # exponents per numpy scan step: bounds memory at n = 2^2
 
 def tolerance(delta) -> tuple[int, int]:
     """The recovery tolerance delta as (dnum, dden); ``UsageError`` unless 0 <= delta < 1/2."""
-    d = delta if type(delta) is Fraction else Fraction(delta)  # already normalised
+    d = Fraction(delta)
     dnum, dden = d.numerator, d.denominator
     if not 0 <= 2 * dnum < dden:
         raise UsageError(f"delta must lie in [0, 1/2), got {d}")
@@ -146,11 +145,14 @@ def _chain_successes(n: int, p: int, dnum: int, dden: int, ks: np.ndarray) -> in
     return int(np.count_nonzero(ok))
 
 
-def _batch(n: int, p: int, dnum: int, dden: int, ks_flat, m: int, trials: int) -> int:
-    """The one batch kernel behind the three public entry points.
+def chain_success_count(n, p, dnum, dden, ks_flat, m, trials) -> int:
+    """Trials whose m-fold numeric product recovers the exact one.
 
-    They call it rather than each other, so a wrapper around the public
-    names (as ``perfbench/tracing.py`` installs) counts each batch once.
+    ``ks_flat`` holds ``trials`` chains of ``m`` exponents each, chain by
+    chain. For every chain the product is computed exactly (sum of exponents
+    mod n) and numerically (sum of rounded angles mod 2^p); the trial
+    succeeds iff the exponent recovered from the numeric product equals the
+    exact one.
     """
     if 1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= dnum < dden <= _DDEN_MAX:
         import numpy as np
@@ -164,21 +166,9 @@ def _batch(n: int, p: int, dnum: int, dden: int, ks_flat, m: int, trials: int) -
     return _exact_chain_successes(n, p, dnum, dden, ks_flat, m, trials)
 
 
-def chain_success_count(n, p, dnum, dden, ks_flat, m, trials) -> int:
-    """Trials whose m-fold numeric product recovers the exact one.
-
-    ``ks_flat`` holds ``trials`` chains of ``m`` exponents each, chain by
-    chain. For every chain the product is computed exactly (sum of exponents
-    mod n) and numerically (sum of rounded angles mod 2^p); the trial
-    succeeds iff the exponent recovered from the numeric product equals the
-    exact one.
-    """
-    return _batch(n, p, dnum, dden, ks_flat, m, trials)
-
-
 def sweep_success_count(n: int, p: int, dnum: int, dden: int, ks) -> int:
     """Round-trip success count over an explicit list of exponents."""
-    return _batch(n, p, dnum, dden, ks, 1, len(ks))
+    return chain_success_count(n, p, dnum, dden, ks, 1, len(ks))
 
 
 def roundtrip_all(n: int, p: int, dnum: int, dden: int) -> int:
@@ -186,7 +176,7 @@ def roundtrip_all(n: int, p: int, dnum: int, dden: int) -> int:
     import numpy as np
 
     ks = np.arange(n, dtype=np.int64) if n <= _N_MAX else range(n)
-    return _batch(n, p, dnum, dden, ks, 1, n)
+    return chain_success_count(n, p, dnum, dden, ks, 1, n)
 
 
 def _exact_nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:

@@ -204,39 +204,37 @@ def attack_direct(
     public: ExactElement | NumericElement,
     params: GroupParams,
     delta: Fraction = DEFAULT_TOLERANCE,
-    true_exponent: int | None = None,
 ) -> AttackReport:
     """Single-step inversion of one public element.
 
-    For a numeric element this is one recovery operation; success means the
-    recovered exponent reproduces the element's angle (or, when the caller
-    knows ``true_exponent``, that it matches it: below the recovery bound
-    distinct exponents collide on one angle and reproducing the angle is not
-    the same as identifying the exponent). For an exact element the exponent
-    is stored outright, costing zero group operations. A public element of
-    another group raises ``ParamsMismatch``.
+    An exact element stores its exponent outright: zero group operations. A
+    numeric element takes one recovery operation and succeeds iff the
+    recovered exponent reproduces its angle; below the recovery bound distinct
+    exponents share an angle, so a caller that knows k compares ``recovered``.
+    Refuses, in this order, a public value of neither kind (``UsageError``),
+    one of another group (``ParamsMismatch``) and delta outside [0, 1/2)
+    (``UsageError``).
     """
-    _check_public(public, params)
-    if isinstance(public, ExactElement):
-        return AttackReport(
-            attack_name="direct",
-            n=params.n, g=params.g, p=params.p, delta=Fraction(delta),
-            trials=1, successes=1, mean_ops=Fraction(0),
-            notes="exact representation leaks the exponent outright; read k directly",
-            recovered=public.k,
+    if not isinstance(public, (ExactElement, NumericElement)):
+        raise UsageError(
+            f"direct attack needs an ExactElement or NumericElement, got {type(public).__name__}"
         )
-    dnum, dden = _experiment_inputs(params.n, (params.p,), 1, delta)
-    k = _kernels.recover_t(public.t, params.n, params.p, dnum, dden)
-    if true_exponent is not None:
-        success = k == true_exponent % params.n
+    _check_public(public, params)
+    dnum, dden = _kernels.tolerance(delta)
+    n, p = params.n, params.p
+    if isinstance(public, ExactElement):
+        recovered, success, ops = public.k, True, 0
+        notes = "exact representation leaks the exponent outright; read k directly"
     else:
-        success = k >= 0 and _kernels.to_numeric_t(k, params.n, params.p) == public.t
+        k = _kernels.recover_t(public.t, n, p, dnum, dden)
+        recovered = k if k >= 0 else None
+        success = recovered is not None and _kernels.to_numeric_t(k, n, p) == public.t
+        ops, notes = 1, "one recovery operation inverts the angle"
     return AttackReport(
         attack_name="direct",
-        n=params.n, g=params.g, p=params.p, delta=Fraction(delta),
-        trials=1, successes=int(success), mean_ops=Fraction(1),
-        notes="one recovery operation inverts the angle",
-        recovered=k if k >= 0 else None,
+        n=n, g=params.g, p=p, delta=Fraction(delta),
+        trials=1, successes=int(success), mean_ops=Fraction(ops),
+        notes=notes, recovered=recovered,
     )
 
 

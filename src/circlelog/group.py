@@ -9,6 +9,10 @@ what makes angular-error experiments reproducible.
 All three classes are frozen, slotted dataclasses: immutable values compared
 field by field, cheap to build and read on the scalar round trip.
 
+A ``GroupParams`` is valid by construction, whether built by ``make_params``,
+by the class or by ``dataclasses.replace``, so no consumer re-checks one.
+Elements are not checked: they are built on the measured round trip.
+
 Each step of the round trip ``element -> to_numeric -> recover_exponent``
 builds an element, and with the generated frozen ``__init__``, which stores
 each field by name through ``object.__setattr__``, the two constructions were
@@ -35,11 +39,24 @@ MAX_PRECISION = 1 << 16  # bits; to_numeric shifts k mod n left by p
 
 @dataclass(frozen=True, slots=True)
 class GroupParams:
-    """Group order n, generator exponent g, and angular precision p (bits)."""
+    """Group order n, primitive generator exponent g, angular precision p (bits); checked."""
 
     n: int
     g: int
     p: int
+
+    def __post_init__(self) -> None:
+        n, g = self.n, self.g
+        check_order_precision(n, (self.p,))
+        if n == 1:
+            if g != 0:
+                raise NotPrimitive(f"trivial group requires g=0, got {g}")
+        elif not 1 <= g < n:
+            raise NotPrimitive(f"generator exponent must lie in [1, {n}), got {g}")
+        elif math.gcd(g, n) != 1:
+            raise NotPrimitive(
+                f"gcd({g}, {n}) = {math.gcd(g, n)}: the root generates a proper subgroup"
+            )
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -84,18 +101,11 @@ def check_order_precision(n: int, precisions: Iterable[int]) -> None:
 
 
 def make_params(n: int, g: int, p: int) -> GroupParams:
-    """Validate and build group parameters; g must be primitive."""
-    check_order_precision(n, (p,))
-    if n == 1:
-        if g != 0:
-            raise NotPrimitive(f"trivial group requires g=0, got {g}")
-    elif not 1 <= g < n:
-        raise NotPrimitive(f"generator exponent must lie in [1, {n}), got {g}")
-    elif math.gcd(g, n) != 1:
-        raise NotPrimitive(
-            f"gcd({g}, {n}) = {math.gcd(g, n)}: the root generates a proper subgroup"
-        )
-    return GroupParams(n=n, g=g, p=p)
+    """Build group parameters; ``GroupParams`` checks them (g must be primitive).
+
+    A function, not an alias of the class, so a wrapper installed around it
+    (as perfbench's tracer does) leaves the class itself in place."""
+    return GroupParams(n, g, p)
 
 
 def element(params: GroupParams, k: int) -> ExactElement:

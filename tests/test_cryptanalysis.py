@@ -62,8 +62,7 @@ class TestDirect:
     def test_pigeonhole_failures_below_bound(self):
         p = make_params(16, 1, 3)
         successes = sum(
-            attack_direct(to_numeric(element(p, k)), p, true_exponent=k).successes
-            for k in range(16)
+            attack_direct(to_numeric(element(p, k)), p).recovered == k for k in range(16)
         )
         assert successes < 16
 
@@ -73,6 +72,22 @@ class TestDirect:
         public = element(other, 777)
         with pytest.raises(ParamsMismatch):
             attack_direct(to_numeric(public) if numeric else public, params)
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_tolerance_checked_for_both_kinds(self, numeric):
+        # the exact branch used to accept delta = 1/2, which the numeric branch refuses
+        p = make_params(1000, 1, 12)
+        public = to_numeric(element(p, 5)) if numeric else element(p, 5)
+        with pytest.raises(UsageError, match=r"delta must lie in \[0, 1/2\), got 1/2"):
+            attack_direct(public, p, Fraction(1, 2))
+
+    @pytest.mark.parametrize("public", [409, None])
+    def test_public_not_an_element_refused(self, public):
+        # used to end in AttributeError on .params
+        name = type(public).__name__
+        message = f"needs an ExactElement or NumericElement, got {name}$"
+        with pytest.raises(UsageError, match=message):
+            attack_direct(public, make_params(1000, 1, 12))
 
 
 class TestExhaustive:

@@ -36,37 +36,54 @@ def euclid_gcd(a, b):
     return a
 
 
+def _build_by_replace(n, g, p):
+    return dataclasses.replace(make_params(4, 1, 8), n=n, g=g, p=p)
+
+
+BUILDERS = (make_params, GroupParams, _build_by_replace)
+
+
+def assert_refused(error, message, n, g, p):
+    """Every way of building a group refuses (n, g, p) with the same type and message."""
+    for build in BUILDERS:
+        with pytest.raises(error) as info:
+            build(n, g, p)
+        assert type(info.value) is error and str(info.value) == message, build.__name__
+
+
 class TestMakeParams:
     def test_valid(self):
         p = make_params(4, 1, 8)
         assert (p.n, p.g, p.p) == (4, 1, 8)
 
     def test_subgroup_generator_rejected(self):
-        with pytest.raises(NotPrimitive):
-            make_params(4, 2, 8)
+        message = "gcd(2, 4) = 2: the root generates a proper subgroup"
+        assert_refused(NotPrimitive, message, 4, 2, 8)
 
     def test_coprime_generator_by_euclid_oracle(self):
         assert euclid_gcd(5, 12) == 1
         assert make_params(12, 5, 16).g == 5
 
     def test_zero_order(self):
-        with pytest.raises(InvalidOrder):
-            make_params(0, 1, 8)
+        assert_refused(InvalidOrder, "group order must be >= 1, got 0", 0, 1, 8)
 
     def test_trivial_group_needs_g_zero(self):
         assert make_params(1, 0, 4).n == 1
-        with pytest.raises(NotPrimitive):
-            make_params(1, 1, 4)
+        assert_refused(NotPrimitive, "trivial group requires g=0, got 1", 1, 1, 4)
 
     def test_zero_precision(self):
-        with pytest.raises(InvalidOrder):
-            make_params(4, 1, 0)
+        message = f"angular precision must lie in [1, {MAX_PRECISION}] bits, got 0"
+        assert_refused(InvalidOrder, message, 4, 1, 0)
 
     def test_precision_bound(self):
         assert make_params(4, 1, MAX_PRECISION).p == MAX_PRECISION
         for p in (MAX_PRECISION + 1, 99_999_999_999):  # refused before any shift by p
-            with pytest.raises(InvalidOrder, match="precision"):
-                make_params(4, 1, p)
+            message = f"angular precision must lie in [1, {MAX_PRECISION}] bits, got {p}"
+            assert_refused(InvalidOrder, message, 4, 1, p)
+
+    def test_hand_built_zero_generator_refused(self):
+        # GroupParams(101, 0, 16) used to be accepted, and sign looped on it for ever
+        assert_refused(NotPrimitive, "generator exponent must lie in [1, 101), got 0", 101, 0, 16)
 
 
 class TestExactArithmetic:
