@@ -13,7 +13,6 @@ or the exhaustive scan inside their int64 domain, by the draw reduction for
 n <= 2^32, and by ``circlelog.spectral``.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .contlog import (
     ContinuousLogValue,
     exponent_recovery_bound,
@@ -68,3 +67,4 @@ from .protocols import (
 )
 
 __version__ = "0.1.0"
+KERNEL_BACKEND = "numpy"

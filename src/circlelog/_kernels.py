@@ -11,16 +11,18 @@ Conventions:
 - recovery returns the exponent in [0, n), or -1 for an ambiguous angle.
 
 The scalar ``to_numeric_t``/``recover_t`` use exact Python ints: per call
-they beat numpy scalars. ``chain_success_count`` counts round-trip
-successes over a ``(trials, m)`` block of exponents; the package calls it
-once per draw chunk of an experiment. ``sweep_success_count`` and
-``roundtrip_all`` remain for the tests and the benchmark's probes and call
-it, so a traced direct call to either counts as two batch calls. Inside the
-int64-safe domain (1 <= n <= 2^24, p <= 30, dden <= 2^16, 0 <= dnum < dden)
-every intermediate stays below 2^55, so one vectorised numpy kernel counts
-them. Outside it, for instance at the protocol default n = 2^61 - 1, p = 128,
-the count takes the exact loop ``_exact_chain_successes``, which tests also
-use as the oracle for the numpy kernel.
+they beat numpy scalars. ``chain_success_count(n, p, dnum, dden, ks_flat, m)``
+is the one batch entry, called once per draw chunk of an experiment. Its block
+``ks_flat`` holds whole chains of m exponents, chain by chain; the chain count
+is ``len(ks_flat) // m``, and a ragged block or m < 1 is ``UsageError`` on
+either path. ``sweep_success_count`` and ``roundtrip_all`` remain for the tests
+and the benchmark's probes and call it, so a traced direct call to either
+counts as two batch calls. Inside the int64-safe domain (1 <= n <= 2^24,
+p <= 30, dden <= 2^16, 0 <= dnum < dden) every intermediate stays below 2^55,
+so one vectorised numpy body counts them. Outside it, for instance at the
+protocol default n = 2^61 - 1, p = 128, the count takes the exact loop
+``_exact_chain_successes``, which tests also use as the oracle for the numpy
+body.
 
 ``nearest_angle`` is the exhaustive-search baseline: the exponent whose angle
 lies nearest a target. For 1 <= n <= 2^24, p <= 30 and a target in [0, 2^p) it
@@ -29,9 +31,9 @@ takes the exact loop ``_exact_nearest_angle``, its test oracle. Both kernels
 round through ``_angles``, the one numpy copy of the rounding rule.
 
 numpy is imported inside the functions that compute with it (``_angles``,
-``_chain_successes``, ``chain_success_count``, ``roundtrip_all``,
-``nearest_angle``), so it is loaded at the first batch or scan call and never
-by the scalar path that the protocols use.
+``chain_success_count``, ``roundtrip_all``, ``nearest_angle``), so it is
+loaded at the first batch or scan call and never by the scalar path that the
+protocols use.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UsageError
-
-BACKEND = "numpy"
 
 _N_MAX = 1 << 24
 _P_MAX = 30
@@ -86,12 +86,12 @@ def recover_t(t: int, n: int, p: int, dnum: int, dden: int) -> int:
     return k % n
 
 
-def _exact_chain_successes(n, p, dnum, dden, ks_flat, m, trials) -> int:
-    """Exact Python-int loop over ``trials`` chains of ``m`` exponents, any (n, p)."""
+def _exact_chain_successes(n, p, dnum, dden, ks_flat, m) -> int:
+    """Exact Python-int loop over the chains of m exponents in ``ks_flat``, any (n, p)."""
     mask = (1 << p) - 1
     successes = 0
     idx = 0
-    for _ in range(trials):
+    for _ in range(len(ks_flat) // m):
         k_sum = 0
         t_sum = 0
         for _ in range(m):
@@ -121,12 +121,28 @@ def _angles(r: np.ndarray, n: int, p: int) -> np.ndarray:
     return q
 
 
-def _chain_successes(n: int, p: int, dnum: int, dden: int, ks: np.ndarray) -> int:
-    """Numpy kernel over an int64 (trials, m) array of exponents, in the domain."""
+def chain_success_count(n, p, dnum, dden, ks_flat, m) -> int:
+    """Chains of m exponents in ``ks_flat`` whose numeric product recovers the exact one.
+
+    ``ks_flat`` holds whole chains, chain by chain; their count is
+    ``len(ks_flat) // m``. For every chain the product is computed exactly
+    (sum of exponents mod n) and numerically (sum of rounded angles mod 2^p);
+    the chain succeeds iff the exponent recovered from the numeric product
+    equals the exact one. m < 1 or a block that is not whole chains is
+    ``UsageError``.
+    """
+    if m < 1 or len(ks_flat) % m:
+        raise UsageError(f"a block of {len(ks_flat)} exponents is not whole chains of m={m}")
+    if not (1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= dnum < dden <= _DDEN_MAX):
+        return _exact_chain_successes(n, p, dnum, dden, ks_flat, m)
     import numpy as np
 
+    try:
+        ks = np.asarray(ks_flat, dtype=np.int64)
+    except OverflowError:  # an exponent beyond int64: exact path
+        return _exact_chain_successes(n, p, dnum, dden, ks_flat, m)
     # exact product: sum of exponents mod n; reducing first keeps sums small
-    r = np.remainder(ks, n)
+    r = np.remainder(ks.reshape(-1, m), n)
     k_sum = r.sum(axis=1)
     # numeric product: sum of rounded angles mod 2^p
     t = _angles(r, n, p).sum(axis=1)
@@ -145,30 +161,9 @@ def _chain_successes(n: int, p: int, dnum: int, dden: int, ks: np.ndarray) -> in
     return int(np.count_nonzero(ok))
 
 
-def chain_success_count(n, p, dnum, dden, ks_flat, m, trials) -> int:
-    """Trials whose m-fold numeric product recovers the exact one.
-
-    ``ks_flat`` holds ``trials`` chains of ``m`` exponents each, chain by
-    chain. For every chain the product is computed exactly (sum of exponents
-    mod n) and numerically (sum of rounded angles mod 2^p); the trial
-    succeeds iff the exponent recovered from the numeric product equals the
-    exact one.
-    """
-    if 1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= dnum < dden <= _DDEN_MAX:
-        import numpy as np
-
-        try:
-            ks = np.asarray(ks_flat, dtype=np.int64)
-        except OverflowError:  # an exponent beyond int64: exact path
-            pass
-        else:
-            return _chain_successes(n, p, dnum, dden, ks.reshape(trials, m))
-    return _exact_chain_successes(n, p, dnum, dden, ks_flat, m, trials)
-
-
 def sweep_success_count(n: int, p: int, dnum: int, dden: int, ks) -> int:
     """Round-trip success count over an explicit list of exponents."""
-    return chain_success_count(n, p, dnum, dden, ks, 1, len(ks))
+    return chain_success_count(n, p, dnum, dden, ks, 1)
 
 
 def roundtrip_all(n: int, p: int, dnum: int, dden: int) -> int:
@@ -176,7 +171,7 @@ def roundtrip_all(n: int, p: int, dnum: int, dden: int) -> int:
     import numpy as np
 
     ks = np.arange(n, dtype=np.int64) if n <= _N_MAX else range(n)
-    return chain_success_count(n, p, dnum, dden, ks, 1, n)
+    return chain_success_count(n, p, dnum, dden, ks, 1)
 
 
 def _exact_nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:

@@ -164,7 +164,7 @@ def _draw_chunks(seed: int, head: int, n: int, trials: int, m: int):
 def _row(variable: int, n: int, p: int, m: int, trials: int, dnum: int, dden: int,
          seed: int) -> SweepRow:
     """Seeded m-fold chains at precision p that recover intact, one draw chunk at a time."""
-    successes = sum(_kernels.chain_success_count(n, p, dnum, dden, ks, m, len(ks) // m)
+    successes = sum(_kernels.chain_success_count(n, p, dnum, dden, ks, m)
                     for ks in _draw_chunks(seed, p, n, trials, m))
     return SweepRow(variable=variable, successes=successes, trials=trials)
 

@@ -10,19 +10,19 @@ All three classes are frozen, slotted dataclasses: immutable values compared
 field by field, cheap to build and read on the scalar round trip.
 
 A ``GroupParams`` is valid by construction, whether built by ``make_params``,
-by the class or by ``dataclasses.replace``, so no consumer re-checks one.
-Elements are not checked: they are built on the measured round trip.
+by the class, by ``dataclasses.replace``, by ``copy`` or by unpickling, so no
+consumer re-checks one. Elements are not checked: they are built on the
+measured round trip.
 
 Each step of the round trip ``element -> to_numeric -> recover_exponent``
-builds an element, and with the generated frozen ``__init__``, which stores
-each field by name through ``object.__setattr__``, the two constructions were
-about half of it. So the two element classes take ``init=False`` and a
-two-line ``__init__`` that stores each field through its slot descriptor's
-setter, bound once below the classes. Equality, hashing, ``repr``,
-``dataclasses.replace``, pickling and the frozen ``__setattr__`` and
-``__delattr__`` are still generated. ``GroupParams`` keeps its generated
-``__init__``: it is built once per group, not per element, so it is off the
-round trip.
+builds an element, and the generated frozen ``__init__`` stores each field by
+name through ``object.__setattr__``, which is slow. So the two element classes
+take ``init=False`` and a two-line ``__init__`` that stores each field through
+its slot descriptor's setter, bound once below the classes. Equality,
+hashing, ``repr``, ``dataclasses.replace``, pickling and the frozen
+``__setattr__`` and ``__delattr__`` are still generated. ``GroupParams`` keeps
+its generated ``__init__``: it is built once per group, not per element, so
+it is off the round trip.
 """
 
 from __future__ import annotations
@@ -57,6 +57,10 @@ class GroupParams:
             raise NotPrimitive(
                 f"gcd({g}, {n}) = {math.gcd(g, n)}: the root generates a proper subgroup"
             )
+
+    def __reduce__(self):
+        # unpickling and copying rebuild through the constructor, so they check too
+        return (GroupParams, (self.n, self.g, self.p))
 
 
 @dataclass(frozen=True, slots=True, init=False)

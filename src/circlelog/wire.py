@@ -18,7 +18,9 @@ order; with fixed seeds the transcripts are byte-identical on both ends.
 A peer that stays silent for ``TIMEOUT_S`` seconds, sends a line longer
 than ``MAX_LINE`` characters (LF included) or sends bytes that are not
 UTF-8 ends the session with a ``ProtocolError`` naming the message waited
-for, and so does a public A or B that is not a <dec> in [1, n). The server
+for, and so does a public A or B that is not a <dec> in [1, n). A connection
+that fails mid-session (a reset, a broken pipe) raises a ``ProtocolError``
+naming the message being sent or waited for. The server
 waits for its client to connect without limit. A connection that cannot be
 made, or a port that cannot be listened on, raises a ``ProtocolError``
 naming host:port and the step. Each end makes its key with ``protocols``
@@ -55,9 +57,15 @@ def confirm_digest(shared: ExactElement) -> str:
     return hashlib.sha256(str(shared.k).encode("ascii")).hexdigest()
 
 
-def _send(writer, transcript: list[str], prefix: str, line: str) -> None:
-    writer.write(line + "\n")
-    writer.flush()
+def _send(sock, transcript: list[str], prefix: str, line: str) -> None:
+    """Send one line at once with ``sock.sendall``: no buffer is left to flush or close."""
+    try:
+        sock.sendall(f"{line}\n".encode("utf-8"))
+    except OSError as exc:
+        step = line.partition(" ")[0].partition("=")[0]  # HELLO, PARAMS, OK, A, ...
+        raise ProtocolError(
+            f"connection lost while sending {step}: {exc.strerror or exc}"
+        ) from None
     transcript.append(f"{prefix}{line}")
 
 
@@ -68,6 +76,10 @@ def _recv(reader, transcript: list[str], prefix: str, expected: str) -> str:
         raise ProtocolError(f"timed out after {TIMEOUT_S} s waiting for {expected}") from None
     except UnicodeDecodeError:
         raise ProtocolError(f"bytes that are not UTF-8 while waiting for {expected}") from None
+    except OSError as exc:
+        raise ProtocolError(
+            f"connection lost while waiting for {expected}: {exc.strerror or exc}"
+        ) from None
     if not raw.endswith("\n"):
         if len(raw) == MAX_LINE:
             raise ProtocolError(
@@ -96,31 +108,28 @@ def _shared_secret(line: str, name: str, own: KeyPair) -> tuple[ExactElement, st
     return shared, confirm_digest(shared)
 
 
-def _open_streams(sock):
-    """Separate text reader and writer over ``sock``.
-
-    A write on one read-write text stream drops input already read ahead.
-    """
-    return [sock.makefile(mode, encoding="utf-8", newline="\n") for mode in "rw"]
+def _reader(sock):
+    """The session's lines from ``sock``: UTF-8, LF-terminated. Lines go out by ``_send``."""
+    return sock.makefile("r", encoding="utf-8", newline="\n")
 
 
-def _serve_session(reader, writer, own: KeyPair) -> SessionResult:
+def _serve_session(reader, sock, own: KeyPair) -> SessionResult:
     transcript: list[str] = []
     hello = _recv(reader, transcript, "C: ", "HELLO")
     if hello != HELLO:
         raise ProtocolError(f"expected {HELLO!r}, got {hello!r}")
     line = _recv(reader, transcript, "C: ", "PARAMS")
     if line != f"PARAMS n={own.params.n} g={own.params.g}":
-        _send(writer, transcript, "S: ", "ERR PARAMS")
+        _send(sock, transcript, "S: ", "ERR PARAMS")
         raise ParamsMismatch(f"client parameters disagree: {line!r}")
-    _send(writer, transcript, "S: ", "OK")
+    _send(sock, transcript, "S: ", "OK")
 
     a_line = _recv(reader, transcript, "C: ", "A")
     shared, confirm = _shared_secret(a_line, "A", own)
-    _send(writer, transcript, "S: ", f"B={dh_public(own).k}")
+    _send(sock, transcript, "S: ", f"B={dh_public(own).k}")
 
     their = _recv(reader, transcript, "C: ", "CONFIRM")
-    _send(writer, transcript, "S: ", f"CONFIRM {confirm}")
+    _send(sock, transcript, "S: ", f"CONFIRM {confirm}")
     if their != f"CONFIRM {confirm}":
         raise ProtocolError(f"confirmation mismatch: {their!r}")
     return SessionResult(shared, confirm, "\n".join(transcript) + "\n")
@@ -147,9 +156,8 @@ def dh_serve(
             on_listen(server.getsockname()[1])
         conn, _ = server.accept()
         conn.settimeout(TIMEOUT_S)
-        reader, writer = _open_streams(conn)
-        with conn, reader, writer:
-            return _serve_session(reader, writer, own)
+        with conn, _reader(conn) as reader:
+            return _serve_session(reader, conn, own)
 
 
 def dh_connect(host: str, port: int, params: GroupParams, rng: Random) -> SessionResult:
@@ -158,23 +166,21 @@ def dh_connect(host: str, port: int, params: GroupParams, rng: Random) -> Sessio
         sock = socket.create_connection((host, port), timeout=TIMEOUT_S)
     except OSError as exc:
         raise ProtocolError(f"connect to {host}:{port} failed: {exc.strerror or exc}") from None
-    with sock:
-        reader, writer = _open_streams(sock)
-        with reader, writer:
-            transcript: list[str] = []
-            _send(writer, transcript, "C: ", HELLO)
-            _send(writer, transcript, "C: ", f"PARAMS n={params.n} g={params.g}")
-            line = _recv(reader, transcript, "S: ", "OK")
-            if line == "ERR PARAMS":
-                raise ParamsMismatch("server rejected parameters")
-            if line != "OK":
-                raise ProtocolError(f"expected OK, got {line!r}")
+    with sock, _reader(sock) as reader:
+        transcript: list[str] = []
+        _send(sock, transcript, "C: ", HELLO)
+        _send(sock, transcript, "C: ", f"PARAMS n={params.n} g={params.g}")
+        line = _recv(reader, transcript, "S: ", "OK")
+        if line == "ERR PARAMS":
+            raise ParamsMismatch("server rejected parameters")
+        if line != "OK":
+            raise ProtocolError(f"expected OK, got {line!r}")
 
-            _send(writer, transcript, "C: ", f"A={dh_public(own).k}")
-            b_line = _recv(reader, transcript, "S: ", "B")
-            shared, confirm = _shared_secret(b_line, "B", own)
-            _send(writer, transcript, "C: ", f"CONFIRM {confirm}")
-            their = _recv(reader, transcript, "S: ", "CONFIRM")
-            if their != f"CONFIRM {confirm}":
-                raise ProtocolError(f"confirmation mismatch: {their!r}")
-            return SessionResult(shared, confirm, "\n".join(transcript) + "\n")
+        _send(sock, transcript, "C: ", f"A={dh_public(own).k}")
+        b_line = _recv(reader, transcript, "S: ", "B")
+        shared, confirm = _shared_secret(b_line, "B", own)
+        _send(sock, transcript, "C: ", f"CONFIRM {confirm}")
+        their = _recv(reader, transcript, "S: ", "CONFIRM")
+        if their != f"CONFIRM {confirm}":
+            raise ProtocolError(f"confirmation mismatch: {their!r}")
+        return SessionResult(shared, confirm, "\n".join(transcript) + "\n")

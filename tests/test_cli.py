@@ -3,8 +3,10 @@
 import argparse
 import hashlib
 import os
+import queue
 import re
 import socket
+import struct
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +15,7 @@ from random import Random
 import numpy
 import pytest
 
-from circlelog import _kernels, __version__, cryptanalysis, make_params
+from circlelog import _kernels, __version__, cryptanalysis, make_params, wire
 from circlelog.cli import DEFAULT_N, DEFAULT_SEED, DUMP_OPERATORS, build_parser, main
 from circlelog.cryptanalysis import CSV_HEADER, EXHAUSTIVE_ORDER_GUARD
 from circlelog.group import MAX_PRECISION
@@ -561,6 +563,52 @@ def test_dh_connect_non_utf8_reply_exits_1(capsys):
                                            "--n", "101", "--g", "2", "--p", "16"])
         thread.join(5)
     assert "not UTF-8" in err and "OK" in err and "Traceback" not in err
+
+
+def _reset(sock):
+    """Close ``sock`` with SO_LINGER {1, 0}: the peer sees a reset, not an orderly close."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def test_dh_connect_peer_reset_exits_1(capsys):
+    def fake_server(server):
+        conn, _ = server.accept()
+        conn.recv(4096)  # one chunk: HELLO, and PARAMS if it came along
+        _reset(conn)
+
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        thread = threading.Thread(target=fake_server, args=(server,), daemon=True)
+        thread.start()
+        err = _exits_1_with_error(capsys, ["dh-connect", "--port", str(server.getsockname()[1]),
+                                           "--n", "101", "--g", "2", "--p", "16"])
+        thread.join(5)
+    # the reset lands on the PARAMS send or on the wait for OK, whichever comes first
+    assert re.fullmatch(r"error: connection lost while (sending PARAMS|waiting for OK): .+\n", err)
+
+
+def test_dh_serve_peer_reset_exits_1(monkeypatch, capsys):
+    ports = queue.Queue()
+    serve = wire.dh_serve
+
+    def serve_reporting_port(port, params, rng, host, on_listen):
+        return serve(port, params, rng, host, on_listen=lambda p: (on_listen(p), ports.put(p)))
+
+    def client():
+        sock = socket.create_connection(("127.0.0.1", ports.get(timeout=5)))
+        sock.sendall(b"HELLO circlelog/1\n")
+        _reset(sock)
+
+    monkeypatch.setattr(wire, "dh_serve", serve_reporting_port)
+    thread = threading.Thread(target=client, daemon=True)
+    thread.start()
+    assert main(["dh-serve", "--port", "0", "--n", "101", "--g", "2", "--p", "16"]) == 1
+    thread.join(5)
+    captured = capsys.readouterr()
+    listening, error = captured.err.splitlines()
+    assert captured.out == "" and listening.startswith("listening on 127.0.0.1:")
+    # the reset may arrive before the server has read HELLO
+    assert re.fullmatch(r"error: connection lost while waiting for (HELLO|PARAMS): .+", error)
 
 
 def test_order_above_2_256_exits_1(monkeypatch, capsys):

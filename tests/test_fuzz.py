@@ -8,6 +8,7 @@ server.
 import io
 import re
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -148,7 +149,7 @@ def client_script(seed: int, a: int) -> str:
 
 def serve(text: str, seed: int):
     key = keygen(WIRE_PARAMS, Random(seed))
-    return wire._serve_session(io.StringIO(text), io.StringIO(), key)
+    return wire._serve_session(io.StringIO(text), SimpleNamespace(sendall=lambda data: None), key)
 
 
 @FUZZ

@@ -85,6 +85,14 @@ class TestMakeParams:
         # GroupParams(101, 0, 16) used to be accepted, and sign looped on it for ever
         assert_refused(NotPrimitive, "generator exponent must lie in [1, 101), got 0", 101, 0, 16)
 
+    def test_tampered_pickle_refused(self):
+        # a pickle is outside input: its fields pass the same checks as the constructor's
+        data = pickle.dumps(make_params(101, 2, 16), 0)
+        tampered = data.replace(b"I2\n", b"I0\n")
+        assert tampered != data
+        with pytest.raises(NotPrimitive, match=r"must lie in \[1, 101\), got 0$"):
+            pickle.loads(tampered)
+
 
 class TestExactArithmetic:
     def test_element_reduces(self):

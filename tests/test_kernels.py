@@ -59,19 +59,26 @@ def test_backend_is_always_available():
 def test_sweep_agrees(params, data):
     n, p, dnum, dden = params
     ks = [-3] if data is None else data.draw(st.lists(exponents(n), max_size=40))
-    assert _kernels.sweep_success_count(n, p, dnum, dden, ks) == oracle(
-        n, p, dnum, dden, ks, 1, len(ks)
-    )
+    assert _kernels.sweep_success_count(n, p, dnum, dden, ks) == oracle(n, p, dnum, dden, ks, 1)
 
 
 @settings(max_examples=300, deadline=None)
-@given(domain_params(), st.integers(0, 16), st.integers(0, 8), st.data())
+@given(domain_params(), st.integers(1, 16), st.integers(0, 8), st.data())
 def test_chain_agrees(params, m, trials, data):
     n, p, dnum, dden = params
     ks = data.draw(st.lists(exponents(n), min_size=m * trials, max_size=m * trials))
-    assert _kernels.chain_success_count(
-        n, p, dnum, dden, ks, m, trials
-    ) == oracle(n, p, dnum, dden, ks, m, trials)
+    assert _kernels.chain_success_count(n, p, dnum, dden, ks, m) == oracle(n, p, dnum, dden, ks, m)
+
+
+@pytest.mark.parametrize("n, p", [(7, 5), (2**61 - 1, 128)])
+@pytest.mark.parametrize("ks, m", [([1, 2, 3], 2), ([1, 2, 3], 0), ([], 0), ([1, 2, 3], -1)])
+def test_ragged_block_refused_on_both_paths(monkeypatch, n, p, ks, m):
+    # (7, 5) lies in the numpy domain, (2^61 - 1, 128) past int64; neither path may run
+    def refuse(*args):
+        raise AssertionError("a refused block reached the exact loop")
+    monkeypatch.setattr(_kernels, "_exact_chain_successes", refuse)
+    with pytest.raises(UsageError, match=f"not whole chains of m={m}$"):
+        _kernels.chain_success_count(n, p, 1, 5, ks, m)
 
 
 @pytest.mark.parametrize("n, p, dnum, dden", [
@@ -81,13 +88,11 @@ def test_chain_agrees(params, m, trials, data):
 ])
 def test_domain_edges_stay_on_numpy(no_fallback, n, p, dnum, dden):
     ks = [0, 1, n - 1, n, n + 1, -1, -n, 3 * n - 7, (1 << 62) - 1, -(1 << 62)]
-    m, trials = 5, 2
-    expect = oracle(n, p, dnum, dden, ks, m, trials)
-    assert _kernels.chain_success_count(n, p, dnum, dden, ks, m, trials) == expect
-    assert _kernels.sweep_success_count(n, p, dnum, dden, ks) == oracle(
-        n, p, dnum, dden, ks, 1, len(ks)
-    )
-    assert _kernels.chain_success_count(n, p, dnum, dden, [], m, 0) == 0
+    m = 5  # two chains
+    expect = oracle(n, p, dnum, dden, ks, m)
+    assert _kernels.chain_success_count(n, p, dnum, dden, ks, m) == expect
+    assert _kernels.sweep_success_count(n, p, dnum, dden, ks) == oracle(n, p, dnum, dden, ks, 1)
+    assert _kernels.chain_success_count(n, p, dnum, dden, [], m) == 0
 
 
 @pytest.mark.parametrize("dnum, dden", [(0, 1), (1, 4), (1, 5)])
@@ -97,7 +102,7 @@ def test_small_orders_exhaustively(no_fallback, dnum, dden):
     for n in range(1, 25):
         ks = [k for k1 in range(-n, 2 * n) for k in (k1, k1, (5 * k1 + 2) % n)]
         for p in range(7):
-            args = (n, p, dnum, dden, ks, 3, 3 * n)
+            args = (n, p, dnum, dden, ks, 3)
             assert _kernels.chain_success_count(*args) == oracle(*args), (n, p)
 
 
@@ -110,20 +115,20 @@ def test_negative_exponent_case():
 @pytest.mark.parametrize("extra_bits", [-2, 0, 2])
 def test_roundtrip_all_agrees(no_fallback, n, extra_bits):
     p = max(1, (n - 1).bit_length() + extra_bits)
-    assert _kernels.roundtrip_all(n, p, 1, 5) == oracle(n, p, 1, 5, range(n), 1, n)
+    assert _kernels.roundtrip_all(n, p, 1, 5) == oracle(n, p, 1, 5, range(n), 1)
 
 
 def test_inputs_are_not_modified():
     ks = np.arange(-50, 50, dtype=np.int64)
     flat = array("q", range(-50, 50))
-    _kernels.chain_success_count(7, 9, 1, 5, ks, 4, 25)
+    _kernels.chain_success_count(7, 9, 1, 5, ks, 4)
     _kernels.sweep_success_count(7, 9, 1, 5, flat)
     assert list(ks) == list(flat) == list(range(-50, 50))
 
 
 def test_exponent_beyond_int64_takes_exact_path():
     ks = [1 << 70, -(1 << 70) - 1, 5]
-    assert _kernels.sweep_success_count(1000, 12, 1, 5, ks) == oracle(1000, 12, 1, 5, ks, 1, 3) == 3
+    assert _kernels.sweep_success_count(1000, 12, 1, 5, ks) == oracle(1000, 12, 1, 5, ks, 1) == 3
 
 
 def test_dispatch_falls_back_above_int64_range():
@@ -134,7 +139,7 @@ def test_dispatch_falls_back_above_int64_range():
     assert _kernels.recover_t(t, n, 128, 1, 5) == k
     assert t == round(Fraction(k << 128, n)) % (1 << 128)  # round() is half-to-even
     ks = [k, k + 1, -k, 3 * n]
-    assert _kernels.sweep_success_count(n, 128, 1, 5, ks) == oracle(n, 128, 1, 5, ks, 1, 4) == 4
+    assert _kernels.sweep_success_count(n, 128, 1, 5, ks) == oracle(n, 128, 1, 5, ks, 1) == 4
 
 
 @settings(max_examples=300, deadline=None)

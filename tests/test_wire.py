@@ -6,6 +6,7 @@ import socket
 import threading
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -213,10 +214,11 @@ def test_degenerate_client_public_rejected(a_pub):
 @pytest.mark.parametrize("a_line", ["A= 5", "A=+5", "A=5 ", "A=0_5", "A=\u0665", "A=5\r"])
 def test_non_decimal_client_public_rejected(a_line):
     reader = io.StringIO(f"HELLO circlelog/1\nPARAMS n=101 g=2\n{a_line}\n")
-    writer = io.StringIO()
+    sent = []
     with pytest.raises(ProtocolError, match="expected A=<decimal>"):
-        wire._serve_session(reader, writer, keygen(PARAMS, Random(SERVER_SEED)))
-    assert writer.getvalue() == "OK\n"  # no B= for a refused public
+        wire._serve_session(reader, SimpleNamespace(sendall=sent.append),
+                            keygen(PARAMS, Random(SERVER_SEED)))
+    assert sent == [b"OK\n"]  # no B= for a refused public
 
 
 def test_degenerate_server_public_rejected():
