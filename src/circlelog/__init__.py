@@ -3,14 +3,15 @@
 Exact cyclic-group arithmetic, fixed-point angles, the multi-valued
 continuous logarithm, DH/ElGamal/signature protocols, attack experiments,
 and a desk-scale operator model. ``KERNEL_BACKEND`` is a fixed label
-("numpy") that perfbench's provenance line reads; it does not say which path
-ran. The kernels' int64 domain decides that per call (parameters beyond it
-take exact Python ints), and ``circlelog info`` prints the domain.
+("numpy") that perfbench's provenance line reads; it names the only kernel
+implementation. Each kernel has one numpy body, whose arrays are int64 inside
+the kernels' int64 domain and exact Python ints beyond it; ``circlelog info``
+prints the domain.
 
 Importing the package loads no numpy, and neither do the protocols, which
-run on exact Python ints. numpy is imported on first use: by a batch kernel
-or the exhaustive scan inside their int64 domain, by the draw reduction for
-n <= 2^32, and by ``circlelog.spectral``.
+run on exact Python ints. numpy is imported on first use: by every batch
+kernel or exhaustive-scan call, by the draw reduction for n <= 2^32, and by
+``circlelog.spectral``.
 """
 
 from .contlog import (

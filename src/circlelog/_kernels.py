@@ -14,26 +14,27 @@ The scalar ``to_numeric_t``/``recover_t`` use exact Python ints: per call
 they beat numpy scalars. ``chain_success_count(n, p, dnum, dden, ks_flat, m)``
 is the one batch entry, called once per draw chunk of an experiment. Its block
 ``ks_flat`` holds whole chains of m exponents, chain by chain; the chain count
-is ``len(ks_flat) // m``, and a ragged block or m < 1 is ``UsageError`` on
-either path. ``sweep_success_count`` and ``roundtrip_all`` remain for the tests
-and the benchmark's probes and call it, so a traced direct call to either
-counts as two batch calls. Inside the int64-safe domain (1 <= n <= 2^24,
-p <= 30, dden <= 2^16, 0 <= dnum < dden) every intermediate stays below 2^55,
-so one vectorised numpy body counts them. Outside it, for instance at the
-protocol default n = 2^61 - 1, p = 128, the count takes the exact loop
-``_exact_chain_successes``, which tests also use as the oracle for the numpy
-body.
+is ``len(ks_flat) // m``, and a ragged block or m < 1 is ``UsageError``.
+``sweep_success_count`` and ``roundtrip_all`` remain for the tests and the
+benchmark's probes and call it, so a traced direct call to either counts as
+two batch calls. ``nearest_angle`` is the exhaustive-search baseline: the
+exponent whose angle lies nearest a target, found by scanning all angles,
+``_SCAN_CHUNK`` exponents at a time.
 
-``nearest_angle`` is the exhaustive-search baseline: the exponent whose angle
-lies nearest a target. For 1 <= n <= 2^24, p <= 30 and a target in [0, 2^p) it
-scans all angles in numpy, ``_SCAN_CHUNK`` exponents at a time; otherwise it
-takes the exact loop ``_exact_nearest_angle``, its test oracle. Both kernels
-round through ``_angles``, the one numpy copy of the rounding rule.
+Each kernel has one numpy body, and both round through ``_angles``, the one
+array copy of the rounding rule. Only the array dtype is chosen per call.
+Inside the int64-safe domain (1 <= n <= 2^24, p <= 30, and dden <= 2^16 with
+0 <= dnum < dden for the count, 0 <= t < 2^p for the scan) every
+intermediate stays below 2^55, so the arrays are ``int64``. Outside it, for
+instance at the protocol default n = 2^61 - 1, p = 128, or for an exponent
+beyond int64, they hold exact Python ints (dtype ``object``), which run the
+same body exactly, at the speed of Python int arithmetic. The tests check both
+dtypes against the scalar functions.
 
-numpy is imported inside the functions that compute with it (``_angles``,
-``chain_success_count``, ``roundtrip_all``, ``nearest_angle``), so it is
-loaded at the first batch or scan call and never by the scalar path that the
-protocols use.
+numpy is imported inside the functions that compute with it
+(``chain_success_count``, ``roundtrip_all``, ``nearest_angle``), so every
+batch or scan call loads it, whatever n is, and the scalar path that the
+protocols use never does.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import UsageError
 _N_MAX = 1 << 24
 _P_MAX = 30
 _DDEN_MAX = 1 << 16
-_SCAN_CHUNK = 1 << 20  # exponents per numpy scan step: bounds memory at n = 2^24
+_SCAN_CHUNK = 1 << 16  # exponents per scan step: bounds memory, object arrays included
 
 
 def tolerance(delta) -> tuple[int, int]:
@@ -86,34 +87,14 @@ def recover_t(t: int, n: int, p: int, dnum: int, dden: int) -> int:
     return k % n
 
 
-def _exact_chain_successes(n, p, dnum, dden, ks_flat, m) -> int:
-    """Exact Python-int loop over the chains of m exponents in ``ks_flat``, any (n, p)."""
-    mask = (1 << p) - 1
-    successes = 0
-    idx = 0
-    for _ in range(len(ks_flat) // m):
-        k_sum = 0
-        t_sum = 0
-        for _ in range(m):
-            k = ks_flat[idx]
-            idx += 1
-            k_sum += k
-            t_sum += to_numeric_t(k, n, p)
-        if recover_t(t_sum & mask, n, p, dnum, dden) == k_sum % n:
-            successes += 1
-    return successes
-
-
 def _angles(r: np.ndarray, n: int, p: int) -> np.ndarray:
-    """round(2^p * r / n) mod 2^p, half to even, for an int64 array r in [0, n).
+    """round(2^p * r / n) mod 2^p, half to even, for an int64 or object array r in [0, n).
 
     Overwrites r; in the int64 domain every intermediate stays below 2^55.
     """
-    import numpy as np
-
     r <<= p
-    q = np.empty_like(r)
-    np.divmod(r, n, out=(q, r))
+    q = r // n  # not np.divmod, which has no object loop
+    r -= q * n
     r <<= 1  # q rounds up iff 2r + (q & 1) > n
     r |= q & 1
     q += r > n
@@ -133,14 +114,13 @@ def chain_success_count(n, p, dnum, dden, ks_flat, m) -> int:
     """
     if m < 1 or len(ks_flat) % m:
         raise UsageError(f"a block of {len(ks_flat)} exponents is not whole chains of m={m}")
-    if not (1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= dnum < dden <= _DDEN_MAX):
-        return _exact_chain_successes(n, p, dnum, dden, ks_flat, m)
     import numpy as np
 
+    in_domain = 1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= dnum < dden <= _DDEN_MAX
     try:
-        ks = np.asarray(ks_flat, dtype=np.int64)
-    except OverflowError:  # an exponent beyond int64: exact path
-        return _exact_chain_successes(n, p, dnum, dden, ks_flat, m)
+        ks = np.asarray(ks_flat, dtype=np.int64 if in_domain else object)
+    except OverflowError:  # an exponent beyond int64
+        ks = np.asarray(ks_flat, dtype=object)
     # exact product: sum of exponents mod n; reducing first keeps sums small
     r = np.remainder(ks.reshape(-1, m), n)
     k_sum = r.sum(axis=1)
@@ -170,36 +150,22 @@ def roundtrip_all(n: int, p: int, dnum: int, dden: int) -> int:
     """Count exponents k in [0, n) surviving to_numeric -> recover intact."""
     import numpy as np
 
-    ks = np.arange(n, dtype=np.int64) if n <= _N_MAX else range(n)
-    return chain_success_count(n, p, dnum, dden, ks, 1)
-
-
-def _exact_nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
-    """Exact Python-int loop behind ``nearest_angle``, any (n, p, t)."""
-    full = 1 << p
-    best_k, best_dist = 0, full
-    for k in range(n):
-        d = abs(to_numeric_t(k, n, p) - t)
-        d = min(d, full - d)
-        if d < best_dist:  # smallest k wins ties
-            best_k, best_dist = k, d
-    return best_k, best_dist
+    return chain_success_count(n, p, dnum, dden, np.arange(n, dtype=np.int64), 1)
 
 
 def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
     """The exponent k in [0, n) whose angle lies nearest t, and that distance.
 
     The distance is taken around the circle, in units of 2^-p turn; the
-    smallest k wins ties. Every exponent is examined.
+    smallest k wins ties. Every exponent is examined; n < 1 gives (0, 2^p).
     """
-    if not (1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= t < 1 << p):
-        return _exact_nearest_angle(t, n, p)
     import numpy as np
 
     full = 1 << p
+    dtype = np.int64 if 1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= t < full else object
     best_k, best_dist = 0, full
     for first in range(0, n, _SCAN_CHUNK):
-        d = _angles(np.arange(first, min(first + _SCAN_CHUNK, n), dtype=np.int64), n, p)
+        d = _angles(np.arange(first, min(first + _SCAN_CHUNK, n), dtype=dtype), n, p)
         d -= t
         np.abs(d, out=d)
         np.minimum(d, full - d, out=d)

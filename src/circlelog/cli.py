@@ -83,10 +83,6 @@ def _same_file(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _rng(args) -> Random:
-    return Random(args.seed) if args.seed is not None else Random()
-
-
 def _load_private(path: str) -> KeyPair:
     key = keyfile.load_key(path)
     if not isinstance(key, KeyPair):
@@ -98,7 +94,7 @@ def cmd_keygen(args, out: io.StringIO) -> int:
     if args.pub and _same_file(args.pub, args.key):
         raise UsageError("--pub and --out name the same file; the private key would be lost")
     params = make_params(args.n, args.g, args.p)
-    key = keygen(params, _rng(args))
+    key = keygen(params, Random(args.seed))
     keyfile.save_key(key, args.key)
     if args.pub:
         try:
@@ -112,7 +108,7 @@ def cmd_keygen(args, out: io.StringIO) -> int:
 def cmd_encrypt(args, out: io.StringIO) -> int:
     pk = keyfile.load_key(args.pub)
     m = encode_message(args.message, pk.params)
-    out.write(keyfile.serialize_ciphertext(elgamal_encrypt(pk, m, _rng(args))))
+    out.write(keyfile.serialize_ciphertext(elgamal_encrypt(pk, m, Random(args.seed))))
     return 0
 
 
@@ -129,7 +125,7 @@ def cmd_decrypt(args, out: io.StringIO) -> int:
 
 def cmd_sign(args, out: io.StringIO) -> int:
     sk = _load_private(args.key)
-    sig = sign(sk, args.message, _rng(args))
+    sig = sign(sk, args.message, Random(args.seed))
     out.write(keyfile.serialize_signature(sig))
     return 0
 
@@ -148,7 +144,8 @@ def cmd_dh_serve(args, out: io.StringIO) -> int:
     def listening(port: int) -> None:  # flushed at once: with --port 0, how a client learns the port
         print(f"listening on {args.host}:{port}", file=sys.stderr, flush=True)
 
-    result = wire.dh_serve(args.port, params, _rng(args), host=args.host, on_listen=listening)
+    rng = Random(args.seed)
+    result = wire.dh_serve(args.port, params, rng, host=args.host, on_listen=listening)
     out.write(f"{result.transcript}CONFIRM {result.confirm}\n")
     return 0
 
@@ -157,7 +154,7 @@ def cmd_dh_connect(args, out: io.StringIO) -> int:
     if args.port == 0:
         raise UsageError("--port 0 (any free port) is only for dh-serve; give the server's port")
     params = make_params(args.n, args.g, args.p)
-    result = wire.dh_connect(args.host, args.port, params, _rng(args))
+    result = wire.dh_connect(args.host, args.port, params, Random(args.seed))
     out.write(f"{result.transcript}CONFIRM {result.confirm}\n")
     return 0
 

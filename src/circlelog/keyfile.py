@@ -108,7 +108,7 @@ def parse_key(text: str) -> KeyPair | PublicKey:
         raise ParseError(f"invalid parameters: {exc}") from exc
 
     if not private:  # h = 0 is the identity: every c2 would be the plaintext itself
-        return PublicKey(params, element(params, _in_range(6, "h", h, 1, n)))
+        return PublicKey(element(params, _in_range(6, "h", h, 1, n)))
     key = KeyPair(params, _in_range(6, "x", x, 1, n))
     if stored and stored[0] != key.h.k:
         raise ConsistencyError(f"stored h={stored[0]} disagrees with g^x={key.h.k}")

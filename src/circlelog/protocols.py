@@ -2,9 +2,10 @@
 
 Keys, secret scalars and DH shared secrets are made here alone, beside
 ElGamal and ECDSA-style signatures. A private key holds x; its h = g^x is
-derived. Every secret scalar (key, ephemeral, nonce, DH end) lies in
-[1, n), so n < 2 raises InvalidOrder. Signatures need a prime order and a p
-that meets the recovery bound, so reading R back from its angle never fails.
+derived. A public key holds h; its params are h's. Every secret scalar
+(key, ephemeral, nonce, DH end) lies in [1, n), so n < 2 raises
+InvalidOrder. Signatures need a prime order and a p that meets the recovery
+bound, so reading R back from its angle never fails.
 
 None of this is secure: the cryptanalysis module measures exactly how cheap
 the inversion is. The package exists to make that measurement.
@@ -32,8 +33,11 @@ from .group import (
 
 @dataclass(frozen=True)
 class PublicKey:
-    params: GroupParams
     h: ExactElement
+
+    @property
+    def params(self) -> GroupParams:
+        return self.h.params
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class KeyPair:
 
     @property
     def public(self) -> PublicKey:
-        return PublicKey(self.params, self.h)
+        return PublicKey(self.h)
 
 
 @dataclass(frozen=True)

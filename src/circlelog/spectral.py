@@ -40,7 +40,7 @@ class DenseOperator:
 
     def __post_init__(self):
         if self.dim < 1 or self.entries.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim}x{self.dim} matrix")
+            raise UsageError(f"expected a {self.dim}x{self.dim} matrix")
 
 
 def shift_operator(n: int) -> DenseOperator:

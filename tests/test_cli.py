@@ -10,6 +10,7 @@ import struct
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import numpy
@@ -517,6 +518,13 @@ def test_info_reports_versions_domain_and_guards(capsys):
         "prime_order_guard": "3317044064679887385961981",
     }
     assert len(lines) == 10
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # setuptools calls [tool.setuptools] beta
+def test_version_is_declared_once():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert pyprojecttoml.read_configuration(pyproject)["project"]["version"] == __version__
 
 
 def test_dh_connect_refused_exits_1(capsys):

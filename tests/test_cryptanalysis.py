@@ -110,8 +110,12 @@ class TestExhaustive:
     def test_report_matches_the_exact_loop(self, n, bits):
         # targets between the rounded roots as well as on them
         p = make_params(n, 1, bits)
-        for t in range(0, 1 << bits, (1 << bits) // 97 or 1):
-            best_k, best_dist = _kernels._exact_nearest_angle(t, n, bits)
+        full = 1 << bits
+        angles = [_kernels.to_numeric_t(k, n, bits) for k in range(n)]
+        for t in range(0, full, full // 97 or 1):
+            # the smallest k wins ties
+            best_dist, best_k = min((min(abs(a - t), full - abs(a - t)), k)
+                                    for k, a in enumerate(angles))
             report = attack_exhaustive(NumericElement(p, t), p)
             assert report.recovered == best_k
             assert report.notes == f"nearest angle at distance {best_dist}/2^{bits} turn-units"

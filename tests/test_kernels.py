@@ -1,4 +1,4 @@
-"""The numpy kernels against the exact big-int loops of ``_kernels``."""
+"""The numpy kernels, in int64 and in exact Python ints, against the scalar kernels."""
 
 from array import array
 from fractions import Fraction
@@ -10,12 +10,29 @@ from hypothesis import strategies as st
 
 from circlelog import KERNEL_BACKEND, UsageError, _kernels
 
-# saved before ``no_fallback``/``no_scan_fallback`` patch them out of the module
-oracle = _kernels._exact_chain_successes
-scan_oracle = _kernels._exact_nearest_angle
-
 N_MAX = 1 << 24
 DDEN_MAX = 1 << 16
+
+
+def oracle(n, p, dnum, dden, ks, m):
+    """``chain_success_count`` from the scalar kernels, one chain at a time."""
+    ks = [int(k) for k in ks]
+    successes = 0
+    for i in range(0, len(ks), m):
+        chain = ks[i:i + m]
+        t = sum(_kernels.to_numeric_t(k, n, p) for k in chain) & ((1 << p) - 1)
+        successes += _kernels.recover_t(t, n, p, dnum, dden) == sum(chain) % n
+    return successes
+
+
+def scan_oracle(t, n, p):
+    """``nearest_angle`` from ``to_numeric_t``, one exponent at a time."""
+    full = 1 << p
+    best = (full, 0)  # (distance, k): the smallest k wins ties; n = 0 keeps (0, 2^p)
+    for k in range(n):
+        d = abs(_kernels.to_numeric_t(k, n, p) - t)
+        best = min(best, (min(d, full - d), k))
+    return best[1], best[0]
 
 
 @st.composite
@@ -34,19 +51,14 @@ def exponents(n):
 
 
 @pytest.fixture
-def no_fallback(monkeypatch):
-    """Fail if a call meant for the numpy kernel reaches the exact big-int loop."""
-    def refuse(*args):
-        raise AssertionError("numpy-domain call fell back to the exact loop")
-    monkeypatch.setattr(_kernels, "_exact_chain_successes", refuse)
+def int64_only(monkeypatch):
+    """Fail if a call inside the int64 domain rounds anything but an int64 array."""
+    angles = _kernels._angles
 
-
-@pytest.fixture
-def no_scan_fallback(monkeypatch):
-    """Fail if a scan meant for numpy reaches the exact loop."""
-    def refuse(*args):
-        raise AssertionError("numpy-domain scan fell back to the exact loop")
-    monkeypatch.setattr(_kernels, "_exact_nearest_angle", refuse)
+    def checked(r, n, p):
+        assert r.dtype == np.int64, f"an in-domain call rounded a {r.dtype} array"
+        return angles(r, n, p)
+    monkeypatch.setattr(_kernels, "_angles", checked)
 
 
 def test_backend_is_always_available():
@@ -70,13 +82,24 @@ def test_chain_agrees(params, m, trials, data):
     assert _kernels.chain_success_count(n, p, dnum, dden, ks, m) == oracle(n, p, dnum, dden, ks, m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 1 << 70), st.integers(0, 140), st.integers(1, 1 << 20),
+       st.integers(1, 8), st.integers(0, 4), st.data())
+def test_chain_agrees_in_exact_ints(n, p, dden, m, trials, data):
+    # mostly past the int64 domain: the same body on object arrays
+    dnum = data.draw(st.integers(0, (dden - 1) // 2))
+    ks = data.draw(st.lists(st.integers(-(1 << 80), 1 << 80), min_size=m * trials,
+                            max_size=m * trials))
+    assert _kernels.chain_success_count(n, p, dnum, dden, ks, m) == oracle(n, p, dnum, dden, ks, m)
+
+
 @pytest.mark.parametrize("n, p", [(7, 5), (2**61 - 1, 128)])
 @pytest.mark.parametrize("ks, m", [([1, 2, 3], 2), ([1, 2, 3], 0), ([], 0), ([1, 2, 3], -1)])
 def test_ragged_block_refused_on_both_paths(monkeypatch, n, p, ks, m):
-    # (7, 5) lies in the numpy domain, (2^61 - 1, 128) past int64; neither path may run
+    # (7, 5) lies in the int64 domain, (2^61 - 1, 128) past it; neither dtype may round
     def refuse(*args):
-        raise AssertionError("a refused block reached the exact loop")
-    monkeypatch.setattr(_kernels, "_exact_chain_successes", refuse)
+        raise AssertionError("a refused block reached the rounding")
+    monkeypatch.setattr(_kernels, "_angles", refuse)
     with pytest.raises(UsageError, match=f"not whole chains of m={m}$"):
         _kernels.chain_success_count(n, p, 1, 5, ks, m)
 
@@ -86,7 +109,7 @@ def test_ragged_block_refused_on_both_paths(monkeypatch, n, p, ks, m):
     (N_MAX, 30, (DDEN_MAX - 1) // 2, DDEN_MAX), (N_MAX - 1, 30, 1, DDEN_MAX),
     (1000, 12, 1, 5), (3, 8, 49, 100),
 ])
-def test_domain_edges_stay_on_numpy(no_fallback, n, p, dnum, dden):
+def test_domain_edges_stay_on_numpy(int64_only, n, p, dnum, dden):
     ks = [0, 1, n - 1, n, n + 1, -1, -n, 3 * n - 7, (1 << 62) - 1, -(1 << 62)]
     m = 5  # two chains
     expect = oracle(n, p, dnum, dden, ks, m)
@@ -96,7 +119,7 @@ def test_domain_edges_stay_on_numpy(no_fallback, n, p, dnum, dden):
 
 
 @pytest.mark.parametrize("dnum, dden", [(0, 1), (1, 4), (1, 5)])
-def test_small_orders_exhaustively(no_fallback, dnum, dden):
+def test_small_orders_exhaustively(int64_only, dnum, dden):
     # small n and p reach the rounding ties (2r == n), the tolerance boundary
     # and recoveries that round up to n; random parameters rarely do
     for n in range(1, 25):
@@ -106,6 +129,22 @@ def test_small_orders_exhaustively(no_fallback, dnum, dden):
             assert _kernels.chain_success_count(*args) == oracle(*args), (n, p)
 
 
+@pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(49, 100)])
+def test_scalar_kernels_match_exact_fractions(delta):
+    # the scalar kernels are the reference for both dtypes; round() is half-to-even
+    dnum, dden = delta.numerator, delta.denominator
+    for n in range(1, 25):
+        for p in range(7):
+            full = 1 << p
+            for t in range(full):
+                x = Fraction(t * n, full)
+                k = round(x)
+                expect = k % n if abs(x - k) <= Fraction(1, 2) - delta else -1
+                assert _kernels.recover_t(t, n, p, dnum, dden) == expect, (n, p, t)
+            for k in range(-n, 2 * n):
+                assert _kernels.to_numeric_t(k, n, p) == round(Fraction(k * full, n)) % full
+
+
 def test_negative_exponent_case():
     # -3 = 4 mod 7; a C-style truncating modulo once made this 0
     assert _kernels.sweep_success_count(7, 5, 1, 5, [-3]) == 1
@@ -113,7 +152,7 @@ def test_negative_exponent_case():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 127, 1000, 1024, 4096])
 @pytest.mark.parametrize("extra_bits", [-2, 0, 2])
-def test_roundtrip_all_agrees(no_fallback, n, extra_bits):
+def test_roundtrip_all_agrees(int64_only, n, extra_bits):
     p = max(1, (n - 1).bit_length() + extra_bits)
     assert _kernels.roundtrip_all(n, p, 1, 5) == oracle(n, p, 1, 5, range(n), 1)
 
@@ -132,7 +171,7 @@ def test_exponent_beyond_int64_takes_exact_path():
 
 
 def test_dispatch_falls_back_above_int64_range():
-    # n = 2^61 - 1 with p = 128 must route to the exact big-int path
+    # n = 2^61 - 1 with p = 128 must run on exact Python ints (object arrays)
     n = 2**61 - 1
     k = 123456789012345678
     t = _kernels.to_numeric_t(k, n, 128)
@@ -143,11 +182,11 @@ def test_dispatch_falls_back_above_int64_range():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 3000), st.integers(0, 30), st.integers(1, 64), st.data())
+@given(st.integers(1, 3000), st.integers(0, 40), st.integers(1, 64), st.data())
 @example(1, 0, 1, None)
 def test_nearest_angle_agrees(n, p, chunk, data):
     # targets anywhere in [0, 2^p), mostly not rounded roots; a small chunk
-    # puts minima and ties on chunk boundaries
+    # puts minima and ties on chunk boundaries; p > 30 scans object arrays
     t = 0 if data is None else data.draw(st.integers(0, (1 << p) - 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_SCAN_CHUNK", chunk)
@@ -155,7 +194,7 @@ def test_nearest_angle_agrees(n, p, chunk, data):
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 20])
-def test_nearest_angle_ties_exhaustively(no_scan_fallback, monkeypatch, chunk):
+def test_nearest_angle_ties_exhaustively(int64_only, monkeypatch, chunk):
     # every target at small n and p: equidistant angles, wrap-around ties and
     # exponents sharing one angle
     monkeypatch.setattr(_kernels, "_SCAN_CHUNK", chunk)
@@ -175,7 +214,7 @@ def test_nearest_angle_outside_domain_is_the_exact_loop(n, p, t):
     assert _kernels.nearest_angle(t, n, p) == scan_oracle(t, n, p)
 
 
-def test_nearest_angle_at_domain_edges_stays_on_numpy(no_scan_fallback):
+def test_nearest_angle_at_domain_edges_stays_on_numpy(int64_only):
     assert _kernels.nearest_angle(0, 1, 0) == (0, 0)
     assert _kernels.nearest_angle((1 << 30) - 1, 3, 30) == (0, 1)
     n = 10007  # prime: no angle repeats, so the target's own exponent wins

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from circlelog import ConsistencyError, ParseError, keygen, make_params
+from circlelog import ConsistencyError, ParseError, element, keygen, make_params
 from circlelog.keyfile import (
     decimal,
     load_key,
@@ -37,6 +37,16 @@ def test_public_roundtrip(tmp_path, keypair):
     loaded = load_key(path)
     assert isinstance(loaded, PublicKey)
     assert loaded == keypair.public
+
+
+def test_public_key_takes_its_params_from_h(tmp_path):
+    # a public key holds only h, so the file written carries h's own group
+    h = element(make_params(103, 2, 16), 102)
+    public = PublicKey(h)
+    assert public.params == h.params
+    path = tmp_path / "key.pub"
+    save_key(public, path)
+    assert load_key(path) == public
 
 
 def test_serialized_layout(keypair):

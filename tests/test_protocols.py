@@ -86,7 +86,7 @@ class TestOrderBelowTwo:
             keygen(self.params, FixedRandom([0, 0, 0]))
 
     def test_elgamal_ephemeral_refused(self):
-        pk = PublicKey(self.params, element(self.params, 0))
+        pk = PublicKey(element(self.params, 0))
         with pytest.raises(InvalidOrder, match="order n >= 2"):
             elgamal_encrypt(pk, element(self.params, 0), FixedRandom([0, 0, 0]))
 
@@ -181,7 +181,7 @@ class TestValuesOnElements:
         key2, public2, ct2 = self.values(7)
         assert key.h is not key2.h and key.h == key2.h
         assert hash(key.h) == hash(key2.h)
-        assert public == public2 == PublicKey(self.params, element(self.params, key.h.k))
+        assert public == public2 == PublicKey(element(self.params, key.h.k))
         assert ct == ct2 == Ciphertext(ct.c1, element(self.params, ct.c2.k))
         assert hash(public) == hash(public2) and hash(ct) == hash(ct2)
         _, other_public, other_ct = self.values(8)

@@ -156,3 +156,8 @@ def test_order_guards():
 def test_shape_validation():
     with pytest.raises(ValueError):
         DenseOperator(2, np.zeros((2, 3), dtype=complex))
+
+
+def test_shape_error_is_a_usage_error():
+    with pytest.raises(UsageError, match="^expected a 2x2 matrix$"):
+        DenseOperator(2, np.zeros((2, 3)))
