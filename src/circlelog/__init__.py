@@ -4,9 +4,8 @@ Exact cyclic-group arithmetic, fixed-point angles, the multi-valued
 continuous logarithm, DH/ElGamal/signature protocols, attack experiments,
 and a desk-scale operator model. ``KERNEL_BACKEND`` is a fixed label
 ("numpy") that perfbench's provenance line reads; it names the only kernel
-implementation. Each kernel has one numpy body, whose arrays are int64 inside
-the kernels' int64 domain and exact Python ints beyond it; ``circlelog info``
-prints the domain.
+implementation. Each kernel has one numpy body, whose arrays are int64 when
+every intermediate fits in int64 and exact Python ints otherwise.
 
 Importing the package loads no numpy, and neither do the protocols, which
 run on exact Python ints. numpy is imported on first use: by every batch

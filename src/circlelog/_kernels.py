@@ -22,19 +22,18 @@ exponent whose angle lies nearest a target, found by scanning all angles,
 ``_SCAN_CHUNK`` exponents at a time.
 
 Each kernel has one numpy body, and both round through ``_angles``, the one
-array copy of the rounding rule. Only the array dtype is chosen per call.
-Inside the int64-safe domain (1 <= n <= 2^24, p <= 30, and dden <= 2^16 with
-0 <= dnum < dden for the count, 0 <= t < 2^p for the scan) every
-intermediate stays below 2^55, so the arrays are ``int64``. Outside it, for
-instance at the protocol default n = 2^61 - 1, p = 128, or for an exponent
-beyond int64, they hold exact Python ints (dtype ``object``), which run the
-same body exactly, at the speed of Python int arithmetic. The tests check both
-dtypes against the scalar functions.
+array copy of the rounding rule. Only the dtype is chosen, by the overflow
+condition itself, since int64 arrays wrap silently: ``int64`` when no
+intermediate can reach 2^63, else exact Python ints (``object``, built with
+``int()`` so that no numpy scalar wraps in them), for instance at the protocol
+default n = 2^61 - 1, p = 128. The count fits when n >= 1, p >= 0,
+0 <= dnum < dden, every exponent fits int64, m*n < 2^63 (the sum of m residues) and
+max(n, m, 2*dden) * 2^p < 2^63: n bounds the shifted residues and ``t *= n``,
+m the sum of m angles, 2*dden the tolerance test and ``2 * rem``. The scan
+fits when n * 2^p < 2^63 (the shifted exponents) and 0 <= t < 2^p.
 
-numpy is imported inside the functions that compute with it
-(``chain_success_count``, ``roundtrip_all``, ``nearest_angle``), so every
-batch or scan call loads it, whatever n is, and the scalar path that the
-protocols use never does.
+numpy is imported inside the functions that compute with it, so every batch or
+scan call loads it and the scalar path that the protocols use never does.
 """
 
 from __future__ import annotations
@@ -43,9 +42,6 @@ from fractions import Fraction
 
 from .errors import UsageError
 
-_N_MAX = 1 << 24
-_P_MAX = 30
-_DDEN_MAX = 1 << 16
 _SCAN_CHUNK = 1 << 16  # exponents per scan step: bounds memory, object arrays included
 
 
@@ -90,7 +86,7 @@ def recover_t(t: int, n: int, p: int, dnum: int, dden: int) -> int:
 def _angles(r: np.ndarray, n: int, p: int) -> np.ndarray:
     """round(2^p * r / n) mod 2^p, half to even, for an int64 or object array r in [0, n).
 
-    Overwrites r; in the int64 domain every intermediate stays below 2^55.
+    Overwrites r. n * 2^p < 2^63 bounds every intermediate but 2r at p = 0, masked away.
     """
     r <<= p
     q = r // n  # not np.divmod, which has no object loop
@@ -116,11 +112,15 @@ def chain_success_count(n, p, dnum, dden, ks_flat, m) -> int:
         raise UsageError(f"a block of {len(ks_flat)} exponents is not whole chains of m={m}")
     import numpy as np
 
-    in_domain = 1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= dnum < dden <= _DDEN_MAX
-    try:
-        ks = np.asarray(ks_flat, dtype=np.int64 if in_domain else object)
-    except OverflowError:  # an exponent beyond int64
-        ks = np.asarray(ks_flat, dtype=object)
+    n, p, dnum, dden, m = int(n), int(p), int(dnum), int(dden), int(m)
+    ks = None
+    if n >= 1 and p >= 0 and 0 <= dnum < dden and max(max(n, m, 2 * dden) << p, m * n) < 1 << 63:
+        try:
+            ks = np.asarray(ks_flat, dtype=np.int64)
+        except OverflowError:  # an exponent beyond int64
+            pass
+    if ks is None:
+        ks = np.array([int(k) for k in ks_flat], dtype=object)
     # exact product: sum of exponents mod n; reducing first keeps sums small
     r = np.remainder(ks.reshape(-1, m), n)
     k_sum = r.sum(axis=1)
@@ -161,8 +161,9 @@ def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
     """
     import numpy as np
 
+    t, n, p = int(t), int(n), int(p)
     full = 1 << p
-    dtype = np.int64 if 1 <= n <= _N_MAX and 0 <= p <= _P_MAX and 0 <= t < full else object
+    dtype = np.int64 if n << p < 1 << 63 and 0 <= t < full else object
     best_k, best_dist = 0, full
     for first in range(0, n, _SCAN_CHUNK):
         d = _angles(np.arange(first, min(first + _SCAN_CHUNK, n), dtype=dtype), n, p)

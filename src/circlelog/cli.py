@@ -199,7 +199,7 @@ def cmd_spectral_check(args, out: io.StringIO) -> int:
 def cmd_info(args, out: io.StringIO) -> int:
     import numpy  # imported here only to report its version
 
-    from . import __version__, _kernels, spectral
+    from . import __version__, spectral
     from .cryptanalysis import EXHAUSTIVE_ORDER_GUARD
     from .group import MAX_PRECISION
     from .protocols import _PSI13
@@ -207,9 +207,6 @@ def cmd_info(args, out: io.StringIO) -> int:
     for key, value in [
         ("circlelog", __version__),
         ("numpy", numpy.__version__),
-        ("kernel_n_max", _kernels._N_MAX),
-        ("kernel_p_max", _kernels._P_MAX),
-        ("kernel_dden_max", _kernels._DDEN_MAX),
         ("max_precision", MAX_PRECISION),
         ("exhaustive_order_guard", EXHAUSTIVE_ORDER_GUARD),
         ("dense_order_guard", spectral.DENSE_ORDER_GUARD),
@@ -296,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_integer, default=64)
     p.add_argument("--dump", choices=DUMP_OPERATORS, help="dump a matrix instead")
 
-    add("info", cmd_info, help="versions, kernel domain and size guards")
+    add("info", cmd_info, help="versions, precision limit and size guards")
 
     return parser
 

@@ -16,7 +16,7 @@ from random import Random
 import numpy
 import pytest
 
-from circlelog import _kernels, __version__, cryptanalysis, make_params, wire
+from circlelog import __version__, cryptanalysis, make_params, wire
 from circlelog.cli import DEFAULT_N, DEFAULT_SEED, DUMP_OPERATORS, build_parser, main
 from circlelog.cryptanalysis import CSV_HEADER, EXHAUSTIVE_ORDER_GUARD
 from circlelog.group import MAX_PRECISION
@@ -298,14 +298,17 @@ def test_usage_error_exits_2():
 
 
 # SHA-256 of stdout, each recorded before the change it guards: the --seed 1
-# rows before the draw, kernel and output-writer rewrites; the --seed 4 rows,
-# whose draws go through the exact kernel loop (n > 2^24 or p > 30), before
-# the chunked draw reduction, so a draw handed over as a numpy int64 (which
-# wraps in the exact loop) shows here; the sign and spectral-check rows before
-# every command's text went through main; the last four rows (three draw
-# chunks, the last one partial; the list path above 2^63; about half the draws
-# redrawn; the largest order that can be drawn, 2^256) before the experiments
-# counted successes chunk by chunk. --out must write the same bytes.
+# rows before the draw, kernel and output-writer rewrites; the first three
+# --seed 4 rows, which then ran on exact Python ints (n > 2^24 or p > 30; the
+# accumulate row now fits int64), before the chunked draw reduction, so a
+# draw handed over as a numpy int64 (which wraps on object arrays) shows here;
+# the sign and spectral-check rows before every command's text went through
+# main; the next four rows (three draw chunks, the last one partial; the list
+# path above 2^63; about half the draws redrawn; the largest order that can be
+# drawn, 2^256) before the experiments counted successes chunk by chunk; the
+# last row, whose p = 30..31 rows fit int64 (n * 2^p < 2^63) and whose
+# p = 32..33 rows do not, before the kernels chose int64 by that rule. --out
+# must write the same bytes.
 @pytest.mark.parametrize("argv, digest", [
     (["attack", "--n", "1048576", "--g", "1", "--p", "22", "--trials", "500", "--seed", "1"],
      "cad078f0697fdd823cc3bd304ed627d34f182a3ac9318a5b0ab49666dcc7b2aa"),
@@ -338,6 +341,9 @@ def test_usage_error_exits_2():
      "8eb025fc4454b86476b0327fa2aa2a9e73e431ad888253fbd3d9109274541691"),
     (["attack", "--n", str(2**256), "--g", "3", "--p", "300", "--trials", "50", "--seed", "2"],
      "129f7ad106289e5d168320fff72203464624b5d4927801392ab45699fe3a8344"),
+    (["sweep", "--n", "4294967291", "--p-min", "30", "--p-max", "33", "--trials", "300",
+      "--seed", "4"],
+     "cd0bbc3ae323877bb8fef96897c7ecb51ffb0542f2098edf742b2ddb78a039e3"),
 ])
 def test_seeded_experiment_stdout_is_pinned(tmp_path, capsys, argv, digest):
     priv, pub = tmp_path / "k.priv", tmp_path / "k.pub"
@@ -508,16 +514,13 @@ def test_info_reports_versions_domain_and_guards(capsys):
     assert dict(line.split(": ", 1) for line in lines) == {
         "circlelog": __version__,
         "numpy": numpy.__version__,
-        "kernel_n_max": str(_kernels._N_MAX),
-        "kernel_p_max": str(_kernels._P_MAX),
-        "kernel_dden_max": str(_kernels._DDEN_MAX),
         "max_precision": str(MAX_PRECISION),
         "exhaustive_order_guard": str(EXHAUSTIVE_ORDER_GUARD),
         "dense_order_guard": str(DENSE_ORDER_GUARD),
         "check_order_guard": str(CHECK_ORDER_GUARD),
         "prime_order_guard": "3317044064679887385961981",
     }
-    assert len(lines) == 10
+    assert len(lines) == 7
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # setuptools calls [tool.setuptools] beta

@@ -1,5 +1,6 @@
 """The numpy kernels, in int64 and in exact Python ints, against the scalar kernels."""
 
+import random
 from array import array
 from fractions import Fraction
 
@@ -9,9 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelog import KERNEL_BACKEND, UsageError, _kernels
-
-N_MAX = 1 << 24
-DDEN_MAX = 1 << 16
 
 
 def oracle(n, p, dnum, dden, ks, m):
@@ -35,12 +33,25 @@ def scan_oracle(t, n, p):
     return best[1], best[0]
 
 
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
 @st.composite
 def domain_params(draw):
-    """(n, p, dnum, dden) inside the numpy kernel's int64 domain, delta < 1/2."""
-    n = draw(st.integers(1, N_MAX))
-    p = draw(st.integers(0, 30))
-    dden = draw(st.integers(1, DDEN_MAX))
+    """(n, p, dnum, dden) on both sides of the int64 rule's edge, delta < 1/2.
+
+    n * 2^p < 2^63 holds for n below ``edge``, and 2 dden * 2^p < 2^63 for
+    dden below half of it.
+    """
+    p = draw(st.integers(0, 64))
+    edge = 1 << max(0, 63 - p)
+    n = draw(st.integers(1, 2 * edge))
+    dden = draw(st.integers(1, edge))
     dnum = draw(st.integers(0, (dden - 1) // 2))
     return n, p, dnum, dden
 
@@ -52,11 +63,23 @@ def exponents(n):
 
 @pytest.fixture
 def int64_only(monkeypatch):
-    """Fail if a call inside the int64 domain rounds anything but an int64 array."""
+    """Fail if a call rounds anything but an int64 array."""
     angles = _kernels._angles
 
     def checked(r, n, p):
-        assert r.dtype == np.int64, f"an in-domain call rounded a {r.dtype} array"
+        assert r.dtype == np.int64, f"a call that fits int64 rounded a {r.dtype} array"
+        return angles(r, n, p)
+    monkeypatch.setattr(_kernels, "_angles", checked)
+
+
+@pytest.fixture
+def exact_only(monkeypatch):
+    """Fail if a call rounds anything but an object array of Python ints."""
+    angles = _kernels._angles
+
+    def checked(r, n, p):
+        assert r.dtype == object, f"a call past int64 rounded a {r.dtype} array"
+        assert all(type(x) is int for x in r.flat), "an exact array holds a numpy scalar"
         return angles(r, n, p)
     monkeypatch.setattr(_kernels, "_angles", checked)
 
@@ -86,7 +109,7 @@ def test_chain_agrees(params, m, trials, data):
 @given(st.integers(1, 1 << 70), st.integers(0, 140), st.integers(1, 1 << 20),
        st.integers(1, 8), st.integers(0, 4), st.data())
 def test_chain_agrees_in_exact_ints(n, p, dden, m, trials, data):
-    # mostly past the int64 domain: the same body on object arrays
+    # mostly past the int64 rule: the same body on object arrays
     dnum = data.draw(st.integers(0, (dden - 1) // 2))
     ks = data.draw(st.lists(st.integers(-(1 << 80), 1 << 80), min_size=m * trials,
                             max_size=m * trials))
@@ -96,7 +119,7 @@ def test_chain_agrees_in_exact_ints(n, p, dden, m, trials, data):
 @pytest.mark.parametrize("n, p", [(7, 5), (2**61 - 1, 128)])
 @pytest.mark.parametrize("ks, m", [([1, 2, 3], 2), ([1, 2, 3], 0), ([], 0), ([1, 2, 3], -1)])
 def test_ragged_block_refused_on_both_paths(monkeypatch, n, p, ks, m):
-    # (7, 5) lies in the int64 domain, (2^61 - 1, 128) past it; neither dtype may round
+    # (7, 5) fits int64, (2^61 - 1, 128) does not; neither dtype may round
     def refuse(*args):
         raise AssertionError("a refused block reached the rounding")
     monkeypatch.setattr(_kernels, "_angles", refuse)
@@ -105,11 +128,12 @@ def test_ragged_block_refused_on_both_paths(monkeypatch, n, p, ks, m):
 
 
 @pytest.mark.parametrize("n, p, dnum, dden", [
-    (1, 1, 0, 1), (1, 30, 0, DDEN_MAX), (N_MAX, 30, 0, 1), (N_MAX, 1, 1, 3),
-    (N_MAX, 30, (DDEN_MAX - 1) // 2, DDEN_MAX), (N_MAX - 1, 30, 1, DDEN_MAX),
+    (1, 1, 0, 1), (1, 30, 0, 1 << 16), (1 << 24, 30, 0, 1), (1 << 24, 1, 1, 3),
+    (1 << 24, 30, (1 << 15) - 1, 1 << 16), ((1 << 24) - 1, 30, 1, 1 << 16),
     (1000, 12, 1, 5), (3, 8, 49, 100),
 ])
 def test_domain_edges_stay_on_numpy(int64_only, n, p, dnum, dden):
+    # mid-size parameters on int64, with exponents anywhere in int64
     ks = [0, 1, n - 1, n, n + 1, -1, -n, 3 * n - 7, (1 << 62) - 1, -(1 << 62)]
     m = 5  # two chains
     expect = oracle(n, p, dnum, dden, ks, m)
@@ -165,12 +189,12 @@ def test_inputs_are_not_modified():
     assert list(ks) == list(flat) == list(range(-50, 50))
 
 
-def test_exponent_beyond_int64_takes_exact_path():
+def test_exponent_beyond_int64_runs_on_exact_ints(exact_only):
     ks = [1 << 70, -(1 << 70) - 1, 5]
     assert _kernels.sweep_success_count(1000, 12, 1, 5, ks) == oracle(1000, 12, 1, 5, ks, 1) == 3
 
 
-def test_dispatch_falls_back_above_int64_range():
+def test_protocol_default_runs_on_exact_ints(exact_only):
     # n = 2^61 - 1 with p = 128 must run on exact Python ints (object arrays)
     n = 2**61 - 1
     k = 123456789012345678
@@ -182,11 +206,11 @@ def test_dispatch_falls_back_above_int64_range():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 3000), st.integers(0, 40), st.integers(1, 64), st.data())
+@given(st.integers(1, 3000), st.integers(0, 64), st.integers(1, 64), st.data())
 @example(1, 0, 1, None)
 def test_nearest_angle_agrees(n, p, chunk, data):
     # targets anywhere in [0, 2^p), mostly not rounded roots; a small chunk
-    # puts minima and ties on chunk boundaries; p > 30 scans object arrays
+    # puts minima and ties on chunk boundaries; n * 2^p >= 2^63 scans object arrays
     t = 0 if data is None else data.draw(st.integers(0, (1 << p) - 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_SCAN_CHUNK", chunk)
@@ -205,12 +229,14 @@ def test_nearest_angle_ties_exhaustively(int64_only, monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("n, p, t", [
-    (1, 31, 5), (7, 40, (1 << 40) - 1), (100, 64, 1 << 63),  # p > 30
+    (1, 31, 5), (7, 40, (1 << 40) - 1),  # int64: n * 2^p < 2^63
+    (100, 64, 1 << 63),  # exact ints: n * 2^p >= 2^63
     (10, 8, -1), (10, 8, 256), (10, 8, 3 * 256 + 7), (10, 8, -1000),  # t outside [0, 2^p)
     (10, 8, 1 << 70), (10, 8, -(1 << 70)),  # ... and beyond int64
     (0, 8, 3),  # no exponent at all
 ])
 def test_nearest_angle_outside_domain_is_the_exact_loop(n, p, t):
+    # targets and sizes that the int64 rule sends either way
     assert _kernels.nearest_angle(t, n, p) == scan_oracle(t, n, p)
 
 
@@ -220,6 +246,79 @@ def test_nearest_angle_at_domain_edges_stays_on_numpy(int64_only):
     n = 10007  # prime: no angle repeats, so the target's own exponent wins
     k = 4321
     assert _kernels.nearest_angle(_kernels.to_numeric_t(k, n, 30), n, 30) == (k, 0)
+
+
+# Each term of the int64 rule at its edge: the largest input that runs on
+# int64, then the smallest that does not. (n, p, dnum, dden, m) for the count.
+CHAIN_EDGES = [
+    ((1, 61, 0, 1, 1), (0, 61, 0, 1, 1)),  # n >= 1
+    ((2**63 - 1, 0, 0, 1, 1), (2**63 - 1, -1, 0, 1, 1)),  # p >= 0
+    ((1 << 20, 40, 0, 5, 1), (1 << 20, 40, -1, 5, 1)),  # 0 <= dnum
+    ((1 << 20, 40, 4, 5, 1), (1 << 20, 40, 5, 5, 1)),  # dnum < dden
+    ((2**62 - 1, 1, 0, 1, 1), (2**62, 1, 0, 1, 1)),  # n * 2^p < 2^63
+    ((7, 60, 0, 1, 7), (7, 60, 0, 1, 8)),  # m * 2^p < 2^63
+    ((3, 0, 1, 2**62 - 1, 1), (3, 0, 1, 2**62, 1)),  # 2 dden * 2^p < 2^63
+    ((2**59, 2, 0, 1, 15), (2**59, 2, 0, 1, 16)),  # m * n < 2^63
+]
+# (t, n, p) for the scan
+SCAN_EDGES = [
+    ((5, 1, 62), (5, 2, 62)),  # n * 2^p < 2^63
+    ((5, 3, 61), (5, 3, 62)),
+    ((0, 3, 61), (-1, 3, 61)),  # 0 <= t
+    ((2**61 - 1, 3, 61), (2**61, 3, 61)),  # t < 2^p
+]
+
+
+def edge_block(n, m):
+    """Whole chains of m exponents, all within int64: residues near 0, n/2 and n, and past n."""
+    ks = [0, 1, n - 1, n // 2, n // 3 + 1, -1, -n, (1 << 62) - 1, -(1 << 63)]
+    return ks * m
+
+
+@pytest.mark.parametrize("args", [fits for fits, _ in CHAIN_EDGES])
+def test_chain_count_at_the_edge_runs_on_int64(int64_only, args):
+    n, p, dnum, dden, m = args
+    ks = edge_block(n, m)
+    assert _kernels.chain_success_count(n, p, dnum, dden, ks, m) == oracle(n, p, dnum, dden, ks, m)
+
+
+@pytest.mark.parametrize("args", [past for _, past in CHAIN_EDGES])
+def test_chain_count_past_the_edge_runs_on_exact_ints(exact_only, args):
+    # n = 0 and p = -1 raise the scalar kernels' ZeroDivisionError and ValueError
+    n, p, dnum, dden, m = args
+    ks = edge_block(n, m)
+    assert (outcome(_kernels.chain_success_count, n, p, dnum, dden, ks, m)
+            == outcome(oracle, n, p, dnum, dden, ks, m))
+
+
+@pytest.mark.parametrize("args", [fits for fits, _ in SCAN_EDGES])
+def test_scan_at_the_edge_runs_on_int64(int64_only, args):
+    assert _kernels.nearest_angle(*args) == scan_oracle(*args)
+
+
+@pytest.mark.parametrize("args", [past for _, past in SCAN_EDGES])
+def test_scan_past_the_edge_runs_on_exact_ints(exact_only, args):
+    assert _kernels.nearest_angle(*args) == scan_oracle(*args)
+
+
+@pytest.mark.parametrize("n, p", [(1 << 40, 62), ((1 << 30) + 7, 40), (2**61 - 1, 128)])
+def test_numpy_integer_exponents_count_exactly(exact_only, n, p):
+    # an object array built from numpy int64 scalars keeps them, and they wrap
+    rng = random.Random(p)
+    ks = [rng.randrange(n) for _ in range(200)]
+    assert oracle(n, p, 1, 5, ks, 1) == 200
+    assert _kernels.sweep_success_count(n, p, 1, 5, [np.int64(k) for k in ks]) == 200
+
+
+@pytest.mark.parametrize("n, p", [(1 << 40, 62), ((1 << 30) + 7, 40), (3, 62)])
+def test_numpy_integer_parameters_count_exactly(n, p):
+    # the rule and both dtypes see the parameters as Python ints
+    ks = [0, 1, n - 1, n // 2, 12345]
+    i64 = np.int64
+    assert (_kernels.sweep_success_count(i64(n), i64(p), i64(1), i64(5), ks)
+            == oracle(n, p, 1, 5, ks, 1))
+    t = _kernels.to_numeric_t(2, 3, p)
+    assert _kernels.nearest_angle(i64(t), i64(3), i64(p)) == scan_oracle(t, 3, p) == (2, 0)
 
 
 @pytest.mark.parametrize("forms, pair", [
