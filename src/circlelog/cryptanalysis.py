@@ -16,7 +16,6 @@ bit-identical no matter how trials are ordered or parallelized.
 from __future__ import annotations
 
 import hashlib
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
@@ -106,7 +105,7 @@ def _reduce_ints(digests: list[bytes], n: int, limit: int) -> tuple[list[int], l
     return [v % n for v in vs], [i for i, v in enumerate(vs) if v >= limit]
 
 
-def _reduce_words(digests: list[bytes], n: int, limit: int) -> tuple[array, list[int]]:
+def _reduce_words(digests: list[bytes], n: int, limit: int) -> tuple[np.ndarray, list[int]]:
     """``_reduce_ints`` in numpy for n <= 2^32, the values as an int64 array."""
     import numpy as np
 
@@ -125,7 +124,7 @@ def _reduce_words(digests: list[bytes], n: int, limit: int) -> tuple[array, list
     # reach it; those rare candidates are checked exactly
     candidates = np.flatnonzero(words[:, 0] == 0xFFFFFFFF).tolist()
     rejected = [i for i in candidates if int.from_bytes(digests[i], "big") >= limit]
-    return array("q", acc.tobytes()), rejected  # acc < 2^32: the same bytes as int64
+    return acc.view(np.int64), rejected  # acc < 2^32: the same values as int64
 
 
 def _draw_chunks(seed: int, head: int, n: int, trials: int, m: int):
@@ -134,9 +133,9 @@ def _draw_chunks(seed: int, head: int, n: int, trials: int, m: int):
     Yields them in (t, j) order, in chunks of whole trials and at most
     ``max(_CHUNK, m)`` draws. "seed/head/m/" is hashed once and "t/" once per
     trial; each draw then hashes only "j/0" into a copy of the trial state. A
-    chunk is reduced mod n at once: in numpy for n <= 2^32 (an int64 array),
-    with Python ints above (a list). A digest rejected at counter 0 is redrawn
-    by ``derive_uniform``.
+    chunk is reduced mod n at once: in numpy for n <= 2^32, yielding the int64
+    array that the kernel computes on, with Python ints above (a list). A
+    digest rejected at counter 0 is redrawn by ``derive_uniform``.
     """
     limit = _limit(n)
     reduce = _reduce_words if n <= 1 << 32 else _reduce_ints
@@ -270,8 +269,8 @@ def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackRepo
 
     Refuses a public value that is not a ``NumericElement`` (``UsageError``;
     an exact element leaks k, see ``attack_direct``), a public element of
-    another group (``ParamsMismatch``), n > ``EXHAUSTIVE_ORDER_GUARD``
-    (``OrderTooLarge``) and an angle t outside [0, 2^p) (``UsageError``).
+    another group (``ParamsMismatch``) and n > ``EXHAUSTIVE_ORDER_GUARD``
+    (``OrderTooLarge``); the kernel refuses t outside [0, 2^p) (``UsageError``).
     """
     if not isinstance(public, NumericElement):
         raise UsageError(
@@ -281,8 +280,6 @@ def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackRepo
     n, p = params.n, params.p
     if n > EXHAUSTIVE_ORDER_GUARD:
         raise OrderTooLarge(f"exhaustive search refused for n={n} > 2^24")
-    if not 0 <= public.t < 1 << p:
-        raise UsageError(f"angle t={public.t} outside [0, 2^{p})")
     best_k, best_dist = _kernels.nearest_angle(public.t, n, p)
     return AttackReport(
         attack_name="exhaustive",

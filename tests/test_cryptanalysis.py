@@ -5,10 +5,10 @@ import importlib
 import io
 import platform
 import sys
-from array import array
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +136,11 @@ class TestExhaustive:
         p = make_params(1 << 25, 1, 28)
         with pytest.raises(OrderTooLarge):
             attack_exhaustive(to_numeric(element(p, 1)), p)
+
+    def test_order_guard_comes_before_the_angle_check(self):
+        p = make_params(1 << 25, 1, 28)
+        with pytest.raises(OrderTooLarge):
+            attack_exhaustive(NumericElement(p, -1), p)
 
     @pytest.mark.parametrize("public", [element(make_params(1000, 1, 12), 5), 409, None])
     def test_public_not_numeric_refused(self, public):
@@ -289,13 +294,16 @@ def redraws(monkeypatch):
 
 
 def _chunks(seed, head, n, trials, m):
-    """``_draw_chunks`` as a list, each chunk checked: whole trials, bounded, its container."""
+    """``_draw_chunks`` as lists, each chunk checked: whole trials, bounded, its container."""
     chunks = list(_draw_chunks(seed, head, n, trials, m))
     for chunk in chunks:
-        assert isinstance(chunk, array if n <= 1 << 32 else list)
+        if n <= 1 << 32:  # the array the kernel computes on
+            assert isinstance(chunk, np.ndarray) and chunk.dtype == np.int64
+        else:
+            assert isinstance(chunk, list)
         assert len(chunk) <= max(cryptanalysis._CHUNK, m)
         assert m == 0 or len(chunk) % m == 0
-    return chunks
+    return [list(chunk) for chunk in chunks]
 
 
 def _flat(chunks):
@@ -368,7 +376,8 @@ class TestDrawBlock:
         limit = _limit(n)
         words, words_rejected = _reduce_words(digests, n, limit)
         ints, ints_rejected = _reduce_ints(digests, n, limit)
-        assert isinstance(words, array) and isinstance(ints, list)
+        assert isinstance(words, np.ndarray) and words.dtype == np.int64
+        assert isinstance(ints, list)
         assert list(words) == ints
         assert words_rejected == ints_rejected == [i for i, v in enumerate(values) if v >= limit]
 

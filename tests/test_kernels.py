@@ -1,6 +1,7 @@
 """The numpy kernels, in int64 and in exact Python ints, against the scalar kernels."""
 
 import random
+import re
 from array import array
 from fractions import Fraction
 
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circlelog import KERNEL_BACKEND, UsageError, _kernels
+from circlelog import (
+    KERNEL_BACKEND, UsageError, _kernels, element, make_params, recover_exponent, to_numeric,
+)
+from circlelog.cryptanalysis import accumulation_experiment, attack_direct, precision_sweep
 
 
 def oracle(n, p, dnum, dden, ks, m):
@@ -31,14 +35,6 @@ def scan_oracle(t, n, p):
         d = abs(_kernels.to_numeric_t(k, n, p) - t)
         best = min(best, (min(d, full - d), k))
     return best[1], best[0]
-
-
-def outcome(f, *args):
-    """f(*args), or the type of the exception it raises."""
-    try:
-        return f(*args)
-    except Exception as exc:
-        return type(exc)
 
 
 @st.composite
@@ -70,6 +66,14 @@ def int64_only(monkeypatch):
         assert r.dtype == np.int64, f"a call that fits int64 rounded a {r.dtype} array"
         return angles(r, n, p)
     monkeypatch.setattr(_kernels, "_angles", checked)
+
+
+@pytest.fixture
+def no_rounding(monkeypatch):
+    """Fail if a call reaches the rounding at all."""
+    def refuse(*args):
+        raise AssertionError("a refused call reached the rounding")
+    monkeypatch.setattr(_kernels, "_angles", refuse)
 
 
 @pytest.fixture
@@ -118,11 +122,8 @@ def test_chain_agrees_in_exact_ints(n, p, dden, m, trials, data):
 
 @pytest.mark.parametrize("n, p", [(7, 5), (2**61 - 1, 128)])
 @pytest.mark.parametrize("ks, m", [([1, 2, 3], 2), ([1, 2, 3], 0), ([], 0), ([1, 2, 3], -1)])
-def test_ragged_block_refused_on_both_paths(monkeypatch, n, p, ks, m):
+def test_ragged_block_refused_on_both_paths(no_rounding, n, p, ks, m):
     # (7, 5) fits int64, (2^61 - 1, 128) does not; neither dtype may round
-    def refuse(*args):
-        raise AssertionError("a refused block reached the rounding")
-    monkeypatch.setattr(_kernels, "_angles", refuse)
     with pytest.raises(UsageError, match=f"not whole chains of m={m}$"):
         _kernels.chain_success_count(n, p, 1, 5, ks, m)
 
@@ -130,10 +131,11 @@ def test_ragged_block_refused_on_both_paths(monkeypatch, n, p, ks, m):
 @pytest.mark.parametrize("n, p, dnum, dden", [
     (1, 1, 0, 1), (1, 30, 0, 1 << 16), (1 << 24, 30, 0, 1), (1 << 24, 1, 1, 3),
     (1 << 24, 30, (1 << 15) - 1, 1 << 16), ((1 << 24) - 1, 30, 1, 1 << 16),
-    (1000, 12, 1, 5), (3, 8, 49, 100),
+    (1000, 12, 1, 5), (3, 8, 49, 100), (1 << 20, 40, 0, 5),
 ])
 def test_domain_edges_stay_on_numpy(int64_only, n, p, dnum, dden):
-    # mid-size parameters on int64, with exponents anywhere in int64
+    # mid-size parameters run on int64, with exponents anywhere in int64 and
+    # an empty block
     ks = [0, 1, n - 1, n, n + 1, -1, -n, 3 * n - 7, (1 << 62) - 1, -(1 << 62)]
     m = 5  # two chains
     expect = oracle(n, p, dnum, dden, ks, m)
@@ -231,13 +233,28 @@ def test_nearest_angle_ties_exhaustively(int64_only, monkeypatch, chunk):
 @pytest.mark.parametrize("n, p, t", [
     (1, 31, 5), (7, 40, (1 << 40) - 1),  # int64: n * 2^p < 2^63
     (100, 64, 1 << 63),  # exact ints: n * 2^p >= 2^63
-    (10, 8, -1), (10, 8, 256), (10, 8, 3 * 256 + 7), (10, 8, -1000),  # t outside [0, 2^p)
-    (10, 8, 1 << 70), (10, 8, -(1 << 70)),  # ... and beyond int64
     (0, 8, 3),  # no exponent at all
 ])
 def test_nearest_angle_outside_domain_is_the_exact_loop(n, p, t):
-    # targets and sizes that the int64 rule sends either way
+    # sizes that the int64 rule sends either way agree with the scalar loop
     assert _kernels.nearest_angle(t, n, p) == scan_oracle(t, n, p)
+
+
+@pytest.mark.parametrize("n, p, t", [
+    (10, 8, -1), (10, 8, 256), (10, 8, 3 * 256 + 7), (10, 8, -1000),  # t outside [0, 2^p)
+    (10, 8, 1 << 70), (10, 8, -(1 << 70)),  # ... and beyond int64
+    (3, 61, -1), (3, 61, 1 << 61),  # at either end of [0, 2^p)
+    (0, 8, 256),  # no exponent to scan, still no angle
+])
+def test_nearest_angle_refuses_a_target_off_the_turn(no_rounding, n, p, t):
+    with pytest.raises(UsageError, match=f"^angle t={t} outside \\[0, 2\\^{p}\\)$"):
+        _kernels.nearest_angle(t, n, p)
+
+
+@pytest.mark.parametrize("n", [0, 10])
+def test_nearest_angle_refuses_a_negative_precision(no_rounding, n):
+    with pytest.raises(UsageError, match="^angles need a precision p >= 0, got p=-1$"):
+        _kernels.nearest_angle(0, n, -1)
 
 
 def test_nearest_angle_at_domain_edges_stays_on_numpy(int64_only):
@@ -251,21 +268,21 @@ def test_nearest_angle_at_domain_edges_stays_on_numpy(int64_only):
 # Each term of the int64 rule at its edge: the largest input that runs on
 # int64, then the smallest that does not. (n, p, dnum, dden, m) for the count.
 CHAIN_EDGES = [
-    ((1, 61, 0, 1, 1), (0, 61, 0, 1, 1)),  # n >= 1
-    ((2**63 - 1, 0, 0, 1, 1), (2**63 - 1, -1, 0, 1, 1)),  # p >= 0
-    ((1 << 20, 40, 0, 5, 1), (1 << 20, 40, -1, 5, 1)),  # 0 <= dnum
-    ((1 << 20, 40, 4, 5, 1), (1 << 20, 40, 5, 5, 1)),  # dnum < dden
-    ((2**62 - 1, 1, 0, 1, 1), (2**62, 1, 0, 1, 1)),  # n * 2^p < 2^63
+    ((2**63 - 1, 0, 0, 1, 1), (2**63, 0, 0, 1, 1)),  # n * 2^p < 2^63 at p = 0
+    ((2**62 - 1, 1, 0, 1, 1), (2**62, 1, 0, 1, 1)),  # ... at p = 1
+    (((1 << 23) - 1, 40, 0, 1, 1), (1 << 23, 40, 0, 1, 1)),  # ... at p = 40
+    ((1, 61, 0, 1, 1), (1, 62, 0, 1, 1)),  # 2 dden * 2^p < 2^63 at dden = 1
+    ((1 << 20, 40, 1, (1 << 22) - 1, 1), (1 << 20, 40, 1, 1 << 22, 1)),  # ... at p = 40
+    ((3, 0, 1, 2**62 - 1, 1), (3, 0, 1, 2**62, 1)),  # ... at p = 0
     ((7, 60, 0, 1, 7), (7, 60, 0, 1, 8)),  # m * 2^p < 2^63
-    ((3, 0, 1, 2**62 - 1, 1), (3, 0, 1, 2**62, 1)),  # 2 dden * 2^p < 2^63
     ((2**59, 2, 0, 1, 15), (2**59, 2, 0, 1, 16)),  # m * n < 2^63
 ]
-# (t, n, p) for the scan
+# (t, n, p) for the scan: n * 2^p < 2^63
 SCAN_EDGES = [
-    ((5, 1, 62), (5, 2, 62)),  # n * 2^p < 2^63
+    ((5, 1, 62), (5, 2, 62)),
     ((5, 3, 61), (5, 3, 62)),
-    ((0, 3, 61), (-1, 3, 61)),  # 0 <= t
-    ((2**61 - 1, 3, 61), (2**61, 3, 61)),  # t < 2^p
+    ((2**60 - 1, 7, 60), (2**61 - 1, 7, 61)),  # the target at the top of [0, 2^p)
+    ((0, 4, 60), (0, 4, 61)),  # n * 2^p = 2^63 exactly
 ]
 
 
@@ -284,11 +301,45 @@ def test_chain_count_at_the_edge_runs_on_int64(int64_only, args):
 
 @pytest.mark.parametrize("args", [past for _, past in CHAIN_EDGES])
 def test_chain_count_past_the_edge_runs_on_exact_ints(exact_only, args):
-    # n = 0 and p = -1 raise the scalar kernels' ZeroDivisionError and ValueError
     n, p, dnum, dden, m = args
     ks = edge_block(n, m)
-    assert (outcome(_kernels.chain_success_count, n, p, dnum, dden, ks, m)
-            == outcome(oracle, n, p, dnum, dden, ks, m))
+    assert _kernels.chain_success_count(n, p, dnum, dden, ks, m) == oracle(n, p, dnum, dden, ks, m)
+
+
+@pytest.mark.parametrize("n, p, dnum, dden", [
+    (0, 61, 0, 1), (-7, 5, 1, 5),  # n >= 1
+    (7, -1, 0, 1),  # p >= 0
+    (1 << 20, 40, -1, 5),  # 0 <= dnum
+    (1 << 20, 40, 4, 5), (1 << 20, 40, 5, 5), (3, 8, 1, 2),  # 2 dnum < dden
+    (1 << 20, 40, 0, 0), (1 << 20, 40, 0, -1),  # no denominator
+])
+def test_chain_count_refuses_invalid_parameters(no_rounding, n, p, dnum, dden):
+    # the scalar kernels would raise a bare ZeroDivisionError or ValueError
+    # here, or count with a tolerance no one can ask for
+    shown = f"got n={n}, p={p}, dnum={dnum}, dden={dden}$"
+    for call in (lambda: _kernels.chain_success_count(n, p, dnum, dden, [1, 2, 3, 4], 2),
+                 lambda: _kernels.sweep_success_count(n, p, dnum, dden, []),
+                 lambda: _kernels.roundtrip_all(n, p, dnum, dden)):
+        with pytest.raises(UsageError, match=shown):
+            call()
+
+
+def test_uint64_block_counts_like_python_ints(exact_only):
+    # a uint64 block at or above 2^63 does not cast safely to int64: it must
+    # count the exponents it holds, not their wrapped int64 values
+    rng = random.Random(63)
+    ks = [2**63 + 4] + [rng.randrange(1 << 63, 1 << 64) for _ in range(2000)]
+    block = np.array(ks, dtype=np.uint64)
+    args = (1000, 10, 1, 5)
+    assert _kernels.sweep_success_count(*args, block[:1]) == oracle(*args, ks[:1], 1) == 0
+    assert _kernels.sweep_success_count(*args, block) == oracle(*args, ks, 1)
+    assert _kernels.chain_success_count(*args, block[1:], 4) == oracle(*args, ks[1:], 4)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint32, np.int8, np.bool_])
+def test_block_that_casts_safely_runs_on_int64(int64_only, dtype):
+    ks = np.array([0, 1, 5, 127, 9, 1], dtype=dtype)
+    assert _kernels.chain_success_count(1000, 12, 1, 5, ks, 2) == oracle(1000, 12, 1, 5, ks, 2)
 
 
 @pytest.mark.parametrize("args", [fits for fits, _ in SCAN_EDGES])
@@ -341,3 +392,21 @@ def test_tolerance_same_usage_error_for_every_form(forms, shown):
         with pytest.raises(UsageError) as info:
             _kernels.tolerance(delta)
         assert str(info.value) == f"delta must lie in [0, 1/2), got {shown}", delta
+
+
+@pytest.mark.parametrize("delta", [
+    "abc", float("nan"), None, 1j, [1], float("inf"), float("-inf"), "1/0",
+])
+def test_tolerance_refuses_what_is_not_a_finite_rational(delta):
+    # Fraction() would leak a bare ValueError, TypeError, OverflowError or
+    # ZeroDivisionError through every entry that takes a tolerance
+    params = make_params(1000, 1, 12)
+    public = to_numeric(element(params, 5))
+    shown = f"^delta must be a finite rational, got {re.escape(repr(delta))}$"
+    for call in (lambda: _kernels.tolerance(delta),
+                 lambda: recover_exponent(public, delta),
+                 lambda: attack_direct(public, params, delta),
+                 lambda: precision_sweep(1000, [12], 5, delta),
+                 lambda: accumulation_experiment(1000, 12, [2], 5, delta)):
+        with pytest.raises(UsageError, match=shown):
+            call()
