@@ -19,7 +19,9 @@ and refuses invalid input with a ``UsageError`` that names it:
   chunk, counts the whole chains of m exponents in ``ks_flat``; it refuses
   m < 1, a ragged block, n < 1, p < 0 and 2*dnum outside [0, dden) (what
   ``tolerance`` returns). ``sweep_success_count`` and ``roundtrip_all`` call
-  it for the tests and the benchmark's probes (a traced call counts twice).
+  it for the tests and the benchmark's probes (a traced call counts twice);
+  ``roundtrip_all`` first refuses n > ``EXHAUSTIVE_ORDER_GUARD``
+  (``OrderTooLarge``), the bound ``attack_exhaustive`` puts on the scan below.
 - ``nearest_angle(t, n, p)``, the exhaustive-search baseline, scans every
   exponent, ``_SCAN_CHUNK`` at a time; it refuses p < 0 and t outside [0, 2^p).
 
@@ -39,8 +41,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import OrderTooLarge, UsageError
 
+EXHAUSTIVE_ORDER_GUARD = 1 << 24  # largest n whose every exponent a scan examines
 _SCAN_CHUNK = 1 << 16  # exponents per scan step: bounds memory, object arrays included
 
 
@@ -150,6 +153,8 @@ def sweep_success_count(n: int, p: int, dnum: int, dden: int, ks) -> int:
 
 def roundtrip_all(n: int, p: int, dnum: int, dden: int) -> int:
     """Count exponents k in [0, n) surviving to_numeric -> recover intact."""
+    if n > EXHAUSTIVE_ORDER_GUARD:  # np.arange(n) would take 8n bytes
+        raise OrderTooLarge(f"exhaustive round trip refused for n={n} > 2^24")
     import numpy as np
 
     return chain_success_count(n, p, dnum, dden, np.arange(n, dtype=np.int64), 1)

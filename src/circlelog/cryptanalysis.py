@@ -21,9 +21,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from . import _kernels
+from ._kernels import EXHAUSTIVE_ORDER_GUARD
 from .contlog import DEFAULT_TOLERANCE
 from .errors import InvalidOrder, OrderTooLarge, ParamsMismatch, UsageError
-from .group import ExactElement, GroupParams, NumericElement, check_order_precision
+from .group import ExactElement, GroupParams, NumericElement
 
 try:  # CPython's built-in SHA-256: its copy() is a struct copy, not an OpenSSL one
     from _sha256 import sha256 as _sha256
@@ -33,7 +34,6 @@ except ImportError:
     except ImportError:
         _sha256 = hashlib.sha256
 
-EXHAUSTIVE_ORDER_GUARD = 1 << 24
 _CHUNK = 1 << 12  # most draws hashed before one reduction, unless a trial has more
 
 CSV_HEADER = "variable,successes,trials,success_rate"
@@ -41,10 +41,10 @@ CSV_HEADER = "variable,successes,trials,success_rate"
 
 @dataclass(frozen=True)
 class AttackReport:
+    """One attack on the group ``params``; ``recovered`` is a single target's exponent."""
+
     attack_name: str
-    n: int
-    g: int
-    p: int
+    params: GroupParams
     delta: Fraction
     trials: int
     successes: int
@@ -180,8 +180,8 @@ def _experiment_inputs(
     A request of impossible shape (fewer than one trial, an empty precision
     or chain-length range, a chain length m < 1, a tolerance outside
     [0, 1/2)) raises ``UsageError``; an order or precision no group has
-    raises ``InvalidOrder``, at the first p out of range. Returns delta as
-    (numerator, denominator).
+    raises ``GroupParams``'s ``InvalidOrder`` for the first p out of range.
+    Returns delta as (numerator, denominator).
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -190,11 +190,16 @@ def _experiment_inputs(
     if not chain_lengths or min(chain_lengths) < 1:
         raise UsageError("chain lengths must be a non-empty range of m >= 1 (m-max < 1?)")
     dnum, dden = _kernels.tolerance(delta)
-    check_order_precision(n, p_values)
+    for p in p_values:  # generator 1 (0 if n = 1) is primitive: only n and p can fail
+        GroupParams(n, 1 if n > 1 else 0, p)
     return dnum, dden
 
 
-def _check_public(public: ExactElement | NumericElement, params: GroupParams) -> None:
+def _check_public(public, params: GroupParams, kinds: tuple[type, ...], needs: str) -> None:
+    """Refuse a public value not of ``kinds`` (``UsageError`` "<needs>, got <type>"),
+    then one of a group other than ``params`` (``ParamsMismatch``)."""
+    if not isinstance(public, kinds):
+        raise UsageError(f"{needs}, got {type(public).__name__}")
     if public.params != params:
         raise ParamsMismatch(f"public element from another group: {public.params} vs {params}")
 
@@ -210,15 +215,12 @@ def attack_direct(
     numeric element takes one recovery operation and succeeds iff the
     recovered exponent reproduces its angle; below the recovery bound distinct
     exponents share an angle, so a caller that knows k compares ``recovered``.
-    Refuses, in this order, a public value of neither kind (``UsageError``),
-    one of another group (``ParamsMismatch``) and delta outside [0, 1/2)
-    (``UsageError``).
+    Refuses, in this order, a public value of neither kind (``UsageError``)
+    and one of another group (``ParamsMismatch``), through the check that
+    ``attack_exhaustive`` shares, then delta outside [0, 1/2) (``UsageError``).
     """
-    if not isinstance(public, (ExactElement, NumericElement)):
-        raise UsageError(
-            f"direct attack needs an ExactElement or NumericElement, got {type(public).__name__}"
-        )
-    _check_public(public, params)
+    _check_public(public, params, (ExactElement, NumericElement),
+                  "direct attack needs an ExactElement or NumericElement")
     dnum, dden = _kernels.tolerance(delta)
     n, p = params.n, params.p
     if isinstance(public, ExactElement):
@@ -230,8 +232,7 @@ def attack_direct(
         success = recovered is not None and _kernels.to_numeric_t(k, n, p) == public.t
         ops, notes = 1, "one recovery operation inverts the angle"
     return AttackReport(
-        attack_name="direct",
-        n=n, g=params.g, p=p, delta=Fraction(delta),
+        attack_name="direct", params=params, delta=Fraction(delta),
         trials=1, successes=int(success), mean_ops=Fraction(ops),
         notes=notes, recovered=recovered,
     )
@@ -257,8 +258,7 @@ def direct_attack_report(
         f"at n={n}, p={p}."
     )
     return AttackReport(
-        attack_name="direct",
-        n=n, g=params.g, p=p, delta=Fraction(delta),
+        attack_name="direct", params=params, delta=Fraction(delta),
         trials=trials, successes=successes, mean_ops=Fraction(1),
         notes=notes,
     )
@@ -267,24 +267,21 @@ def direct_attack_report(
 def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackReport:
     """Baseline: try every exponent, keep the nearest angle (wrap-around metric).
 
+    Succeeds iff that angle is the public one itself (distance 0): the rule of
+    ``attack_direct``, that the recovered exponent reproduces the angle.
     Refuses a public value that is not a ``NumericElement`` (``UsageError``;
     an exact element leaks k, see ``attack_direct``), a public element of
     another group (``ParamsMismatch``) and n > ``EXHAUSTIVE_ORDER_GUARD``
     (``OrderTooLarge``); the kernel refuses t outside [0, 2^p) (``UsageError``).
     """
-    if not isinstance(public, NumericElement):
-        raise UsageError(
-            f"exhaustive search needs a NumericElement, got {type(public).__name__}"
-        )
-    _check_public(public, params)
+    _check_public(public, params, (NumericElement,), "exhaustive search needs a NumericElement")
     n, p = params.n, params.p
     if n > EXHAUSTIVE_ORDER_GUARD:
         raise OrderTooLarge(f"exhaustive search refused for n={n} > 2^24")
     best_k, best_dist = _kernels.nearest_angle(public.t, n, p)
     return AttackReport(
-        attack_name="exhaustive",
-        n=n, g=params.g, p=p, delta=Fraction(0),
-        trials=1, successes=1, mean_ops=Fraction(n),
+        attack_name="exhaustive", params=params, delta=Fraction(0),
+        trials=1, successes=int(best_dist == 0), mean_ops=Fraction(n),
         notes=f"nearest angle at distance {best_dist}/2^{p} turn-units",
         recovered=best_k,
     )
@@ -337,9 +334,10 @@ def write_csv(rows: Iterable[SweepRow], stream: TextIO) -> None:
 
 
 def format_report(report: AttackReport) -> str:
+    params = report.params
     lines = [
         f"attack: {report.attack_name}",
-        f"params: n={report.n} g={report.g} p={report.p} delta={report.delta}",
+        f"params: n={params.n} g={params.g} p={params.p} delta={report.delta}",
         f"trials: {report.trials}",
         f"successes: {report.successes}",
         f"success_rate: {Fraction(report.successes, report.trials)}",

@@ -11,8 +11,9 @@ field by field, cheap to build and read on the scalar round trip.
 
 A ``GroupParams`` is valid by construction, whether built by ``make_params``,
 by the class, by ``dataclasses.replace``, by ``copy`` or by unpickling, so no
-consumer re-checks one. Elements are not checked: they are built on the
-measured round trip.
+consumer re-checks one, and the class is the one home of the (n, p) rule: the
+seeded experiments check an order and each precision by building a group.
+Elements are not checked: they are built on the measured round trip.
 
 Each step of the round trip ``element -> to_numeric -> recover_exponent``
 builds an element, and the generated frozen ``__init__`` stores each field by
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import _kernels
 from .errors import InvalidOrder, NotPrimitive, ParamsMismatch
@@ -46,8 +46,11 @@ class GroupParams:
     p: int
 
     def __post_init__(self) -> None:
-        n, g = self.n, self.g
-        check_order_precision(n, (self.p,))
+        n, g, p = self.n, self.g, self.p
+        if n < 1:
+            raise InvalidOrder(f"group order must be >= 1, got {n}")
+        if not 1 <= p <= MAX_PRECISION:
+            raise InvalidOrder(f"angular precision must lie in [1, {MAX_PRECISION}] bits, got {p}")
         if n == 1:
             if g != 0:
                 raise NotPrimitive(f"trivial group requires g=0, got {g}")
@@ -93,15 +96,6 @@ _set_exact_params = ExactElement.params.__set__
 _set_exact_k = ExactElement.k.__set__
 _set_numeric_params = NumericElement.params.__set__
 _set_numeric_t = NumericElement.t.__set__
-
-
-def check_order_precision(n: int, precisions: Iterable[int]) -> None:
-    """InvalidOrder unless n >= 1 and each p, in order, lies in [1, MAX_PRECISION]."""
-    if n < 1:
-        raise InvalidOrder(f"group order must be >= 1, got {n}")
-    for p in precisions:
-        if not 1 <= p <= MAX_PRECISION:
-            raise InvalidOrder(f"angular precision must lie in [1, {MAX_PRECISION}] bits, got {p}")
 
 
 def make_params(n: int, g: int, p: int) -> GroupParams:

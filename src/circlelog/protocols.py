@@ -4,8 +4,10 @@ Keys, secret scalars and DH shared secrets are made here alone, beside
 ElGamal and ECDSA-style signatures. A private key holds x; its h = g^x is
 derived. A public key holds h; its params are h's. Every secret scalar
 (key, ephemeral, nonce, DH end) lies in [1, n), so n < 2 raises
-InvalidOrder. Signatures need a prime order and a p that meets the recovery
-bound, so reading R back from its angle never fails.
+InvalidOrder. A key refuses an x, or an h whose exponent k, outside [1, n)
+(UsageError), so no key exists for n < 2. Signatures need a prime order and
+a p that meets the recovery bound, so reading R back from its angle never
+fails.
 
 None of this is secure: the cryptanalysis module measures exactly how cheap
 the inversion is. The package exists to make that measurement.
@@ -18,7 +20,9 @@ from dataclasses import dataclass
 from random import Random
 
 from .contlog import exponent_recovery_bound, recover_exponent
-from .errors import AmbiguousAngle, CompositeOrder, InvalidOrder, MessageTooLarge, OrderTooLarge
+from .errors import (
+    AmbiguousAngle, CompositeOrder, InvalidOrder, MessageTooLarge, OrderTooLarge, UsageError,
+)
 from .group import (
     ExactElement,
     GroupParams,
@@ -35,6 +39,10 @@ from .group import (
 class PublicKey:
     h: ExactElement
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.h.k < self.h.params.n:  # h = 0 is the identity: c2 would be m
+            raise UsageError(f"h={self.h.k} outside [1, n)")
+
     @property
     def params(self) -> GroupParams:
         return self.h.params
@@ -44,6 +52,10 @@ class PublicKey:
 class KeyPair:
     params: GroupParams
     x: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.x < self.params.n:
+            raise UsageError(f"x={self.x} outside [1, n)")
 
     @property
     def h(self) -> ExactElement:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlelog import (
+    GroupParams,
     InvalidOrder,
     NumericElement,
     OrderTooLarge,
@@ -40,6 +41,7 @@ from circlelog.cryptanalysis import (
     precision_sweep,
     write_csv,
 )
+from circlelog.group import MAX_PRECISION
 
 
 class TestDirect:
@@ -149,6 +151,19 @@ class TestExhaustive:
         with pytest.raises(UsageError, match=f"needs a NumericElement, got {name}$"):
             attack_exhaustive(public, make_params(1000, 1, 12))
 
+    def test_success_only_for_an_exact_preimage(self):
+        # the nearest exponent's angle must be the public angle itself, as in
+        # attack_direct; t = 13 used to report success at distance 13/2^8
+        p = make_params(10, 1, 8)
+        roots = {_kernels.to_numeric_t(k, 10, 8) for k in range(10)}
+        report = attack_exhaustive(NumericElement(p, 13), p)
+        assert (report.successes, report.recovered) == (0, 0)
+        assert report.notes == "nearest angle at distance 13/2^8 turn-units"
+        for t in range(1 << 8):
+            public = NumericElement(p, t)
+            success = attack_exhaustive(public, p).successes
+            assert success == attack_direct(public, p).successes == (t in roots), t
+
     def test_agrees_with_direct_exhaustively_small(self):
         for n in (17, 64, 100, 257):
             p = make_params(n, 1, (n - 1).bit_length() + 2)
@@ -222,6 +237,14 @@ class TestAccumulation:
 
 
 class TestReporting:
+    def test_report_holds_its_group(self):
+        p = make_params(1000, 3, 12)
+        public = element(p, 123)
+        reports = [attack_direct(public, p), attack_direct(to_numeric(public), p),
+                   attack_exhaustive(to_numeric(public), p), direct_attack_report(p, 10)]
+        assert all(report.params == p for report in reports)
+        assert format_report(reports[0]).splitlines()[1] == "params: n=1000 g=3 p=12 delta=1/5"
+
     def test_csv_format(self):
         rows = [SweepRow(2, 16, 1000), SweepRow(3, 1000, 1000)]
         buf = io.StringIO()
@@ -444,6 +467,26 @@ class TestInputValidation:
     def test_order_and_precision_are_domain_errors(self, call):
         with pytest.raises(InvalidOrder):
             call()
+
+    @pytest.mark.parametrize("n, p_values, first_bad", [
+        (0, [12], 12),
+        (-5, [12], 12),
+        (256, [0], 0),
+        (256, [MAX_PRECISION + 1], MAX_PRECISION + 1),
+        (256, [5, 0, 70000], 0),  # the first bad p in the order given
+    ])
+    def test_order_and_precision_refused_as_the_group_refuses(self, n, p_values, first_bad):
+        with pytest.raises(InvalidOrder) as group:
+            GroupParams(n, 1 if n > 1 else 0, first_bad)
+        calls = [lambda: precision_sweep(n, p_values, 10)]
+        if len(p_values) == 1:
+            calls.append(lambda: accumulation_experiment(n, p_values[0], [1, 2], 10))
+        for call in calls:
+            with pytest.raises(InvalidOrder) as refused:
+                call()
+            assert type(refused.value) is type(group.value)
+            assert str(refused.value) == str(group.value)
+            assert str(refused.value).endswith(f"got {n if n < 1 else first_bad}")
 
     @pytest.mark.parametrize("call", [
         lambda n: direct_attack_report(make_params(n, 2, 300), 1),

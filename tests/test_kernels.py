@@ -11,9 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelog import (
-    KERNEL_BACKEND, UsageError, _kernels, element, make_params, recover_exponent, to_numeric,
+    KERNEL_BACKEND, OrderTooLarge, UsageError, _kernels, element, make_params, recover_exponent,
+    to_numeric,
 )
-from circlelog.cryptanalysis import accumulation_experiment, attack_direct, precision_sweep
+from circlelog.cryptanalysis import (
+    EXHAUSTIVE_ORDER_GUARD, accumulation_experiment, attack_direct, precision_sweep,
+)
 
 
 def oracle(n, p, dnum, dden, ks, m):
@@ -181,6 +184,23 @@ def test_negative_exponent_case():
 def test_roundtrip_all_agrees(int64_only, n, extra_bits):
     p = max(1, (n - 1).bit_length() + extra_bits)
     assert _kernels.roundtrip_all(n, p, 1, 5) == oracle(n, p, 1, 5, range(n), 1)
+
+
+@pytest.mark.parametrize("n", [2**63 - 1, 2**63, 2**62, 2**40])
+def test_roundtrip_all_refuses_an_order_past_the_guard(n):
+    # np.arange(n) gave an empty block (count 0; at p = 0 the true count is 1),
+    # a bare ValueError, or a MemoryError for 8 TiB
+    with pytest.raises(OrderTooLarge, match=f"^exhaustive round trip refused for n={n} > 2\\^24$"):
+        _kernels.roundtrip_all(n, 0, 0, 1)
+
+
+def test_roundtrip_all_runs_up_to_the_guard(monkeypatch):
+    # the bound attack_exhaustive puts on the other whole-group scan
+    assert _kernels.EXHAUSTIVE_ORDER_GUARD == EXHAUSTIVE_ORDER_GUARD == 1 << 24
+    monkeypatch.setattr(_kernels, "EXHAUSTIVE_ORDER_GUARD", 100)
+    assert _kernels.roundtrip_all(100, 0, 0, 1) == 1  # at p = 0 only k = 0 comes back
+    with pytest.raises(OrderTooLarge):
+        _kernels.roundtrip_all(101, 0, 0, 1)
 
 
 def test_inputs_are_not_modified():

@@ -10,12 +10,14 @@ from circlelog import (
     AmbiguousAngle,
     Ciphertext,
     CompositeOrder,
+    ExactElement,
     InvalidOrder,
     KeyPair,
     MessageTooLarge,
     OrderTooLarge,
     PublicKey,
     Signature,
+    UsageError,
     decode_message,
     dh_shared,
     elgamal_decrypt,
@@ -85,10 +87,35 @@ class TestOrderBelowTwo:
         with pytest.raises(InvalidOrder, match="order n >= 2"):
             keygen(self.params, FixedRandom([0, 0, 0]))
 
-    def test_elgamal_ephemeral_refused(self):
-        pk = PublicKey(element(self.params, 0))
-        with pytest.raises(InvalidOrder, match="order n >= 2"):
-            elgamal_encrypt(pk, element(self.params, 0), FixedRandom([0, 0, 0]))
+    def test_no_public_key_exists(self):
+        # the only element is the identity, h = 0: there is no one to encrypt to
+        with pytest.raises(UsageError, match=r"^h=0 outside \[1, n\)$"):
+            PublicKey(element(self.params, 0))
+        with pytest.raises(UsageError, match=r"^x=0 outside \[1, n\)$"):
+            KeyPair(self.params, 0)
+
+
+class TestKeysCheckedWhereMade:
+    """x and h's exponent lie in [1, n), as the key file requires."""
+
+    params = make_params(101, 2, 16)
+
+    @pytest.mark.parametrize("x", [0, 101, 104, -1, -100])
+    def test_private_value_out_of_range_refused(self, x):
+        with pytest.raises(UsageError, match=rf"^x={x} outside \[1, n\)$"):
+            KeyPair(self.params, x)
+
+    @pytest.mark.parametrize("k", [0, 101, 104, -3])
+    def test_public_value_out_of_range_refused(self, k):
+        # h = 0 is the identity: ElGamal's c2 would be the plaintext itself.
+        # ExactElement stores k as given; element() would reduce it mod n
+        with pytest.raises(UsageError, match=rf"^h={k} outside \[1, n\)$"):
+            PublicKey(ExactElement(self.params, k))
+
+    @pytest.mark.parametrize("x", [1, 100])
+    def test_range_ends_accepted(self, x):
+        key = KeyPair(self.params, x)
+        assert key.public == PublicKey(element(self.params, 2 * x % 101))
 
 
 class TestDH:
