@@ -5,9 +5,11 @@ ElGamal and ECDSA-style signatures. A private key holds x; its h = g^x is
 derived. A public key holds h; its params are h's. Every secret scalar
 (key, ephemeral, nonce, DH end) lies in [1, n), so n < 2 raises
 InvalidOrder. A key refuses an x, or an h whose exponent k, outside [1, n)
-(UsageError), so no key exists for n < 2. Signatures need a prime order and
-a p that meets the recovery bound, so reading R back from its angle never
-fails.
+(UsageError), so no key exists for n < 2. Keys and signatures refuse a value
+of the wrong type too (UsageError): x, R and s are ints, h an ExactElement.
+A key used with another group's element or ciphertext raises
+ParamsMismatch, as mul does. Signatures need a prime order and a p that
+meets the recovery bound, so reading R back from its angle never fails.
 
 None of this is secure: the cryptanalysis module measures exactly how cheap
 the inversion is. The package exists to make that measurement.
@@ -26,6 +28,7 @@ from .errors import (
 from .group import (
     ExactElement,
     GroupParams,
+    _check_params,
     element,
     generator,
     inv,
@@ -40,6 +43,8 @@ class PublicKey:
     h: ExactElement
 
     def __post_init__(self) -> None:
+        if not isinstance(self.h, ExactElement):
+            raise UsageError(f"h must be an ExactElement, got {type(self.h).__name__}")
         if not 1 <= self.h.k < self.h.params.n:  # h = 0 is the identity: c2 would be m
             raise UsageError(f"h={self.h.k} outside [1, n)")
 
@@ -54,6 +59,7 @@ class KeyPair:
     x: int
 
     def __post_init__(self) -> None:
+        _check_int("x", self.x)
         if not 1 <= self.x < self.params.n:
             raise UsageError(f"x={self.x} outside [1, n)")
 
@@ -74,8 +80,20 @@ class Ciphertext:
 
 @dataclass(frozen=True)
 class Signature:
+    """R and s are ints; out-of-range values build, and verify() rejects them."""
+
     R: int
     s: int
+
+    def __post_init__(self) -> None:
+        _check_int("R", self.R)
+        _check_int("s", self.s)
+
+
+def _check_int(name: str, value) -> None:
+    """UsageError unless ``value`` is an int; a bool is refused, not read as 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{name} must be an int, got {type(value).__name__}")
 
 
 def random_scalar(rng: Random, n: int) -> int:
@@ -103,7 +121,8 @@ def dh_public(keypair: KeyPair) -> ExactElement:
 
 
 def dh_shared(own: KeyPair, their_public: ExactElement) -> ExactElement:
-    """S = (their g^b)^a; both sides land on g^(ab)."""
+    """S = (their g^b)^a; both sides land on g^(ab). Another group's g^b raises ParamsMismatch."""
+    _check_params(own, their_public)
     return power(their_public, own.x)
 
 
@@ -116,6 +135,8 @@ def elgamal_encrypt(pk: PublicKey | KeyPair, m: ExactElement, rng: Random) -> Ci
 
 
 def elgamal_decrypt(sk: KeyPair, ct: Ciphertext) -> ExactElement:
+    """m = c2 / c1^x; a ciphertext from another group raises ParamsMismatch."""
+    _check_params(sk, ct.c1)  # mul checks c2 against c1
     return mul(ct.c2, inv(power(ct.c1, sk.x)))
 
 
@@ -141,13 +162,24 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # least strong pseudoprimes to _BASES and to _BASES + (41,) (Sorenson, Webster 2017)
 _PSI12 = 318_665_857_834_031_151_167_461
 _PSI13 = 3_317_044_064_679_887_385_961_981
+# (bound, bases): the first row with n < bound decides n. Sinclair's seven
+# bases (2011) decide every n < 2^64, checked against the Feitsma-Galway
+# list of base-2 pseudoprimes with a witness that n divides skipped.
+_WITNESSES = (
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (_PSI12, _BASES),
+    (_PSI13, (*_BASES, 41)),
+)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < psi13 ~ 3.3e24; larger n raises OrderTooLarge.
 
-    Bases 2..37 decide n < psi12 ~ 3.2e23; base 41 is added only from psi12
-    on, so that orders below it (every default) skip its extra pow().
+    Trial division by 2..37 first. Then Sinclair's seven bases decide n < 2^64
+    (every default order), bases 2..37 decide n < psi12 ~ 3.2e23, and base 41
+    is added from psi12 on. A base that n divides proves nothing and is
+    skipped; one that merely shares a factor with n is kept, and finds n
+    composite.
     """
     if n >= _PSI13:
         raise OrderTooLarge(f"primality of n={n} >= {_PSI13} is not decided by fixed bases")
@@ -160,7 +192,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _BASES if n < _PSI12 else (*_BASES, 41):
+    for a in next(bases for bound, bases in _WITNESSES if n < bound):
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

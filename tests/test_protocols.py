@@ -1,11 +1,13 @@
 """DH, ElGamal, and the continuous-log signature scheme."""
 
+import builtins
 import hashlib
 import pickle
 from random import Random
 
 import pytest
 
+from circlelog import protocols
 from circlelog import (
     AmbiguousAngle,
     Ciphertext,
@@ -15,6 +17,7 @@ from circlelog import (
     KeyPair,
     MessageTooLarge,
     OrderTooLarge,
+    ParamsMismatch,
     PublicKey,
     Signature,
     UsageError,
@@ -27,6 +30,7 @@ from circlelog import (
     keygen,
     make_params,
     sign,
+    to_numeric,
     verify,
 )
 from circlelog.protocols import hash_to_scalar, is_prime, random_scalar
@@ -112,6 +116,22 @@ class TestKeysCheckedWhereMade:
         with pytest.raises(UsageError, match=rf"^h={k} outside \[1, n\)$"):
             PublicKey(ExactElement(self.params, k))
 
+    @pytest.mark.parametrize("x, kind", [(5.5, "float"), (True, "bool"), ("7", "str"), (None, "NoneType")])
+    def test_private_value_of_wrong_type_refused(self, x, kind):
+        # a float x would be written to a key file that parse_key then refuses
+        with pytest.raises(UsageError, match=rf"^x must be an int, got {kind}$"):
+            KeyPair(self.params, x)
+
+    @pytest.mark.parametrize("h, kind", [(True, "bool"), (5, "int")])
+    def test_public_value_of_wrong_type_refused(self, h, kind):
+        with pytest.raises(UsageError, match=rf"^h must be an ExactElement, got {kind}$"):
+            PublicKey(h)
+
+    def test_numeric_public_value_refused(self):
+        h = to_numeric(element(self.params, 5))
+        with pytest.raises(UsageError, match=r"^h must be an ExactElement, got NumericElement$"):
+            PublicKey(h)
+
     @pytest.mark.parametrize("x", [1, 100])
     def test_range_ends_accepted(self, x):
         key = KeyPair(self.params, x)
@@ -148,6 +168,32 @@ class TestDH:
                 s1 = dh_shared(alice, bob.h)
                 assert s1 == dh_shared(bob, alice.h)
                 assert s1.k == 2 * a * b % 101  # independent modular oracle
+
+
+class TestCrossGroupInputs:
+    """A key and an element or ciphertext of another group raise ParamsMismatch, as mul does."""
+
+    a = make_params(10007, 5, 16)
+    b = make_params(10009, 11, 16)
+
+    def test_dh_shared_refuses_other_group(self):
+        own = keygen(self.a, Random(1))
+        their = keygen(self.b, Random(2))
+        with pytest.raises(ParamsMismatch):
+            dh_shared(own, their.h)
+
+    def test_elgamal_decrypt_refuses_other_group(self):
+        key_a = keygen(self.a, Random(1))
+        key_b = keygen(self.b, Random(2))
+        ct_b = elgamal_encrypt(key_b, element(self.b, 42), Random(3))
+        with pytest.raises(ParamsMismatch):
+            elgamal_decrypt(key_a, ct_b)
+
+    def test_mixed_ciphertext_refused(self):
+        key = keygen(self.a, Random(1))
+        ct = elgamal_encrypt(key, element(self.a, 42), Random(3))
+        with pytest.raises(ParamsMismatch):
+            elgamal_decrypt(key, Ciphertext(ct.c1, element(self.b, ct.c2.k)))
 
 
 class TestElGamal:
@@ -333,6 +379,22 @@ class TestSignature:
         )
         assert accepts == 0
 
+    @pytest.mark.parametrize("fields, name, kind", [
+        ((5.5, 3), "R", "float"),
+        ((3, 2.5), "s", "float"),
+        (("7", 3), "R", "str"),
+        ((True, 3), "R", "bool"),
+        ((3, False), "s", "bool"),
+    ])
+    def test_components_of_wrong_type_refused(self, fields, name, kind):
+        with pytest.raises(UsageError, match=rf"^{name} must be an int, got {kind}$"):
+            Signature(*fields)
+
+    @pytest.mark.parametrize("fields", [(0, 3), (3, 0), (-1, 3), (3, MERSENNE61), (MERSENNE61 + 5, 1)])
+    def test_out_of_range_components_build_and_fail(self, fields):
+        key = keygen(self.params, Random(1))
+        assert not verify(key.public, b"m", Signature(*fields))
+
     def test_hash_to_scalar_is_sha256(self):
         digest = int.from_bytes(hashlib.sha256(b"abc").digest(), "big")
         assert hash_to_scalar(b"abc", 10007) == digest % 10007
@@ -363,3 +425,109 @@ def test_is_prime_beyond_twelve_bases():
     assert is_prime(318665857834031151167483) and is_prime(3317044064679887385961813)
     with pytest.raises(OrderTooLarge):
         is_prime(PSI13)
+
+
+# Sinclair's seven bases (2011): they decide every n < 2^64
+SINCLAIR = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = builtins.pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def twelve_base_rule(n):
+    """Strong probable prime to bases 2..37: decides every odd n > 37 below psi12."""
+    return all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+
+class TestWitnessTiers:
+    """Sinclair's bases below 2^64, bases 2..37 below psi12, 2..41 below psi13: one verdict."""
+
+    def test_every_n_below_2_16_against_a_sieve(self):
+        limit = 1 << 16
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for q in range(2, 256):
+            if sieve[q]:
+                sieve[q * q::q] = bytes(len(range(q * q, limit, q)))
+        assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+    def test_random_odd_n_below_2_64_agree_with_twelve_bases(self):
+        rng = Random(2024)
+        ns = [rng.randrange(1 << 32, 1 << 64) | 1 for _ in range(3000)]
+        assert sum(map(is_prime, ns)) > 50  # primes, not only composites, are compared
+        assert [is_prime(n) for n in ns] == [twelve_base_rule(n) for n in ns]
+
+    def test_semiprimes_near_2_32_agree_with_twelve_bases(self):
+        # a product of two primes is the usual shape of a strong pseudoprime
+        primes = [q for q in range((1 << 32) - 1999, (1 << 32) + 2000, 2) if twelve_base_rule(q)]
+        assert len(primes) > 100
+        rng = Random(2025)
+        ns = [rng.choice(primes) * rng.choice(primes) for _ in range(300)]
+        assert not any(is_prime(n) for n in ns)
+        assert not any(twelve_base_rule(n) for n in ns)
+        assert all(is_prime(q) for q in primes)
+
+    @pytest.mark.parametrize("n", [
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051,
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # each is the least strong pseudoprime to the first few prime bases
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**64 - 59, 2**64 + 13])
+    def test_primes_on_both_sides_of_2_64(self, n):
+        assert is_prime(n)
+
+    @pytest.mark.parametrize("n", [73, 193, 479, 407521, 299210837])
+    def test_primes_dividing_a_witness(self, n):
+        # a witness n divides is skipped: pow(a, d, n) == 0 would read as composite
+        assert is_prime(n)
+
+    @pytest.mark.parametrize("n", [14089, 5329])
+    def test_composites_dividing_or_sharing_a_factor_with_a_witness(self, n):
+        # 14089 = 73 * 193 divides 28178, which is skipped for it; 5329 = 73^2
+        # only shares 73 with it, so 28178 is not skipped
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n, rounds", [
+        (MERSENNE61, 7), (2**64 - 59, 7), (2**64 + 13, 12), (318665857834031151167483, 13),
+    ])
+    def test_round_count(self, monkeypatch, n, rounds):
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(protocols, "pow", counting_pow, raising=False)
+        assert is_prime(n)
+        assert len(calls) == rounds
+
+    def test_sign_and_verify_each_test_primality_once(self, monkeypatch):
+        params = make_params(MERSENNE61, 3, 128)
+        key = keygen(params, Random(1))
+        calls = []
+        real_is_prime = protocols.is_prime
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return real_is_prime(n)
+
+        monkeypatch.setattr(protocols, "is_prime", counting_is_prime)
+        sig = sign(key, b"m", Random(2))
+        assert calls == [MERSENNE61]
+        assert verify(key.public, b"m", sig)
+        assert calls == [MERSENNE61, MERSENNE61]
