@@ -62,8 +62,7 @@ def tolerance(delta) -> tuple[int, int]:
 def to_numeric_t(k: int, n: int, p: int) -> int:
     """Fixed-point angle of the n-th root with exponent k: round(2^p * k / n)."""
     q, r = divmod((k % n) << p, n)
-    r2 = r * 2
-    if r2 > n or (r2 == n and q & 1):
+    if 2 * r + (q & 1) > n:
         q += 1
     return q & ((1 << p) - 1)
 
@@ -75,8 +74,7 @@ def recover_t(t: int, n: int, p: int, dnum: int, dden: int) -> int:
     """
     half_turns = 1 << p
     q, r = divmod(t * n, half_turns)
-    r2 = r * 2
-    if r2 > half_turns or (r2 == half_turns and q & 1):
+    if 2 * r + (q & 1) > half_turns:
         k = q + 1
         dist_num = half_turns - r
     else:

@@ -70,7 +70,8 @@ def recover_exponent(q: NumericElement, tolerance: Fraction = DEFAULT_TOLERANCE)
         dnum, dden = _DEFAULT_SPLIT
     else:
         dnum, dden = _kernels.tolerance(tolerance)
-    n, p = q.params.n, q.params.p
+    params = q.params
+    n, p = params.n, params.p
     k = _kernels.recover_t(q.t, n, p, dnum, dden)
     if k < 0:
         raise AmbiguousAngle(

@@ -24,6 +24,13 @@ hashing, ``repr``, ``dataclasses.replace``, pickling and the frozen
 ``__setattr__`` and ``__delattr__`` are still generated. ``GroupParams`` keeps
 its generated ``__init__``: it is built once per group, not per element, so
 it is off the round trip.
+
+``element`` and ``to_numeric`` go one step further: each allocates its element
+with ``object.__new__`` and stores both fields through the same setters in its
+own frame, which saves the call through the class into ``__init__``. Only
+these two build in place, because only they run once per exponent on the
+round trip; ``generator``, ``identity``, ``mul``, ``inv``, ``power`` and
+``mul_numeric`` call the class, which stays the public constructor.
 """
 
 from __future__ import annotations
@@ -90,8 +97,9 @@ class NumericElement:
         _set_numeric_t(self, t)
 
 
-# Slot setters for the element __init__s: they store a field directly, past
-# the frozen __setattr__, without looking the field up by name.
+# Slot setters for the element __init__s, element and to_numeric: they store
+# a field directly, past the frozen __setattr__, without looking it up by name.
+_new = object.__new__
 _set_exact_params = ExactElement.params.__set__
 _set_exact_k = ExactElement.k.__set__
 _set_numeric_params = NumericElement.params.__set__
@@ -108,7 +116,10 @@ def make_params(n: int, g: int, p: int) -> GroupParams:
 
 def element(params: GroupParams, k: int) -> ExactElement:
     """The root with exponent k, reduced to its canonical residue mod n."""
-    return ExactElement(params, k % params.n)
+    a = _new(ExactElement)
+    _set_exact_params(a, params)
+    _set_exact_k(a, k % params.n)
+    return a
 
 
 def generator(params: GroupParams) -> ExactElement:
@@ -146,7 +157,11 @@ def to_numeric(a: ExactElement) -> NumericElement:
     The only rounding step on the exact-to-numeric path; the angular error is
     at most pi/2^p.
     """
-    return NumericElement(a.params, _kernels.to_numeric_t(a.k, a.params.n, a.params.p))
+    params = a.params
+    q = _new(NumericElement)
+    _set_numeric_params(q, params)
+    _set_numeric_t(q, _kernels.to_numeric_t(a.k, params.n, params.p))
+    return q
 
 
 def mul_numeric(a: NumericElement, b: NumericElement) -> NumericElement:

@@ -5,11 +5,12 @@ ElGamal and ECDSA-style signatures. A private key holds x; its h = g^x is
 derived. A public key holds h; its params are h's. Every secret scalar
 (key, ephemeral, nonce, DH end) lies in [1, n), so n < 2 raises
 InvalidOrder. A key refuses an x, or an h whose exponent k, outside [1, n)
-(UsageError), so no key exists for n < 2. Keys and signatures refuse a value
-of the wrong type too (UsageError): x, R and s are ints, h an ExactElement.
-A key used with another group's element or ciphertext raises
-ParamsMismatch, as mul does. Signatures need a prime order and a p that
-meets the recovery bound, so reading R back from its angle never fails.
+(UsageError), so no key exists for n < 2. A value of the wrong type is
+refused too (UsageError): x, R and s must be ints; h, a ciphertext's c1 and
+c2, ElGamal's m and a DH peer's public must be ExactElements. A key used
+with another group's element or ciphertext raises ParamsMismatch, as mul
+does. Signatures need a prime order and a p that meets the recovery bound,
+so reading R back from its angle never fails.
 
 None of this is secure: the cryptanalysis module measures exactly how cheap
 the inversion is. The package exists to make that measurement.
@@ -43,8 +44,7 @@ class PublicKey:
     h: ExactElement
 
     def __post_init__(self) -> None:
-        if not isinstance(self.h, ExactElement):
-            raise UsageError(f"h must be an ExactElement, got {type(self.h).__name__}")
+        _check_element("h", self.h)
         if not 1 <= self.h.k < self.h.params.n:  # h = 0 is the identity: c2 would be m
             raise UsageError(f"h={self.h.k} outside [1, n)")
 
@@ -77,6 +77,10 @@ class Ciphertext:
     c1: ExactElement  # ephemeral g^y
     c2: ExactElement  # masked message m * h^y
 
+    def __post_init__(self) -> None:
+        _check_element("c1", self.c1)
+        _check_element("c2", self.c2)
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -94,6 +98,12 @@ def _check_int(name: str, value) -> None:
     """UsageError unless ``value`` is an int; a bool is refused, not read as 0 or 1."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise UsageError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _check_element(name: str, value) -> None:
+    """UsageError unless ``value`` is an ExactElement."""
+    if not isinstance(value, ExactElement):
+        raise UsageError(f"{name} must be an ExactElement, got {type(value).__name__}")
 
 
 def random_scalar(rng: Random, n: int) -> int:
@@ -122,11 +132,13 @@ def dh_public(keypair: KeyPair) -> ExactElement:
 
 def dh_shared(own: KeyPair, their_public: ExactElement) -> ExactElement:
     """S = (their g^b)^a; both sides land on g^(ab). Another group's g^b raises ParamsMismatch."""
+    _check_element("their_public", their_public)
     _check_params(own, their_public)
     return power(their_public, own.x)
 
 
 def elgamal_encrypt(pk: PublicKey | KeyPair, m: ExactElement, rng: Random) -> Ciphertext:
+    _check_element("m", m)  # before y is drawn
     y = random_scalar(rng, pk.params.n)
     return Ciphertext(
         c1=generator_power(pk.params, y),

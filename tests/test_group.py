@@ -17,6 +17,7 @@ from circlelog import (
     complex_value,
     element,
     generator,
+    identity,
     inv,
     make_params,
     mul,
@@ -292,6 +293,83 @@ class TestElementConstructor:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(a, name)
         assert a == cls(self.P, 5)
+
+
+FP = make_params(1000, 7, 12)
+
+
+def exact(k):
+    return ExactElement(FP, k)
+
+
+def numeric(t):
+    return NumericElement(FP, t)
+
+
+class TestFactoryBuiltElements:
+    """Every factory returns the value its class would build, with the full value contract.
+
+    ``element`` and ``to_numeric`` allocate and fill their element without the
+    class's ``__init__``; these tests hold them, and the factories that call
+    the class, to the same contract as a class-built twin.
+    """
+
+    # (id, build with the factory, class-built twin with literal fields)
+    CASES = [
+        ("element", lambda: element(FP, 1005), exact(5)),
+        ("element-negative", lambda: element(FP, -3), exact(997)),
+        ("to_numeric", lambda: to_numeric(exact(5)), numeric(20)),  # 5 * 2^12 / 1000 = 20.48
+        ("generator", lambda: generator(FP), exact(7)),
+        ("identity", lambda: identity(FP), exact(0)),
+        ("mul", lambda: mul(exact(3), exact(999)), exact(2)),
+        ("inv", lambda: inv(exact(3)), exact(997)),
+        ("power", lambda: power(exact(3), 5), exact(15)),
+        ("mul_numeric", lambda: mul_numeric(numeric(4000), numeric(200)), numeric(104)),
+    ]
+
+    @pytest.fixture(params=CASES, ids=[case[0] for case in CASES])
+    def built(self, request):
+        _, build, twin = request.param
+        return build(), twin
+
+    @staticmethod
+    def fields(x):
+        return [f.name for f in dataclasses.fields(x)]
+
+    def test_type_fields_equality_and_hash(self, built):
+        x, twin = built
+        assert type(x) is type(twin)
+        for name in self.fields(twin):
+            assert getattr(x, name) == getattr(twin, name), name
+        assert x == twin and twin == x and hash(x) == hash(twin)
+        assert repr(x) == repr(twin)
+
+    def test_frozen_and_slotted(self, built):
+        x, twin = built
+        assert not hasattr(x, "__dict__")
+        for name in self.fields(x):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, 6)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        with pytest.raises((AttributeError, TypeError)):
+            x.extra = 1
+        assert x == twin
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle(self, built, protocol):
+        x, twin = built
+        back = pickle.loads(pickle.dumps(x, protocol))
+        assert type(back) is type(twin) and back == twin and hash(back) == hash(twin)
+
+    def test_copy_deepcopy_and_replace(self, built):
+        x, twin = built
+        for y in (copy.copy(x), copy.deepcopy(x), dataclasses.replace(x)):
+            assert type(y) is type(twin) and y == twin and hash(y) == hash(twin)
+        field = self.fields(x)[1]
+        moved = dataclasses.replace(x, **{field: 11})
+        assert moved == type(twin)(FP, 11) and moved.params is x.params
+        assert x == twin
 
 
 @pytest.mark.parametrize("n, bits", [(1000, 12), (4096, 14), (10007, 16)])

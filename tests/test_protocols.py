@@ -138,6 +138,44 @@ class TestKeysCheckedWhereMade:
         assert key.public == PublicKey(element(self.params, 2 * x % 101))
 
 
+class TestElementArgumentsChecked:
+    """A group element argument that is not an ExactElement is refused by name."""
+
+    params = make_params(101, 2, 16)
+    WRONG = [(5, "int"), (True, "bool"), (None, "NoneType")]
+
+    @pytest.mark.parametrize("value, kind", WRONG)
+    @pytest.mark.parametrize("field", ["c1", "c2"])
+    def test_ciphertext_field_refused(self, field, value, kind):
+        fields = {"c1": element(self.params, 3), "c2": element(self.params, 4), field: value}
+        with pytest.raises(UsageError, match=rf"^{field} must be an ExactElement, got {kind}$"):
+            Ciphertext(**fields)
+
+    def test_numeric_ciphertext_field_refused(self):
+        q = to_numeric(element(self.params, 3))
+        with pytest.raises(UsageError, match=r"^c1 must be an ExactElement, got NumericElement$"):
+            Ciphertext(q, element(self.params, 4))
+
+    @pytest.mark.parametrize("value, kind", WRONG)
+    def test_elgamal_message_refused_before_drawing(self, value, kind):
+        key = KeyPair(self.params, 7)
+        rng = FixedRandom([9])
+        with pytest.raises(UsageError, match=rf"^m must be an ExactElement, got {kind}$"):
+            elgamal_encrypt(key, value, rng)
+        assert rng.values == [9]  # no ephemeral was drawn
+
+    @pytest.mark.parametrize("value, kind", WRONG)
+    def test_dh_public_refused(self, value, kind):
+        key = KeyPair(self.params, 7)
+        with pytest.raises(UsageError, match=rf"^their_public must be an ExactElement, got {kind}$"):
+            dh_shared(key, value)
+
+    def test_numeric_dh_public_refused(self):
+        q = to_numeric(element(self.params, 3))
+        with pytest.raises(UsageError, match=r"^their_public must be an ExactElement, got NumericElement$"):
+            dh_shared(KeyPair(self.params, 7), q)
+
+
 class TestDH:
     def test_small_case_modular_oracle(self):
         p = make_params(12, 1, 8)
