@@ -15,31 +15,24 @@ consumer re-checks one, and the class is the one home of the (n, p) rule: the
 seeded experiments check an order and each precision by building a group.
 Elements are not checked: they are built on the measured round trip.
 
-Each step of the round trip ``element -> to_numeric -> recover_exponent``
-builds an element, and the generated frozen ``__init__`` stores each field by
-name through ``object.__setattr__``, which is slow. So the two element classes
-take ``init=False`` and a two-line ``__init__`` that stores each field through
-its slot descriptor's setter, bound once below the classes. Equality,
-hashing, ``repr``, ``dataclasses.replace``, pickling and the frozen
-``__setattr__`` and ``__delattr__`` are still generated. ``GroupParams`` keeps
-its generated ``__init__``: it is built once per group, not per element, so
-it is off the round trip.
-
-``element`` and ``to_numeric`` go one step further: each allocates its element
-with ``object.__new__`` and stores both fields through the same setters in its
-own frame, which saves the call through the class into ``__init__``. Only
-these two build in place, because only they run once per exponent on the
-round trip; ``generator``, ``identity``, ``mul``, ``inv``, ``power`` and
-``mul_numeric`` call the class, which stays the public constructor.
+The two element classes build through their generated ``__init__``, which is
+the public constructor and the one ``dataclasses.replace`` calls; every exact
+factory goes through ``element``, which reduces k mod n. Only ``element`` and
+``to_numeric``, which run once per exponent on the round trip
+``element -> to_numeric -> recover_exponent``, build in place: each allocates
+its element with ``object.__new__`` and stores both fields through the slot
+descriptors' setters, past the frozen ``__setattr__``, which looks each field
+up by name and is slow.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import InvalidOrder, NotPrimitive, ParamsMismatch
+from .errors import InvalidOrder, NotPrimitive, ParamsMismatch, UsageError
 
 MAX_PRECISION = 1 << 16  # bits; to_numeric shifts k mod n left by p
 
@@ -73,32 +66,24 @@ class GroupParams:
         return (GroupParams, (self.n, self.g, self.p))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ExactElement:
     """The root e^{i*2*pi*k/n}, held as its canonical exponent k in [0, n)."""
 
     params: GroupParams
     k: int
 
-    def __init__(self, params: GroupParams, k: int) -> None:
-        _set_exact_params(self, params)
-        _set_exact_k(self, k)
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class NumericElement:
     """A point on the circle as a fixed-point angle: theta = 2*pi*t/2^p."""
 
     params: GroupParams
     t: int
 
-    def __init__(self, params: GroupParams, t: int) -> None:
-        _set_numeric_params(self, params)
-        _set_numeric_t(self, t)
 
-
-# Slot setters for the element __init__s, element and to_numeric: they store
-# a field directly, past the frozen __setattr__, without looking it up by name.
+# Slot setters for element and to_numeric: they store a field directly, past
+# the frozen __setattr__, without looking it up by name.
 _new = object.__new__
 _set_exact_params = ExactElement.params.__set__
 _set_exact_k = ExactElement.k.__set__
@@ -128,7 +113,7 @@ def generator(params: GroupParams) -> ExactElement:
 
 
 def identity(params: GroupParams) -> ExactElement:
-    return ExactElement(params, 0)
+    return element(params, 0)
 
 
 def _check_params(a, b) -> None:
@@ -138,17 +123,24 @@ def _check_params(a, b) -> None:
 
 def mul(a: ExactElement, b: ExactElement) -> ExactElement:
     _check_params(a, b)
-    return ExactElement(a.params, (a.k + b.k) % a.params.n)
+    return element(a.params, a.k + b.k)
 
 
 def inv(a: ExactElement) -> ExactElement:
-    return ExactElement(a.params, (a.params.n - a.k) % a.params.n)
+    return element(a.params, -a.k)
 
 
 def power(a: ExactElement, e: int) -> ExactElement:
-    """a raised to the e-th power; e is reduced mod n first (negatives fine)."""
-    n = a.params.n
-    return ExactElement(a.params, (a.k * (e % n)) % n)
+    """a raised to the e-th power; e is reduced mod n first (negatives fine).
+
+    e is read through ``operator.index``: a numpy integer counts as the exact
+    int it holds, and a float or any other non-integer raises UsageError.
+    """
+    try:
+        e = operator.index(e)
+    except TypeError:
+        raise UsageError(f"exponent must be an int, got {type(e).__name__}") from None
+    return element(a.params, a.k * (e % a.params.n))
 
 
 def to_numeric(a: ExactElement) -> NumericElement:

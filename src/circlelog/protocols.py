@@ -5,7 +5,8 @@ ElGamal and ECDSA-style signatures. A private key holds x; its h = g^x is
 derived. A public key holds h; its params are h's. Every secret scalar
 (key, ephemeral, nonce, DH end) lies in [1, n), so n < 2 raises
 InvalidOrder. A key refuses an x, or an h whose exponent k, outside [1, n)
-(UsageError), so no key exists for n < 2. A value of the wrong type is
+(UsageError), so no key exists for n < 2; DH refuses a peer's public the
+same way. A value of the wrong type is
 refused too (UsageError): x, R and s must be ints; h, a ciphertext's c1 and
 c2, ElGamal's m and a DH peer's public must be ExactElements. A key used
 with another group's element or ciphertext raises ParamsMismatch, as mul
@@ -31,7 +32,6 @@ from .group import (
     GroupParams,
     _check_params,
     element,
-    generator,
     inv,
     mul,
     power,
@@ -119,7 +119,7 @@ def random_scalar(rng: Random, n: int) -> int:
 
 def generator_power(params: GroupParams, e: int) -> ExactElement:
     """g^e."""
-    return power(generator(params), e)
+    return element(params, params.g * e)
 
 
 def keygen(params: GroupParams, rng: Random) -> KeyPair:
@@ -131,14 +131,21 @@ def dh_public(keypair: KeyPair) -> ExactElement:
 
 
 def dh_shared(own: KeyPair, their_public: ExactElement) -> ExactElement:
-    """S = (their g^b)^a; both sides land on g^(ab). Another group's g^b raises ParamsMismatch."""
+    """S = (their g^b)^a; both sides land on g^(ab).
+
+    Another group's g^b raises ParamsMismatch; the identity, whose k = 0 lies
+    outside [1, n), raises UsageError, as it does for a PublicKey's h.
+    """
     _check_element("their_public", their_public)
     _check_params(own, their_public)
+    if not 1 <= their_public.k < own.params.n:
+        raise UsageError(f"their_public={their_public.k} outside [1, n)")
     return power(their_public, own.x)
 
 
 def elgamal_encrypt(pk: PublicKey | KeyPair, m: ExactElement, rng: Random) -> Ciphertext:
     _check_element("m", m)  # before y is drawn
+    _check_params(m, pk)
     y = random_scalar(rng, pk.params.n)
     return Ciphertext(
         c1=generator_power(pk.params, y),

@@ -6,6 +6,7 @@ import inspect
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from circlelog import (
     InvalidOrder,
     NotPrimitive,
     ParamsMismatch,
+    UsageError,
     complex_value,
     element,
     generator,
@@ -28,6 +30,9 @@ from circlelog import (
 )
 from circlelog import _kernels
 from circlelog.group import MAX_PRECISION, ExactElement, GroupParams, NumericElement
+from circlelog.protocols import generator_power
+
+MERSENNE61 = (1 << 61) - 1
 
 
 def euclid_gcd(a, b):
@@ -119,6 +124,22 @@ class TestExactArithmetic:
     def test_pow_negative_exponent(self):
         p = make_params(12, 1, 8)
         assert power(element(p, 5), -1) == inv(element(p, 5))
+
+    def test_pow_numpy_integer_exponent_is_exact(self):
+        # a numpy int64 exponent used to wrap in int64 and leave a numpy k behind
+        p = make_params(MERSENNE61, 3, 128)
+        for e in (np.int64(1000), np.uint64(1000), np.int32(-1)):
+            a = power(element(p, MERSENNE61 - 4), e)
+            assert a == power(element(p, MERSENNE61 - 4), int(e)) and type(a.k) is int
+        assert power(element(p, MERSENNE61 - 4), np.int64(1000)).k == 2305843009213689951
+        assert to_numeric(power(element(p, 5), np.int64(1000))) == to_numeric(element(p, 5000))
+
+    @pytest.mark.parametrize("e, kind", [(2.0, "float"), (Fraction(2), "Fraction"),
+                                         ("2", "str"), (None, "NoneType"),
+                                         (np.float64(2), "float64")])
+    def test_pow_non_integer_exponent_refused(self, e, kind):
+        with pytest.raises(UsageError, match=rf"^exponent must be an int, got {kind}$"):
+            power(element(make_params(12, 1, 8), 5), e)
 
     def test_params_mismatch(self):
         a = element(make_params(12, 1, 8), 3)
@@ -248,7 +269,7 @@ class TestValueSemantics:
 
 
 class TestElementConstructor:
-    """Both element classes build through their own __init__, same contract as generated."""
+    """Both element classes build through their generated __init__, the public constructor."""
 
     P = make_params(1000, 1, 12)
     CLASSES = [(ExactElement, "k"), (NumericElement, "t")]
@@ -310,8 +331,8 @@ class TestFactoryBuiltElements:
     """Every factory returns the value its class would build, with the full value contract.
 
     ``element`` and ``to_numeric`` allocate and fill their element without the
-    class's ``__init__``; these tests hold them, and the factories that call
-    the class, to the same contract as a class-built twin.
+    class's ``__init__``; these tests hold them, and every factory built on
+    them, to the same contract as a class-built twin.
     """
 
     # (id, build with the factory, class-built twin with literal fields)
@@ -324,6 +345,9 @@ class TestFactoryBuiltElements:
         ("mul", lambda: mul(exact(3), exact(999)), exact(2)),
         ("inv", lambda: inv(exact(3)), exact(997)),
         ("power", lambda: power(exact(3), 5), exact(15)),
+        ("power-negative", lambda: power(exact(3), -2), exact(994)),
+        ("power-above-2^64", lambda: power(exact(3), 2**64 + 5), exact(863)),  # 2^64 = 616 mod 1000
+        ("generator_power", lambda: generator_power(FP, 3), exact(21)),
         ("mul_numeric", lambda: mul_numeric(numeric(4000), numeric(200)), numeric(104)),
     ]
 

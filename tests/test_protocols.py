@@ -116,6 +116,12 @@ class TestKeysCheckedWhereMade:
         with pytest.raises(UsageError, match=rf"^h={k} outside \[1, n\)$"):
             PublicKey(ExactElement(self.params, k))
 
+    @pytest.mark.parametrize("k", [0, 101, 104, -3])
+    def test_dh_peer_public_out_of_range_refused(self, k):
+        # the identity g^0 would make the shared secret the identity, whatever x is
+        with pytest.raises(UsageError, match=rf"^their_public={k} outside \[1, n\)$"):
+            dh_shared(KeyPair(self.params, 7), ExactElement(self.params, k))
+
     @pytest.mark.parametrize("x, kind", [(5.5, "float"), (True, "bool"), ("7", "str"), (None, "NoneType")])
     def test_private_value_of_wrong_type_refused(self, x, kind):
         # a float x would be written to a key file that parse_key then refuses
@@ -219,6 +225,14 @@ class TestCrossGroupInputs:
         their = keygen(self.b, Random(2))
         with pytest.raises(ParamsMismatch):
             dh_shared(own, their.h)
+
+    def test_elgamal_encrypt_refuses_other_group_before_drawing(self):
+        key = keygen(self.a, Random(1))
+        rng = Random(3)
+        state = rng.getstate()
+        with pytest.raises(ParamsMismatch, match="^elements from different groups: "):
+            elgamal_encrypt(key, element(self.b, 42), rng)
+        assert rng.getstate() == state  # no ephemeral was drawn
 
     def test_elgamal_decrypt_refuses_other_group(self):
         key_a = keygen(self.a, Random(1))
