@@ -11,11 +11,24 @@ errors accumulate.
 All randomness derives from a master seed through SHA-256 of the index path
 "seed/p/m/trial/element/counter" with rejection sampling, so every report is
 bit-identical no matter how trials are ordered or parallelized.
+
+The sweep and the accumulation experiment cut each row's trials into ranges
+of ``_RANGE_CHUNKS`` draw chunks and sum the ranges' success counts per
+row. A call of ``_POOL_DRAWS`` draws or more counts its ranges in a pool of
+forked worker processes, one per usable CPU, which lives only for that
+call; a smaller call, and any call in a process with one usable CPU, a
+second Python thread or a start method other than fork, counts them
+in-process. Each worker draws and counts whole ranges and sends back only
+their counts, so the rows, and the CSVs written from them, are the same
+bytes either way.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
@@ -35,6 +48,20 @@ except ImportError:
         _sha256 = hashlib.sha256
 
 _CHUNK = 1 << 12  # most draws hashed before one reduction, unless a trial has more
+# Draws from which a call counts its trial ranges in forked workers. A pool
+# of two took 9-13 ms to start, map and shut down (2 CPUs, Python 3.11.7),
+# and a draw about 0.7 us: two workers halve the draw time, which repays the
+# pool from about 2 * 13 ms / 0.7 us = 37 000 draws. At 2^18 draws (180 ms
+# in-process) the pool costs under a seventh of what it saves, and the
+# default sweep (110 000 draws) and attack (10 000) stay in-process, so their
+# cold starts are unchanged.
+_POOL_DRAWS = 1 << 18
+# Draw chunks in one trial range, the unit a worker counts: up to 32 768
+# draws, ~25 ms. Handing out ranges of one chunk took the parent ~0.1 s of
+# CPU per pooled accumulate (330 ranges), slowing the workers it shares the
+# CPUs with; at 8 chunks (~50 ranges) it takes ~0.02 s, and the last ranges
+# and a Ctrl-C still wait only tens of milliseconds.
+_RANGE_CHUNKS = 8
 
 CSV_HEADER = "variable,successes,trials,success_rate"
 
@@ -127,25 +154,32 @@ def _reduce_words(digests: list[bytes], n: int, limit: int) -> tuple[np.ndarray,
     return acc.view(np.int64), rejected  # acc < 2^32: the same values as int64
 
 
-def _draw_chunks(seed: int, head: int, n: int, trials: int, m: int):
-    """``derive_uniform(seed, (head, m, t, j), n)`` for every trial t and element j.
+def _per_chunk(m: int) -> int:
+    """Trials per draw chunk of an m-fold row: the grid its trial ranges are cut on."""
+    return max(1, _CHUNK // max(m, 1))
+
+
+def _draw_chunks(seed: int, head: int, n: int, trials: int, m: int, first: int = 0):
+    """``derive_uniform(seed, (head, m, t, j), n)`` for every trial t in
+    [first, trials) and element j.
 
     Yields them in (t, j) order, in chunks of whole trials and at most
-    ``max(_CHUNK, m)`` draws. "seed/head/m/" is hashed once and "t/" once per
-    trial; each draw then hashes only "j/0" into a copy of the trial state. A
-    chunk is reduced mod n at once: in numpy for n <= 2^32, yielding the int64
-    array that the kernel computes on, with Python ints above (a list). A
-    digest rejected at counter 0 is redrawn by ``derive_uniform``.
+    ``max(_CHUNK, m)`` draws, cut every ``_per_chunk(m)`` trials from
+    ``first``. "seed/head/m/" is hashed once and "t/" once per trial; each
+    draw then hashes only "j/0" into a copy of the trial state. A chunk is
+    reduced mod n at once: in numpy for n <= 2^32, yielding the int64 array
+    that the kernel computes on, with Python ints above (a list). A digest
+    rejected at counter 0 is redrawn by ``derive_uniform``.
     """
     limit = _limit(n)
     reduce = _reduce_words if n <= 1 << 32 else _reduce_ints
     block = _sha256(f"{seed}/{head}/{m}/".encode("ascii"))
     tails = [b"%d/0" % j for j in range(m)]
-    per_chunk = max(1, _CHUNK // max(m, 1))
-    for first in range(0, trials, per_chunk):
+    per_chunk = _per_chunk(m)
+    for start in range(first, trials, per_chunk):
         digests: list[bytes] = []
         append = digests.append
-        for t in range(first, min(first + per_chunk, trials)):
+        for t in range(start, min(start + per_chunk, trials)):
             trial = block.copy()
             trial.update(b"%d/" % t)
             copy = trial.copy
@@ -156,16 +190,91 @@ def _draw_chunks(seed: int, head: int, n: int, trials: int, m: int):
         values, rejected = reduce(digests, n, limit)
         for i in rejected:
             t, j = divmod(i, m)
-            values[i] = derive_uniform(seed, (head, m, first + t, j), n)
+            values[i] = derive_uniform(seed, (head, m, start + t, j), n)
         yield values
 
 
-def _row(variable: int, n: int, p: int, m: int, trials: int, dnum: int, dden: int,
-         seed: int) -> SweepRow:
-    """Seeded m-fold chains at precision p that recover intact, one draw chunk at a time."""
-    successes = sum(_kernels.chain_success_count(n, p, dnum, dden, ks, m)
-                    for ks in _draw_chunks(seed, p, n, trials, m))
-    return SweepRow(variable=variable, successes=successes, trials=trials)
+def _count(span: tuple[int, int, int, int, int, int, int, int]) -> int:
+    """How many of the seeded m-fold chains at precision p of trials [first,
+    stop) recover intact; ``span`` is (n, p, m, dnum, dden, seed, first, stop)."""
+    n, p, m, dnum, dden, seed, first, stop = span
+    return sum(_kernels.chain_success_count(n, p, dnum, dden, ks, m)
+               for ks in _draw_chunks(seed, p, n, stop, m, first))
+
+
+def _rows(n: int, trials: int, dnum: int, dden: int, seed: int,
+          rows: Sequence[tuple[int, int, int]]) -> list[SweepRow]:
+    """One SweepRow per (variable, p, m): how many of ``trials`` seeded m-fold
+    chains at precision p recover intact.
+
+    Each row's trials are cut into ranges of ``_RANGE_CHUNKS`` draw chunks,
+    which ``_count`` turns into success counts, summed per row. A call that
+    ``_pool_workers`` gives workers counts its ranges in a pool of forked
+    workers, made and shut down here; every other call counts them in this
+    process, with the same sums. An order without seeded draws
+    (``InvalidOrder``) is refused before any worker starts.
+    """
+    _limit(n)
+
+    def spans():
+        for row, (_, p, m) in enumerate(rows):
+            step = _RANGE_CHUNKS * _per_chunk(m)
+            for first in range(0, trials, step):
+                yield row, (n, p, m, dnum, dden, seed, first, min(first + step, trials))
+
+    successes = [0] * len(rows)
+    workers = _pool_workers(trials * sum(m for _, _, m in rows))
+    if not workers:
+        for row, span in spans():
+            successes[row] += _count(span)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        import numpy  # noqa: F401  the kernel's; imported once here, not in each worker
+
+        # fork, not spawn: a spawned worker imports circlelog and numpy afresh,
+        # and a spawn pool of two took 0.3-0.47 s to start, most of what the
+        # pool saves. _pool_workers forks only from a single Python thread
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                   initializer=_ignore_sigint)
+        try:
+            # a few ranges per worker in flight: the workers never wait, and
+            # memory does not grow with the trials
+            window: deque = deque()
+            for row, span in spans():
+                window.append((row, pool.submit(_count, span)))
+                if len(window) > 4 * workers:
+                    row, counted = window.popleft()
+                    successes[row] += counted.result()
+            for row, counted in window:
+                successes[row] += counted.result()
+        finally:  # after an error or a Ctrl-C, ranges not yet started are dropped
+            pool.shutdown(cancel_futures=True)
+    return [SweepRow(variable=variable, successes=s, trials=trials)
+            for (variable, _, _), s in zip(rows, successes)]
+
+
+def _pool_workers(draws: int) -> int:
+    """How many forked workers count a call of ``draws`` draws: one per
+    usable CPU, or 0 (count in this process) below ``_POOL_DRAWS``, on one
+    usable CPU, beside a second Python thread or without fork as the start
+    method."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if draws < _POOL_DRAWS or cpus < 2 or threading.active_count() > 1:
+        return 0
+    import multiprocessing
+
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    return cpus if method == "fork" else 0
+
+
+def _ignore_sigint() -> None:
+    """A worker's initializer: a Ctrl-C ends the parent, which shuts the pool down."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _experiment_inputs(
@@ -296,7 +405,7 @@ def precision_sweep(
 ) -> list[SweepRow]:
     """Round-trip success rate vs angular precision, one row per p."""
     dnum, dden = _experiment_inputs(n, p_range, trials_per_p, delta)
-    return [_row(p, n, p, 1, trials_per_p, dnum, dden, seed) for p in sorted(p_range)]
+    return _rows(n, trials_per_p, dnum, dden, seed, [(p, p, 1) for p in sorted(p_range)])
 
 
 def accumulation_experiment(
@@ -319,7 +428,7 @@ def accumulation_experiment(
     e = 0). At n = 1000, p = 12, delta = 1/5, max|e| = 496 and that m is 3.
     """
     dnum, dden = _experiment_inputs(n, (p,), trials, delta, chain_lengths)
-    return [_row(m, n, p, m, trials, dnum, dden, seed) for m in chain_lengths]
+    return _rows(n, trials, dnum, dden, seed, [(m, p, m) for m in chain_lengths])
 
 
 def write_csv(rows: Iterable[SweepRow], stream: TextIO) -> None:

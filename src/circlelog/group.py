@@ -131,16 +131,22 @@ def inv(a: ExactElement) -> ExactElement:
 
 
 def power(a: ExactElement, e: int) -> ExactElement:
-    """a raised to the e-th power; e is reduced mod n first (negatives fine).
+    """a raised to the e-th power; e is read by ``_exponent``, then reduced
+    mod n (negatives fine)."""
+    return element(a.params, a.k * (_exponent(e) % a.params.n))
 
-    e is read through ``operator.index``: a numpy integer counts as the exact
-    int it holds, and a float or any other non-integer raises UsageError.
+
+def _exponent(e) -> int:
+    """e as the exact int it holds, read through ``operator.index``.
+
+    A numpy integer counts as its value; a float or any other non-integer
+    raises UsageError naming its type. ``power`` and
+    ``protocols.generator_power`` read their exponents here.
     """
     try:
-        e = operator.index(e)
+        return operator.index(e)
     except TypeError:
         raise UsageError(f"exponent must be an int, got {type(e).__name__}") from None
-    return element(a.params, a.k * (e % a.params.n))
 
 
 def to_numeric(a: ExactElement) -> NumericElement:

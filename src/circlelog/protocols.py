@@ -31,6 +31,7 @@ from .group import (
     ExactElement,
     GroupParams,
     _check_params,
+    _exponent,
     element,
     inv,
     mul,
@@ -118,8 +119,8 @@ def random_scalar(rng: Random, n: int) -> int:
 
 
 def generator_power(params: GroupParams, e: int) -> ExactElement:
-    """g^e."""
-    return element(params, params.g * e)
+    """g^e; e is read as ``power`` reads it (``group._exponent``)."""
+    return element(params, params.g * _exponent(e))
 
 
 def keygen(params: GroupParams, rng: Random) -> KeyPair:

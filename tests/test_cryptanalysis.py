@@ -3,8 +3,11 @@
 import hashlib
 import importlib
 import io
+import multiprocessing
+import os
 import platform
 import sys
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -316,9 +319,9 @@ def redraws(monkeypatch):
     return calls
 
 
-def _chunks(seed, head, n, trials, m):
+def _chunks(seed, head, n, trials, m, first=0):
     """``_draw_chunks`` as lists, each chunk checked: whole trials, bounded, its container."""
-    chunks = list(_draw_chunks(seed, head, n, trials, m))
+    chunks = list(_draw_chunks(seed, head, n, trials, m, first))
     for chunk in chunks:
         if n <= 1 << 32:  # the array the kernel computes on
             assert isinstance(chunk, np.ndarray) and chunk.dtype == np.int64
@@ -359,6 +362,18 @@ class TestDrawBlock:
             assert len(redraws) > len(expected) // 4
         else:
             assert redraws == []
+
+    @pytest.mark.parametrize("first", [0, 1, 255, 256, 257, 700])
+    @pytest.mark.parametrize("n", [1000, 2**61 - 1])
+    def test_draws_from_a_first_trial(self, n, first):
+        # the chunks of trials [first, trials) are cut from first: on the row's
+        # grid (256 trials a chunk at m = 16) they are the row's own chunks
+        seed, head, trials, m = 3, 12, 700, 16
+        whole = _chunks(seed, head, n, trials, m)
+        part = _chunks(*(seed, head, n, trials, m), first)
+        assert _flat(part) == _expected_draws(seed, head, n, trials, m)[first * m:]
+        if first % 256 == 0:
+            assert part == whole[first // 256:]
 
     @pytest.mark.parametrize("n", [1000, (1 << 40) + 15])
     @pytest.mark.parametrize("v, rejected", [
@@ -513,3 +528,113 @@ class TestInputValidation:
         params = make_params((1 << 256) + 1, 2, 300)
         report = attack_direct(to_numeric(element(params, 5)), params)
         assert report.successes == 1 and report.recovered == 5
+
+
+def _forks(mp):
+    """Count the forks made in this process from here on (``mp`` patches ``os.fork``)."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counting)
+    return forks
+
+
+@pytest.mark.skipif(cryptanalysis._pool_workers(1 << 62) < 2,
+                    reason="needs two usable CPUs and fork as the start method")
+class TestPool:
+    """Trial ranges counted in forked workers: the rows of the in-process count."""
+
+    @staticmethod
+    def experiments(n, p, m, trials, seed):
+        return (precision_sweep(n, [p, p + 1], trials, seed=seed),
+                accumulation_experiment(n, p, range(1, m + 1), trials, seed=seed))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 5000), st.integers(1, 1 << 70)),
+        p=st.integers(1, 40),
+        m=st.integers(1, 6),
+        trials=st.integers(1, 700),
+        seed=st.integers(-(1 << 64), 1 << 64),
+        chunk=st.sampled_from([1, 5, 64, 1 << 12]),
+        range_chunks=st.sampled_from([1, 3, 8]),
+    )
+    def test_pool_counts_equal_in_process_counts(self, n, p, m, trials, seed, chunk,
+                                                 range_chunks):
+        # a small _CHUNK cuts each row into many ranges of several chunks each;
+        # the forked workers inherit the patches
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cryptanalysis, "_CHUNK", chunk)
+            mp.setattr(cryptanalysis, "_RANGE_CHUNKS", range_chunks)
+            serial = self.experiments(n, p, m, trials, seed)
+            mp.setattr(cryptanalysis, "_POOL_DRAWS", 1)
+            forks = _forks(mp)
+            assert self.experiments(n, p, m, trials, seed) == serial
+            assert len(forks) == 2 * cryptanalysis._pool_workers(1 << 62)
+        assert multiprocessing.active_children() == []
+
+    def test_redraws_inside_workers(self, monkeypatch):
+        # at n = 2^255 + 1 about half of all first digests are redrawn
+        n, p = 2**255 + 1, 300
+        serial = self.experiments(n, p, 3, 150, 5)
+        monkeypatch.setattr(cryptanalysis, "_POOL_DRAWS", 1)
+        monkeypatch.setattr(cryptanalysis, "_CHUNK", 16)
+        forks = _forks(monkeypatch)
+        assert self.experiments(n, p, 3, 150, 5) == serial
+        assert forks and multiprocessing.active_children() == []
+
+    def test_default_accumulate_is_pooled_and_sweep_is_not(self):
+        workers = cryptanalysis._pool_workers(1 << 62)
+        assert cryptanalysis._pool_workers(10_000 * sum(range(1, 17))) == workers
+        assert cryptanalysis._pool_workers(10_000 * 11) == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda: accumulation_experiment((1 << 256) + 1, 300, [1, 2], 10**6),
+        lambda: precision_sweep((1 << 256) + 1, [299, 300], 10**6),
+        lambda: accumulation_experiment(1000, 12, [1, 2], 0),
+        lambda: accumulation_experiment(1000, 0, [1, 2], 10**6),
+        lambda: precision_sweep(1000, [12], 10**6, delta=Fraction(1, 2)),
+    ])
+    def test_refused_input_starts_no_worker(self, monkeypatch, call):
+        monkeypatch.setattr(cryptanalysis, "_POOL_DRAWS", 1)
+        monkeypatch.setattr(os, "fork", _unreachable)
+        with pytest.raises((InvalidOrder, UsageError)):
+            call()
+        assert multiprocessing.active_children() == []
+
+
+class TestPoolGate:
+    """When a call forks: never below the threshold, beside a thread, on one CPU or without fork."""
+
+    def test_below_the_threshold(self):
+        assert cryptanalysis._pool_workers(cryptanalysis._POOL_DRAWS - 1) == 0
+
+    def test_one_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cryptanalysis._pool_workers(1 << 62) == 0
+
+    def test_another_start_method(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none: "spawn")
+        assert cryptanalysis._pool_workers(1 << 62) == 0
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none: "fork")
+        assert cryptanalysis._pool_workers(1 << 62) == 2
+
+    def test_a_second_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none: "fork")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert cryptanalysis._pool_workers(1 << 62) == 0
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive() and cryptanalysis._pool_workers(1 << 62) == 2

@@ -140,6 +140,18 @@ class TestExactArithmetic:
     def test_pow_non_integer_exponent_refused(self, e, kind):
         with pytest.raises(UsageError, match=rf"^exponent must be an int, got {kind}$"):
             power(element(make_params(12, 1, 8), 5), e)
+        # generator_power reads its exponent the same way: 2.0 used to give k = 6.0
+        with pytest.raises(UsageError, match=rf"^exponent must be an int, got {kind}$"):
+            generator_power(make_params(MERSENNE61, 3, 128), e)
+
+    @pytest.mark.parametrize("e", [np.int64(2**61), np.int64(2**62), np.uint64(1000),
+                                   np.int32(-1), True])
+    def test_generator_power_integer_exponent_is_exact(self, e):
+        # a numpy exponent used to leave a numpy k, wrapped in int64 from 3 * 2^62 on
+        p = make_params(MERSENNE61, 3, 128)
+        a = generator_power(p, e)
+        assert a == power(generator(p), int(e)) == element(p, 3 * int(e))
+        assert type(a.k) is int
 
     def test_params_mismatch(self):
         a = element(make_params(12, 1, 8), 3)

@@ -34,3 +34,9 @@ def test_failing_hypothesis_test_is_reported_with_the_rest(tmp_path):
     assert "2 failed" in run.stdout, run.stdout
     assert "FAILED" in run.stdout and "test_given_fails" in run.stdout
     assert "test_plain_fails" in run.stdout
+
+
+def test_a_hung_test_dumps_its_stacks(pytestconfig):
+    # faulthandler_timeout: a test that hangs (on a worker pool, say) has its
+    # threads' stacks dumped instead of stalling the suite without a word
+    assert 0 < float(pytestconfig.getini("faulthandler_timeout")) <= 300
