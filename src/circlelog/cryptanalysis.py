@@ -15,10 +15,10 @@ bit-identical no matter how trials are ordered or parallelized.
 The sweep and the accumulation experiment cut each row's trials into ranges
 of ``_RANGE_CHUNKS`` draw chunks and sum the ranges' success counts per
 row. A call of ``_POOL_DRAWS`` draws or more counts its ranges in a pool of
-forked worker processes, one per usable CPU, which lives only for that
-call; a smaller call, and any call in a process with one usable CPU, a
-second Python thread or a start method other than fork, counts them
-in-process. Each worker draws and counts whole ranges and sends back only
+forked worker processes, one per usable CPU but no more than there are
+ranges, which lives only for that call; a smaller call, and any call in a
+process with one usable CPU, a second Python thread or a start method other
+than fork, counts them in-process. Each worker draws and counts whole ranges and sends back only
 their counts, so the rows, and the CSVs written from them, are the same
 bytes either way.
 """
@@ -39,7 +39,7 @@ from .contlog import DEFAULT_TOLERANCE
 from .errors import InvalidOrder, OrderTooLarge, ParamsMismatch, UsageError
 from .group import ExactElement, GroupParams, NumericElement
 
-try:  # CPython's built-in SHA-256: its copy() is a struct copy, not an OpenSSL one
+try:  # CPython's built-in SHA-256: one call on a short path is cheaper than OpenSSL's
     from _sha256 import sha256 as _sha256
 except ImportError:
     try:
@@ -49,13 +49,14 @@ except ImportError:
 
 _CHUNK = 1 << 12  # most draws hashed before one reduction, unless a trial has more
 # Draws from which a call counts its trial ranges in forked workers. A pool
-# of two took 9-13 ms to start, map and shut down (2 CPUs, Python 3.11.7),
-# and a draw about 0.7 us: two workers halve the draw time, which repays the
-# pool from about 2 * 13 ms / 0.7 us = 37 000 draws. At 2^18 draws (180 ms
-# in-process) the pool costs under a seventh of what it saves, and the
-# default sweep (110 000 draws) and attack (10 000) stay in-process, so their
-# cold starts are unchanged.
-_POOL_DRAWS = 1 << 18
+# of two took 9-19 ms to start, map and shut down (2 CPUs, Python 3.11.7),
+# and a draw about 0.7 us, so two workers, which halve the draw time, repay
+# it from about 2 * 13 ms / 0.7 us = 37 000 draws. The first pool in a
+# process also imports multiprocessing and concurrent.futures (14-27 ms),
+# which a cold command repays from about 2 * 32 ms / 0.7 us = 90 000 draws.
+# At 2^16 draws a warm call gains and a cold one loses at most ~10 ms; the
+# default sweep (110 000 draws) forks and the default attack (10 000) does not.
+_POOL_DRAWS = 1 << 16
 # Draw chunks in one trial range, the unit a worker counts: up to 32 768
 # draws, ~25 ms. Handing out ranges of one chunk took the parent ~0.1 s of
 # CPU per pooled accumulate (330 ranges), slowing the workers it shares the
@@ -97,10 +98,10 @@ def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
     The contract is the byte string: the draw is v mod n for the first
     counter = 0, 1, ... at which v, the SHA-256 digest of the ASCII path
     "seed/i1/.../ik/counter" read big-endian, falls below the largest multiple
-    of n at or under 2^256 (n outside [1, 2^256] is ``InvalidOrder``). SHA-256
-    is a streaming hash, so a copy of the state after a path prefix gives the
-    same digest: ``_draw_chunks`` relies on this to stream draws, at most
-    ``max(_CHUNK, m)`` held at once, without rebuilding and rehashing each path.
+    of n at or under 2^256 (n outside [1, 2^256] is ``InvalidOrder``).
+    ``_draw_chunks`` streams the same draws, at most ``max(_CHUNK, m)`` held at
+    once, building each counter-0 path as bytes and hashing it in one call;
+    only a digest rejected there comes back here.
     """
     limit = _limit(n)
     counter = 0
@@ -165,29 +166,22 @@ def _draw_chunks(seed: int, head: int, n: int, trials: int, m: int, first: int =
 
     Yields them in (t, j) order, in chunks of whole trials and at most
     ``max(_CHUNK, m)`` draws, cut every ``_per_chunk(m)`` trials from
-    ``first``. "seed/head/m/" is hashed once and "t/" once per trial; each
-    draw then hashes only "j/0" into a copy of the trial state. A chunk is
-    reduced mod n at once: in numpy for n <= 2^32, yielding the int64 array
-    that the kernel computes on, with Python ints above (a list). A digest
-    rejected at counter 0 is redrawn by ``derive_uniform``.
+    ``first``. Each draw's path "seed/head/m/t/j/0" is joined from bytes made
+    once per row, trial and element and hashed in one call: under 56 bytes it
+    is one SHA-256 block, no more than a copied prefix state would compress.
+    A chunk is reduced mod n at once: in numpy for n <= 2^32, yielding the
+    int64 array that the kernel computes on, with Python ints above (a list).
+    A digest rejected at counter 0 is redrawn by ``derive_uniform``.
     """
     limit = _limit(n)
     reduce = _reduce_words if n <= 1 << 32 else _reduce_ints
-    block = _sha256(f"{seed}/{head}/{m}/".encode("ascii"))
+    prefix = f"{seed}/{head}/{m}/".encode("ascii")
     tails = [b"%d/0" % j for j in range(m)]
     per_chunk = _per_chunk(m)
     for start in range(first, trials, per_chunk):
-        digests: list[bytes] = []
-        append = digests.append
-        for t in range(start, min(start + per_chunk, trials)):
-            trial = block.copy()
-            trial.update(b"%d/" % t)
-            copy = trial.copy
-            for tail in tails:
-                h = copy()
-                h.update(tail)
-                append(h.digest())
-        values, rejected = reduce(digests, n, limit)
+        heads = [prefix + b"%d/" % t for t in range(start, min(start + per_chunk, trials))]
+        paths = [trial + tail for trial in heads for tail in tails]
+        values, rejected = reduce([h.digest() for h in map(_sha256, paths)], n, limit)
         for i in rejected:
             t, j = divmod(i, m)
             values[i] = derive_uniform(seed, (head, m, start + t, j), n)
@@ -209,21 +203,22 @@ def _rows(n: int, trials: int, dnum: int, dden: int, seed: int,
 
     Each row's trials are cut into ranges of ``_RANGE_CHUNKS`` draw chunks,
     which ``_count`` turns into success counts, summed per row. A call that
-    ``_pool_workers`` gives workers counts its ranges in a pool of forked
-    workers, made and shut down here; every other call counts them in this
-    process, with the same sums. An order without seeded draws
+    ``_pool_workers`` gives workers counts its ranges in a pool of that many
+    forked workers, or one per range if there are fewer, made and shut down
+    here; every other call counts them in this process, with the same sums. An order without seeded draws
     (``InvalidOrder``) is refused before any worker starts.
     """
     _limit(n)
 
+    firsts = [range(0, trials, _RANGE_CHUNKS * _per_chunk(m)) for _, _, m in rows]
+
     def spans():
-        for row, (_, p, m) in enumerate(rows):
-            step = _RANGE_CHUNKS * _per_chunk(m)
-            for first in range(0, trials, step):
-                yield row, (n, p, m, dnum, dden, seed, first, min(first + step, trials))
+        for row, ((_, p, m), starts) in enumerate(zip(rows, firsts)):
+            for first in starts:
+                yield row, (n, p, m, dnum, dden, seed, first, min(first + starts.step, trials))
 
     successes = [0] * len(rows)
-    workers = _pool_workers(trials * sum(m for _, _, m in rows))
+    workers = min(_pool_workers(trials * sum(m for _, _, m in rows)), sum(map(len, firsts)))
     if not workers:
         for row, span in spans():
             successes[row] += _count(span)

@@ -351,6 +351,7 @@ class TestDrawBlock:
         (3, 30, 1 << 63, 25, 2),  # largest n whose draws all fit int64
         (5, 250, 2**255 + 1, 60, 3),  # ~half of first digests rejected
         (2, 70, 2**64 + 13, 20, 4),  # draws beyond int64: list
+        (10**60 + 7, 12, 1000, 40, 3),  # each path spans two SHA-256 blocks
         (9, 4, 17, 0, 5),
         (9, 4, 17, 6, 0),
     ])
@@ -422,7 +423,7 @@ class TestDrawBlock:
     @pytest.mark.skipif(platform.python_implementation() != "CPython",
                         reason="the built-in SHA-256 module is CPython's")
     def test_draws_use_the_builtin_sha256(self):
-        # the built-in's copy() is a struct copy, much cheaper than OpenSSL's
+        # one call of the built-in on a short path is cheaper than OpenSSL's
         name = "_sha256" if sys.version_info < (3, 12) else "_sha2"
         builtin = importlib.import_module(name).sha256
         assert cryptanalysis._sha256 is builtin
@@ -530,6 +531,11 @@ class TestInputValidation:
         assert report.successes == 1 and report.recovered == 5
 
 
+def _ranges(trials, ms, chunk=cryptanalysis._CHUNK, range_chunks=cryptanalysis._RANGE_CHUNKS):
+    """How many trial ranges a call cuts its rows of chain lengths ``ms`` into."""
+    return sum(-(-trials // (range_chunks * max(1, chunk // m))) for m in ms)
+
+
 def _forks(mp):
     """Count the forks made in this process from here on (``mp`` patches ``os.fork``)."""
     forks = []
@@ -576,7 +582,11 @@ class TestPool:
             mp.setattr(cryptanalysis, "_POOL_DRAWS", 1)
             forks = _forks(mp)
             assert self.experiments(n, p, m, trials, seed) == serial
-            assert len(forks) == 2 * cryptanalysis._pool_workers(1 << 62)
+            # one worker per usable CPU, but no more than the call has ranges
+            workers = cryptanalysis._pool_workers(1 << 62)
+            assert len(forks) == sum(
+                min(workers, _ranges(trials, ms, chunk, range_chunks))
+                for ms in ([1, 1], range(1, m + 1)))
         assert multiprocessing.active_children() == []
 
     def test_redraws_inside_workers(self, monkeypatch):
@@ -589,10 +599,21 @@ class TestPool:
         assert self.experiments(n, p, 3, 150, 5) == serial
         assert forks and multiprocessing.active_children() == []
 
-    def test_default_accumulate_is_pooled_and_sweep_is_not(self):
+    def test_default_sweep_is_pooled_and_attack_is_not(self):
+        # sweep: 10 000 trials in each of eleven rows; attack: 10 000 draws
         workers = cryptanalysis._pool_workers(1 << 62)
-        assert cryptanalysis._pool_workers(10_000 * sum(range(1, 17))) == workers
-        assert cryptanalysis._pool_workers(10_000 * 11) == 0
+        assert cryptanalysis._pool_workers(10_000 * 11) == workers
+        assert cryptanalysis._pool_workers(10_000) == 0
+
+    def test_no_more_workers_than_ranges(self, monkeypatch):
+        # three rows of 100 trials are three ranges: eight usable CPUs fork three
+        serial = precision_sweep(1000, [10, 11, 12], 100, seed=3)
+        assert _ranges(100, [1, 1, 1]) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(cryptanalysis, "_POOL_DRAWS", 1)
+        forks = _forks(monkeypatch)
+        assert precision_sweep(1000, [10, 11, 12], 100, seed=3) == serial
+        assert len(forks) == 3 and multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("call", [
         lambda: accumulation_experiment((1 << 256) + 1, 300, [1, 2], 10**6),

@@ -48,14 +48,21 @@ server.join()
 print(sorted(name for name in LAZY if name in sys.modules))
 """
 
-# One command through cli.main, after checking that the import loaded none of LAZY.
+# One command through cli.main, after checking that the import loaded none of
+# LAZY; then that it left no child process, running or unreaped.
 COMMAND = """
-import sys
+import os, sys
 
 from circlelog.cli import main
 
 assert not any(name in sys.modules for name in LAZY)
 assert main(sys.argv[1:]) == 0
+try:
+    child = os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    raise AssertionError(f"a child process outlived the command: {child}")
 print(sorted(name for name in LAZY if name in sys.modules))
 """
 
@@ -101,6 +108,14 @@ def test_kernel_commands_load_numpy_on_first_use(argv):
 def test_large_experiment_loads_the_pool():
     # nor is the pool's: accumulate at 10 000 trials makes 1 360 000 draws
     argv = ["accumulate", "--n", "1000", "--p", "12", "--m-max", "16"]
+    assert _last_line("-c", PREAMBLE + COMMAND, *argv) == repr(sorted(LAZY))
+
+
+@pytest.mark.skipif(cryptanalysis._pool_workers(1 << 62) < 2,
+                    reason="needs two usable CPUs and fork as the start method")
+def test_default_sweep_loads_the_pool():
+    # eleven rows of 10 000 trials: 110 000 draws, counted in the pool
+    argv = ["sweep", "--n", "256", "--p-min", "2", "--p-max", "12"]
     assert _last_line("-c", PREAMBLE + COMMAND, *argv) == repr(sorted(LAZY))
 
 
