@@ -13,7 +13,7 @@ Conventions:
 The scalar ``to_numeric_t``/``recover_t`` use exact Python ints: per call they
 beat numpy scalars (through the array body the exhaustive round trip took 26 %
 longer). Each array kernel has one numpy body that rounds through ``_angles``,
-and refuses invalid input with a ``UsageError`` that names it:
+reads its parameters with ``_integer`` and names invalid input in a ``UsageError``:
 
 - ``chain_success_count(n, p, dnum, dden, ks_flat, m)``, called once per draw
   chunk, counts the whole chains of m exponents in ``ks_flat``; it refuses
@@ -39,12 +39,25 @@ scan call loads it and the scalar path that the protocols use never does.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import OrderTooLarge, UsageError
 
 EXHAUSTIVE_ORDER_GUARD = 1 << 24  # largest n whose every exponent a scan examines
 _SCAN_CHUNK = 1 << 16  # exponents per scan step: bounds memory, object arrays included
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as the exact int it holds, read through ``operator.index``: the
+    package's one integer rule. A numpy integer counts as its value; anything else,
+    a bool included, raises ``UsageError`` "<name> must be an int, got <type>"."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise UsageError(f"{name} must be an int, got {type(value).__name__}")
 
 
 def tolerance(delta) -> tuple[int, int]:
@@ -87,9 +100,10 @@ def recover_t(t: int, n: int, p: int, dnum: int, dden: int) -> int:
 
 
 def _angles(r: np.ndarray, n: int, p: int) -> np.ndarray:
-    """round(2^p * r / n) mod 2^p, half to even, for an int64 or object array r in [0, n).
+    """round(2^p * r / n), half to even, for an int64 or object array r in [0, n).
 
-    Overwrites r. n * 2^p < 2^63 bounds every intermediate but 2r at p = 0, masked away.
+    Both callers read 2^p, a full turn, as 0. Overwrites r. n * 2^p < 2^63 bounds
+    every intermediate but 2r at p = 0, where every angle is 0 whatever q is.
     """
     r <<= p
     q = r // n  # not np.divmod, which has no object loop
@@ -97,7 +111,6 @@ def _angles(r: np.ndarray, n: int, p: int) -> np.ndarray:
     r <<= 1  # q rounds up iff 2r + (q & 1) > n
     r |= q & 1
     q += r > n
-    q &= (1 << p) - 1
     return q
 
 
@@ -110,9 +123,9 @@ def chain_success_count(n, p, dnum, dden, ks_flat, m) -> int:
     the chain succeeds iff the exponent recovered from the numeric product
     equals the exact one.
     """
+    n, p, dnum, dden, m = map(_integer, ("n", "p", "dnum", "dden", "m"), (n, p, dnum, dden, m))
     if m < 1 or len(ks_flat) % m:
         raise UsageError(f"a block of {len(ks_flat)} exponents is not whole chains of m={m}")
-    n, p, dnum, dden, m = int(n), int(p), int(dnum), int(dden), int(m)
     if n < 1 or p < 0 or not 0 <= 2 * dnum < dden:
         raise UsageError(f"chains need n >= 1, p >= 0 and 0 <= 2*dnum < dden, "
                          f"got n={n}, p={p}, dnum={dnum}, dden={dden}")
@@ -151,7 +164,7 @@ def sweep_success_count(n: int, p: int, dnum: int, dden: int, ks) -> int:
 
 def roundtrip_all(n: int, p: int, dnum: int, dden: int) -> int:
     """Count exponents k in [0, n) surviving to_numeric -> recover intact."""
-    if n > EXHAUSTIVE_ORDER_GUARD:  # np.arange(n) would take 8n bytes
+    if _integer("n", n) > EXHAUSTIVE_ORDER_GUARD:  # np.arange(n) would take 8n bytes
         raise OrderTooLarge(f"exhaustive round trip refused for n={n} > 2^24")
     import numpy as np
 
@@ -164,7 +177,7 @@ def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
     The distance is taken around the circle, in units of 2^-p turn; the
     smallest k wins ties. Every exponent is examined; n < 1 gives (0, 2^p).
     """
-    t, n, p = int(t), int(n), int(p)
+    t, n, p = _integer("t", t), _integer("n", n), _integer("p", p)
     if p < 0:
         raise UsageError(f"angles need a precision p >= 0, got p={p}")
     full = 1 << p

@@ -6,9 +6,9 @@ integer branch b, so a single point has infinitely many logarithm values.
 of branches, and ``recover_exponent`` inverts the map k -> angle, which is
 the operation whose difficulty the whole scheme rests on.
 
-``DEFAULT_TOLERANCE`` is split into its exact (numerator, denominator) pair
-once, at import; ``recover_exponent`` reuses that pair for the default and
-splits (and range-checks) any other tolerance per call.
+``recover_exponent``, the honest decoder of ``sign`` and ``verify``, uses only
+``DEFAULT_TOLERANCE``, split once at import; the attacks and experiments pass
+the tolerance they are given to ``_kernels.recover_t``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import AmbiguousAngle, UsageError
 from .group import GroupParams, NumericElement
 
 DEFAULT_TOLERANCE = Fraction(1, 5)
-_DEFAULT_SPLIT = _kernels.tolerance(DEFAULT_TOLERANCE)
+_DNUM, _DDEN = _kernels.tolerance(DEFAULT_TOLERANCE)
 
 
 @dataclass(frozen=True)
@@ -59,23 +59,19 @@ def log_branches(q: NumericElement, window: int) -> list[ContinuousLogValue]:
     return [ContinuousLogValue(q.params, q.t, b) for b in range(-window, window + 1)]
 
 
-def recover_exponent(q: NumericElement, tolerance: Fraction = DEFAULT_TOLERANCE) -> int:
+def recover_exponent(q: NumericElement) -> int:
     """Invert the exponent map: nearest k to q.t * n / 2^p, reduced mod n.
 
-    Succeeds iff the distance to the nearest integer is <= 1/2 - tolerance;
-    the comparison is exact rational arithmetic, never floating division. A
-    tolerance outside [0, 1/2) raises ``UsageError``.
+    Succeeds iff the distance to the nearest integer is <= 1/2 -
+    ``DEFAULT_TOLERANCE``, else raises ``AmbiguousAngle``; the comparison is
+    exact rational arithmetic, never floating division.
     """
-    if tolerance is DEFAULT_TOLERANCE:
-        dnum, dden = _DEFAULT_SPLIT
-    else:
-        dnum, dden = _kernels.tolerance(tolerance)
     params = q.params
     n, p = params.n, params.p
-    k = _kernels.recover_t(q.t, n, p, dnum, dden)
+    k = _kernels.recover_t(q.t, n, p, _DNUM, _DDEN)
     if k < 0:
         raise AmbiguousAngle(
-            f"angle t={q.t} sits within {dnum / dden:g} of the decision boundary "
+            f"angle t={q.t} sits within {_DNUM / _DDEN:g} of the decision boundary "
             f"between two exponents (n={n}, p={p})"
         )
     return k

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from . import _kernels
-from ._kernels import EXHAUSTIVE_ORDER_GUARD
+from ._kernels import EXHAUSTIVE_ORDER_GUARD, _integer
 from .contlog import DEFAULT_TOLERANCE
 from .errors import InvalidOrder, OrderTooLarge, ParamsMismatch, UsageError
 from .group import ExactElement, GroupParams, NumericElement
@@ -98,14 +98,16 @@ def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
     The contract is the byte string: the draw is v mod n for the first
     counter = 0, 1, ... at which v, the SHA-256 digest of the ASCII path
     "seed/i1/.../ik/counter" read big-endian, falls below the largest multiple
-    of n at or under 2^256 (n outside [1, 2^256] is ``InvalidOrder``).
+    of n at or under 2^256 (n outside [1, 2^256] is ``InvalidOrder``). seed,
+    indices and n are read by ``_kernels._integer``: a numpy index hashes as its int.
     ``_draw_chunks`` streams the same draws, at most ``max(_CHUNK, m)`` held at
     once, building each counter-0 path as bytes and hashing it in one call;
     only a digest rejected there comes back here.
     """
+    n = _integer("n", n)
     limit = _limit(n)
     counter = 0
-    path = "/".join(str(i) for i in (seed, *indices))
+    path = "/".join(map(str, (_integer("seed", seed), *(_integer("index", i) for i in indices))))
     while True:
         digest = hashlib.sha256(f"{path}/{counter}".encode("ascii")).digest()
         v = int.from_bytes(digest, "big")
@@ -277,26 +279,31 @@ def _experiment_inputs(
     p_values: Sequence[int],
     trials: int,
     delta: Fraction,
+    seed: int,
     chain_lengths: Sequence[int] = (1,),
-) -> tuple[int, int]:
-    """Check an experiment's inputs before any draw or kernel sees them.
+) -> tuple[tuple[int, int, int, int, int], list[int], list[int]]:
+    """Read and check an experiment's inputs before any draw or kernel sees them.
 
-    A request of impossible shape (fewer than one trial, an empty precision
-    or chain-length range, a chain length m < 1, a tolerance outside
-    [0, 1/2)) raises ``UsageError``; an order or precision no group has
-    raises ``GroupParams``'s ``InvalidOrder`` for the first p out of range.
-    Returns delta as (numerator, denominator).
+    n, trials, seed, each m and each p are read by ``_kernels._integer``; a
+    request of impossible shape (fewer than one trial, an empty precision or
+    chain-length range, m < 1, a tolerance outside [0, 1/2)) raises
+    ``UsageError``; an order or precision no group has raises ``GroupParams``'s
+    ``InvalidOrder`` for the first p out of range. Returns ``_rows``' leading
+    arguments (n, trials, dnum, dden, seed), the p's in the order given and the m's.
     """
+    n, trials, seed = _integer("n", n), _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     if not p_values:
         raise UsageError("precision range is empty (p-min > p-max?)")
-    if not chain_lengths or min(chain_lengths) < 1:
+    ms = [_integer("m", m) for m in chain_lengths]
+    if not ms or min(ms) < 1:
         raise UsageError("chain lengths must be a non-empty range of m >= 1 (m-max < 1?)")
     dnum, dden = _kernels.tolerance(delta)
     for p in p_values:  # generator 1 (0 if n = 1) is primitive: only n and p can fail
         GroupParams(n, 1 if n > 1 else 0, p)
-    return dnum, dden
+    # listed only once every p is valid: a range up to p = 10^11 fails at 2^16 + 1
+    return (n, trials, dnum, dden, seed), [_integer("p", p) for p in p_values], ms
 
 
 def _check_public(public, params: GroupParams, kinds: tuple[type, ...], needs: str) -> None:
@@ -399,8 +406,8 @@ def precision_sweep(
     seed: int = 0,
 ) -> list[SweepRow]:
     """Round-trip success rate vs angular precision, one row per p."""
-    dnum, dden = _experiment_inputs(n, p_range, trials_per_p, delta)
-    return _rows(n, trials_per_p, dnum, dden, seed, [(p, p, 1) for p in sorted(p_range)])
+    inputs, ps, _ = _experiment_inputs(n, p_range, trials_per_p, delta, seed)
+    return _rows(*inputs, [(p, p, 1) for p in sorted(ps)])
 
 
 def accumulation_experiment(
@@ -422,8 +429,8 @@ def accumulation_experiment(
     m = floor((1/2 - delta)*2^p / max|e|) + 1 (never if n divides 2^p, where
     e = 0). At n = 1000, p = 12, delta = 1/5, max|e| = 496 and that m is 3.
     """
-    dnum, dden = _experiment_inputs(n, (p,), trials, delta, chain_lengths)
-    return _rows(n, trials, dnum, dden, seed, [(m, p, m) for m in chain_lengths])
+    inputs, (p,), ms = _experiment_inputs(n, (p,), trials, delta, seed, chain_lengths)
+    return _rows(*inputs, [(m, p, m) for m in ms])
 
 
 def write_csv(rows: Iterable[SweepRow], stream: TextIO) -> None:

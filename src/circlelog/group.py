@@ -12,8 +12,9 @@ field by field, cheap to build and read on the scalar round trip.
 A ``GroupParams`` is valid by construction, whether built by ``make_params``,
 by the class, by ``dataclasses.replace``, by ``copy`` or by unpickling, so no
 consumer re-checks one, and the class is the one home of the (n, p) rule: the
-seeded experiments check an order and each precision by building a group.
-Elements are not checked: they are built on the measured round trip.
+seeded experiments check an order and each precision by building a group,
+which stores n, g and p as ``_kernels._integer`` reads them. Elements are not
+checked: they are built on the measured round trip.
 
 The two element classes build through their generated ``__init__``, which is
 the public constructor and the one ``dataclasses.replace`` calls; every exact
@@ -28,11 +29,11 @@ up by name and is slow.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import InvalidOrder, NotPrimitive, ParamsMismatch, UsageError
+from ._kernels import _integer
+from .errors import InvalidOrder, NotPrimitive, ParamsMismatch
 
 MAX_PRECISION = 1 << 16  # bits; to_numeric shifts k mod n left by p
 
@@ -46,6 +47,8 @@ class GroupParams:
     p: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "g", "p"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         n, g, p = self.n, self.g, self.p
         if n < 1:
             raise InvalidOrder(f"group order must be >= 1, got {n}")
@@ -131,22 +134,9 @@ def inv(a: ExactElement) -> ExactElement:
 
 
 def power(a: ExactElement, e: int) -> ExactElement:
-    """a raised to the e-th power; e is read by ``_exponent``, then reduced
+    """a raised to the e-th power; e is read by ``_integer``, then reduced
     mod n (negatives fine)."""
-    return element(a.params, a.k * (_exponent(e) % a.params.n))
-
-
-def _exponent(e) -> int:
-    """e as the exact int it holds, read through ``operator.index``.
-
-    A numpy integer counts as its value; a float or any other non-integer
-    raises UsageError naming its type. ``power`` and
-    ``protocols.generator_power`` read their exponents here.
-    """
-    try:
-        return operator.index(e)
-    except TypeError:
-        raise UsageError(f"exponent must be an int, got {type(e).__name__}") from None
+    return element(a.params, a.k * (_integer("exponent", e) % a.params.n))
 
 
 def to_numeric(a: ExactElement) -> NumericElement:

@@ -6,12 +6,12 @@ derived. A public key holds h; its params are h's. Every secret scalar
 (key, ephemeral, nonce, DH end) lies in [1, n), so n < 2 raises
 InvalidOrder. A key refuses an x, or an h whose exponent k, outside [1, n)
 (UsageError), so no key exists for n < 2; DH refuses a peer's public the
-same way. A value of the wrong type is
-refused too (UsageError): x, R and s must be ints; h, a ciphertext's c1 and
-c2, ElGamal's m and a DH peer's public must be ExactElements. A key used
-with another group's element or ciphertext raises ParamsMismatch, as mul
-does. Signatures need a prime order and a p that meets the recovery bound,
-so reading R back from its angle never fails.
+same way. A value of the wrong type is refused too (UsageError): x, R and s
+are read into ints by ``_kernels._integer``; h, a ciphertext's c1 and c2,
+ElGamal's m and a DH peer's public must be ExactElements. A key used with
+another group's element or ciphertext raises ParamsMismatch, as mul does.
+Signatures need a prime order and a p that meets the recovery bound, so
+reading R back from its angle never fails.
 
 None of this is secure: the cryptanalysis module measures exactly how cheap
 the inversion is. The package exists to make that measurement.
@@ -23,6 +23,7 @@ import hashlib
 from dataclasses import dataclass
 from random import Random
 
+from ._kernels import _integer
 from .contlog import exponent_recovery_bound, recover_exponent
 from .errors import (
     AmbiguousAngle, CompositeOrder, InvalidOrder, MessageTooLarge, OrderTooLarge, UsageError,
@@ -31,7 +32,6 @@ from .group import (
     ExactElement,
     GroupParams,
     _check_params,
-    _exponent,
     element,
     inv,
     mul,
@@ -60,7 +60,7 @@ class KeyPair:
     x: int
 
     def __post_init__(self) -> None:
-        _check_int("x", self.x)
+        object.__setattr__(self, "x", _integer("x", self.x))
         if not 1 <= self.x < self.params.n:
             raise UsageError(f"x={self.x} outside [1, n)")
 
@@ -91,14 +91,8 @@ class Signature:
     s: int
 
     def __post_init__(self) -> None:
-        _check_int("R", self.R)
-        _check_int("s", self.s)
-
-
-def _check_int(name: str, value) -> None:
-    """UsageError unless ``value`` is an int; a bool is refused, not read as 0 or 1."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UsageError(f"{name} must be an int, got {type(value).__name__}")
+        object.__setattr__(self, "R", _integer("R", self.R))
+        object.__setattr__(self, "s", _integer("s", self.s))
 
 
 def _check_element(name: str, value) -> None:
@@ -119,8 +113,8 @@ def random_scalar(rng: Random, n: int) -> int:
 
 
 def generator_power(params: GroupParams, e: int) -> ExactElement:
-    """g^e; e is read as ``power`` reads it (``group._exponent``)."""
-    return element(params, params.g * _exponent(e))
+    """g^e; e is read as ``power`` reads it (``_kernels._integer``)."""
+    return element(params, params.g * _integer("exponent", e))
 
 
 def keygen(params: GroupParams, rng: Random) -> KeyPair:
@@ -245,9 +239,8 @@ def sign(sk: KeyPair, message: bytes, rng: Random) -> Signature:
     while True:
         w = random_scalar(rng, n)
         commitment = generator_power(sk.params, w)
+        # exact above the recovery bound, and g*w mod n != 0 for n prime: R in [1, n)
         big_r = recover_exponent(to_numeric(commitment))
-        if big_r == 0:
-            continue
         s = pow(w, -1, n) * (e + sk.x * big_r) % n
         if s == 0:
             continue

@@ -453,6 +453,13 @@ def test_malformed_key_file_error_names_its_path(keys, capsys):
     assert err.startswith(f"error: {keys['priv']}: line 6: field 'x'")
 
 
+def test_sign_with_a_public_key_exits_1(keys, tmp_path, capsys):
+    out = tmp_path / "pub.sig"
+    argv = ["sign", "--key", str(keys["pub"]), "--message", "hi", "--seed", "3", "--out", str(out)]
+    assert _exits_1_with_error(capsys, argv) == f"error: {keys['pub']}: expected a private key\n"
+    assert not out.exists()
+
+
 def _peak_allocation(argv):
     """(exit code, peak bytes Python allocated) of one in-process CLI run."""
     tracemalloc.start()

@@ -70,31 +70,30 @@ class TestLogBranches:
 class TestRecoverExponent:
     def test_exact_representable(self):
         p = make_params(8, 1, 16)
-        assert recover_exponent(to_numeric(element(p, 3)), Fraction(1, 100)) == 3
+        q = to_numeric(element(p, 3))
+        assert recover_exponent(q) == _kernels.recover_t(q.t, 8, 16, 1, 100) == 3
 
     def test_near_boundary_rational_oracle(self):
         # x = 65*4/256 = 1.015625 by exact rationals; distance 1/64 <= 0.4
         x = Fraction(65 * 4, 256)
         assert abs(x - round(x)) <= Fraction(1, 2) - Fraction(1, 10)
         p = make_params(4, 1, 8)
-        assert recover_exponent(NumericElement(p, 65), Fraction(1, 10)) == 1
+        assert _kernels.recover_t(65, 4, 8, 1, 10) == recover_exponent(NumericElement(p, 65)) == 1
 
     def test_exact_midpoint_is_ambiguous(self):
         p = make_params(4, 1, 3)
         with pytest.raises(AmbiguousAngle):
-            recover_exponent(NumericElement(p, 3), Fraction(1, 5))
+            recover_exponent(NumericElement(p, 3))
 
     def test_tolerance_domain(self):
-        p = make_params(4, 1, 8)
         with pytest.raises(ValueError):
-            recover_exponent(NumericElement(p, 0), Fraction(1, 2))
+            _kernels.tolerance(Fraction(1, 2))
 
     def test_tolerance_domain_is_usage_error(self):
-        # the one range check lives in _kernels.tolerance; it raises
-        # UsageError, which existing ``except ValueError`` callers still catch
-        p = make_params(4, 1, 8)
+        # the one range check of a tolerance handed to _kernels.recover_t
+        # raises UsageError, which existing ``except ValueError`` callers catch
         with pytest.raises(UsageError) as exc:
-            recover_exponent(NumericElement(p, 0), Fraction(1, 2))
+            _kernels.tolerance(Fraction(1, 2))
         assert isinstance(exc.value, ValueError)
 
     def test_wraps_past_full_turn(self):
@@ -103,36 +102,43 @@ class TestRecoverExponent:
 
 
 class TestDefaultTolerance:
-    """The default tolerance is split once; any other value is split per call."""
+    """recover_exponent decodes with DEFAULT_TOLERANCE; other tolerances go to the kernel."""
 
     @pytest.mark.parametrize("n, bits", [(1000, 12), (4096, 14), (10007, 16)])
     def test_default_and_equal_fraction_agree(self, n, bits):
         equal = Fraction(1, 5)
         assert equal == DEFAULT_TOLERANCE and equal is not DEFAULT_TOLERANCE
+        dnum, dden = _kernels.tolerance(equal)
         params = make_params(n, 1, bits)
         for k in range(n):
             q = to_numeric(element(params, k))
-            assert recover_exponent(q) == recover_exponent(q, equal) == k
+            assert recover_exponent(q) == _kernels.recover_t(q.t, n, bits, dnum, dden) == k
 
     @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(-1, 5)])
     def test_out_of_range_still_refused(self, delta):
-        q = to_numeric(element(make_params(1000, 1, 12), 7))
         with pytest.raises(UsageError, match="delta must lie in"):
-            recover_exponent(q, delta)
+            _kernels.tolerance(delta)
 
     @pytest.mark.parametrize("delta", [Fraction(0), Fraction(49, 100)])
     @pytest.mark.parametrize("n, bits", [(1000, 8), (12, 6), (1000, 12)])
     def test_other_tolerances_match_the_kernel(self, delta, n, bits):
+        # recover_t at delta against the exact rational rule, and
+        # recover_exponent against recover_t at the default tolerance
         params = make_params(n, 1, bits)
         ambiguous = 0
         for t in range(1 << bits):
+            x = Fraction(t * n, 1 << bits)
+            nearest = round(x)  # half to even, as the kernel rounds
+            fits = abs(x - nearest) <= Fraction(1, 2) - delta
             k = _kernels.recover_t(t, n, bits, delta.numerator, delta.denominator)
-            if k < 0:
-                ambiguous += 1
+            assert k == (nearest % n if fits else -1)
+            ambiguous += k < 0
+            default = _kernels.recover_t(t, n, bits, 1, 5)
+            if default < 0:
                 with pytest.raises(AmbiguousAngle):
-                    recover_exponent(NumericElement(params, t), delta)
+                    recover_exponent(NumericElement(params, t))
             else:
-                assert recover_exponent(NumericElement(params, t), delta) == k
+                assert recover_exponent(NumericElement(params, t)) == default
         assert (ambiguous > 0) == (delta > 0)  # delta = 0 accepts every angle
 
 

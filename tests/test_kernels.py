@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelog import (
-    KERNEL_BACKEND, OrderTooLarge, UsageError, _kernels, element, make_params, recover_exponent,
-    to_numeric,
+    KERNEL_BACKEND, OrderTooLarge, UsageError, _kernels, element, make_params, to_numeric,
 )
 from circlelog.cryptanalysis import (
     EXHAUSTIVE_ORDER_GUARD, accumulation_experiment, attack_direct, precision_sweep,
@@ -424,7 +423,6 @@ def test_tolerance_refuses_what_is_not_a_finite_rational(delta):
     public = to_numeric(element(params, 5))
     shown = f"^delta must be a finite rational, got {re.escape(repr(delta))}$"
     for call in (lambda: _kernels.tolerance(delta),
-                 lambda: recover_exponent(public, delta),
                  lambda: attack_direct(public, params, delta),
                  lambda: precision_sweep(1000, [12], 5, delta),
                  lambda: accumulation_experiment(1000, 12, [2], 5, delta)):

@@ -268,3 +268,44 @@ def test_non_utf8_server_line_names_ok():
         with pytest.raises(ProtocolError, match="^bytes that are not UTF-8 while waiting for OK$"):
             dh_connect("127.0.0.1", server.getsockname()[1], PARAMS, Random(CLIENT_SEED))
         thread.join(5)
+
+
+def _connect_to(fake_server):
+    """The ``ProtocolError`` text of ``dh_connect`` against ``fake_server(conn, reader)``."""
+
+    def run(server):
+        conn, _ = server.accept()
+        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+            fake_server(conn, reader)
+
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        thread = threading.Thread(target=run, args=(server,), daemon=True)
+        thread.start()
+        with pytest.raises(ProtocolError) as exc:
+            dh_connect("127.0.0.1", server.getsockname()[1], PARAMS, Random(CLIENT_SEED))
+        thread.join(5)
+    assert not thread.is_alive()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("answer", ["NO", "OK PARAMS", "ok", "ERR"])
+def test_server_answering_params_with_neither_ok_nor_err_rejected(answer):
+    def fake_server(conn, reader):
+        for _ in range(2):  # HELLO, PARAMS
+            reader.readline()
+        conn.sendall(f"{answer}\n".encode())
+
+    assert _connect_to(fake_server) == f"expected OK, got {answer!r}"
+
+
+def test_wrong_server_confirm_rejected():
+    def fake_server(conn, reader):
+        for _ in range(2):  # HELLO, PARAMS
+            reader.readline()
+        conn.sendall(b"OK\n")
+        reader.readline()  # A=
+        conn.sendall(b"B=5\n")
+        reader.readline()  # the client's CONFIRM
+        conn.sendall(b"CONFIRM " + b"0" * 64 + b"\n")
+
+    assert _connect_to(fake_server) == f"confirmation mismatch: 'CONFIRM {'0' * 64}'"
