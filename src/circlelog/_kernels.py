@@ -10,10 +10,12 @@ Conventions:
   <= 1/2 - delta;
 - recovery returns the exponent in [0, n), or -1 for an ambiguous angle.
 
-The scalar ``to_numeric_t``/``recover_t`` use exact Python ints: per call they
-beat numpy scalars (through the array body the exhaustive round trip took 26 %
-longer). Each array kernel has one numpy body that rounds through ``_angles``,
-reads its parameters with ``_integer`` and names invalid input in a ``UsageError``:
+Rounding has one body, ``to_numeric_t``: the same steps round an exact Python
+int (``group.to_numeric``, ``attack_direct``) and an int64 or object array (the
+count and the scan below). Recovery keeps two bodies, the scalar ``recover_t``
+on exact ints and the count's vector tail: one branch-free body shared by both
+made the exhaustive benchmark pass 14-18 % slower. Each array kernel reads its
+parameters with ``_integer`` and names invalid input in a ``UsageError``:
 
 - ``chain_success_count(n, p, dnum, dden, ks_flat, m)``, called once per draw
   chunk, counts the whole chains of m exponents in ``ks_flat``; it refuses
@@ -72,12 +74,22 @@ def tolerance(delta) -> tuple[int, int]:
     return dnum, dden
 
 
-def to_numeric_t(k: int, n: int, p: int) -> int:
-    """Fixed-point angle of the n-th root with exponent k: round(2^p * k / n)."""
-    q, r = divmod((k % n) << p, n)
-    if 2 * r + (q & 1) > n:
-        q += 1
-    return q & ((1 << p) - 1)
+def to_numeric_t(k, n: int, p: int):
+    """Fixed-point angle of the n-th root with exponent k: round(2^p * k / n) mod 2^p.
+
+    The one body of the rounding step, for an int k and, elementwise, for an
+    int64 or object array of them (not modified). k need not lie in [0, n):
+    (k + j*n) * 2^p rounds to the same angle mod 2^p, as j * 2^p is even for
+    p >= 1 and the mask gives 0 at p = 0, where 2r may wrap in int64.
+    """
+    r = k << p
+    q = r // n  # not divmod, which has no object-array loop
+    r -= q * n
+    r <<= 1  # q rounds up iff 2r + (q & 1) > n
+    r |= q & 1
+    q += r > n
+    q &= (1 << p) - 1
+    return q
 
 
 def recover_t(t: int, n: int, p: int, dnum: int, dden: int) -> int:
@@ -97,21 +109,6 @@ def recover_t(t: int, n: int, p: int, dnum: int, dden: int) -> int:
     if 2 * dden * dist_num > half_turns * (dden - 2 * dnum):
         return -1
     return k % n
-
-
-def _angles(r: np.ndarray, n: int, p: int) -> np.ndarray:
-    """round(2^p * r / n), half to even, for an int64 or object array r in [0, n).
-
-    Both callers read 2^p, a full turn, as 0. Overwrites r. n * 2^p < 2^63 bounds
-    every intermediate but 2r at p = 0, where every angle is 0 whatever q is.
-    """
-    r <<= p
-    q = r // n  # not np.divmod, which has no object loop
-    r -= q * n
-    r <<= 1  # q rounds up iff 2r + (q & 1) > n
-    r |= q & 1
-    q += r > n
-    return q
 
 
 def chain_success_count(n, p, dnum, dden, ks_flat, m) -> int:
@@ -141,7 +138,7 @@ def chain_success_count(n, p, dnum, dden, ks_flat, m) -> int:
     r = np.remainder(ks.reshape(-1, m), n)
     k_sum = r.sum(axis=1)
     # numeric product: sum of rounded angles mod 2^p
-    t = _angles(r, n, p).sum(axis=1)
+    t = to_numeric_t(r, n, p).sum(axis=1)
     del r
     # recover: nearest integer to t * n / 2^p, within 1/2 - dnum/dden of it
     half = 1 << p
@@ -188,7 +185,7 @@ def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
     dtype = np.int64 if n << p < 1 << 63 else object
     best_k, best_dist = 0, full
     for first in range(0, n, _SCAN_CHUNK):
-        d = _angles(np.arange(first, min(first + _SCAN_CHUNK, n), dtype=dtype), n, p)
+        d = to_numeric_t(np.arange(first, min(first + _SCAN_CHUNK, n), dtype=dtype), n, p)
         d -= t
         np.abs(d, out=d)
         np.minimum(d, full - d, out=d)

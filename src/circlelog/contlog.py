@@ -51,9 +51,10 @@ def log_branches(q: NumericElement, window: int) -> list[ContinuousLogValue]:
     """Branches -window..+window of the logarithm, 2*window+1 values.
 
     Consecutive values differ by exactly one full turn (2^p turn-units); the
-    full solution set is infinite, the caller picks the window. A negative
-    window raises ``UsageError``.
+    full solution set is infinite, the caller picks the window. The window is
+    read by ``_kernels._integer``; a negative one raises ``UsageError``.
     """
+    window = _kernels._integer("window", window)
     if window < 0:
         raise UsageError(f"branch window must be >= 0, got {window}")
     return [ContinuousLogValue(q.params, q.t, b) for b in range(-window, window + 1)]
@@ -83,6 +84,7 @@ def exponent_recovery_bound(n: int, p: int) -> bool:
     One rounding contributes angular error <= pi/2^p; with p >= ceil(log2 n)+2
     that is at most a quarter of the root spacing 2*pi/n, which keeps every
     rounded angle within 1/2 - 0.25 of its exponent, inside the delta <= 0.2
-    success region.
+    success region. n and p are read by ``_kernels._integer``.
     """
+    n, p = _kernels._integer("n", n), _kernels._integer("p", p)
     return p >= (n - 1).bit_length() + 2

@@ -6,12 +6,13 @@ derived. A public key holds h; its params are h's. Every secret scalar
 (key, ephemeral, nonce, DH end) lies in [1, n), so n < 2 raises
 InvalidOrder. A key refuses an x, or an h whose exponent k, outside [1, n)
 (UsageError), so no key exists for n < 2; DH refuses a peer's public the
-same way. A value of the wrong type is refused too (UsageError): x, R and s
-are read into ints by ``_kernels._integer``; h, a ciphertext's c1 and c2,
-ElGamal's m and a DH peer's public must be ExactElements. A key used with
-another group's element or ciphertext raises ParamsMismatch, as mul does.
-Signatures need a prime order and a p that meets the recovery bound, so
-reading R back from its angle never fails.
+same way. A value of the wrong type is refused too (UsageError): x, R, s and
+``random_scalar``'s n are read by ``_kernels._integer``; h, a ciphertext's c1
+and c2, ElGamal's m and a DH peer's public must be ExactElements, a message
+to sign, verify, hash or encode must be bytes, and a signature to verify a
+Signature. A key used with another group's element or ciphertext raises
+ParamsMismatch, as mul does. Signatures need a prime order and a p that
+meets the recovery bound, so reading R back from its angle never fails.
 
 None of this is secure: the cryptanalysis module measures exactly how cheap
 the inversion is. The package exists to make that measurement.
@@ -95,14 +96,19 @@ class Signature:
         object.__setattr__(self, "s", _integer("s", self.s))
 
 
+def _check_type(name: str, value, kind: type, noun: str) -> None:
+    """UsageError "<name> must be <noun>, got <type>" unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise UsageError(f"{name} must be {noun}, got {type(value).__name__}")
+
+
 def _check_element(name: str, value) -> None:
-    """UsageError unless ``value`` is an ExactElement."""
-    if not isinstance(value, ExactElement):
-        raise UsageError(f"{name} must be an ExactElement, got {type(value).__name__}")
+    _check_type(name, value, ExactElement, "an ExactElement")
 
 
 def random_scalar(rng: Random, n: int) -> int:
     """Uniform in [1, n) by rejection from ceil(log2 n)-bit strings; n < 2 is InvalidOrder."""
+    n = _integer("n", n)
     if n < 2:  # [1, n) is empty: the rejection loop would never end
         raise InvalidOrder(f"secret scalars need a group of order n >= 2, got n={n}")
     bits = (n - 1).bit_length()
@@ -156,6 +162,7 @@ def elgamal_decrypt(sk: KeyPair, ct: Ciphertext) -> ExactElement:
 
 def encode_message(data: bytes, params: GroupParams) -> ExactElement:
     """Big-endian bytes -> integer -> group element; bijective on [0, n)."""
+    _check_type("message", data, bytes, "bytes")
     value = int.from_bytes(data, "big")
     if value >= params.n:
         raise MessageTooLarge(f"message integer {value} >= group order {params.n}")
@@ -169,6 +176,7 @@ def decode_message(m: ExactElement) -> bytes:
 
 def hash_to_scalar(message: bytes, n: int) -> int:
     """SHA-256 digest as a big-endian 256-bit integer, reduced mod n."""
+    _check_type("message", message, bytes, "bytes")
     return int.from_bytes(hashlib.sha256(message).digest(), "big") % n
 
 
@@ -248,11 +256,13 @@ def sign(sk: KeyPair, message: bytes, rng: Random) -> Signature:
 
 
 def verify(pk: PublicKey | KeyPair, message: bytes, sig: Signature) -> bool:
+    """True iff ``sig`` signs ``message`` under ``pk``; R or s outside [1, n) is False."""
     _check_signature_params(pk.params)
+    _check_type("sig", sig, Signature, "a Signature")
     n = pk.params.n
+    e = hash_to_scalar(message, n)  # refuses a message that is not bytes
     if not (1 <= sig.R < n and 1 <= sig.s < n):
         return False
-    e = hash_to_scalar(message, n)
     s_inv = pow(sig.s, -1, n)
     u1 = e * s_inv % n
     u2 = sig.R * s_inv % n

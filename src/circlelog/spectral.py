@@ -19,6 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
+from ._kernels import _integer
 from .errors import InvalidOrder, OrderTooLarge, UsageError
 from .group import complex_value, element, make_params, to_numeric
 
@@ -26,11 +27,14 @@ DENSE_ORDER_GUARD = 1 << 10  # n x n complex matrices: 16 MB each at the guard
 CHECK_ORDER_GUARD = 1 << 20  # the exact roots are built one Python call per k
 
 
-def _require_order(n: int, guard: int, what: str) -> None:
+def _require_order(n: int, guard: int, what: str) -> int:
+    """n as ``_integer`` reads it; InvalidOrder below 1, OrderTooLarge above ``guard``."""
+    n = _integer("n", n)
     if n < 1:
         raise InvalidOrder(f"operator order must be >= 1, got {n}")
     if n > guard:
         raise OrderTooLarge(f"{what} refused for n={n} > 2^{guard.bit_length() - 1}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ class DenseOperator:
 
 def shift_operator(n: int) -> DenseOperator:
     """Cyclic shift: entry (i, (i+1) mod n) = 1; a permutation, hence unitary."""
-    _require_order(n, DENSE_ORDER_GUARD, "dense operator")
+    n = _require_order(n, DENSE_ORDER_GUARD, "dense operator")
     s = np.zeros((n, n), dtype=np.complex128)
     s[np.arange(n), (np.arange(n) + 1) % n] = 1
     return DenseOperator(n, s)
@@ -53,7 +57,7 @@ def shift_operator(n: int) -> DenseOperator:
 
 def dft_matrix(n: int) -> DenseOperator:
     """Unitary DFT: entry (j, k) = exp(-2*pi*i*j*k/n)/sqrt(n)."""
-    _require_order(n, DENSE_ORDER_GUARD, "dense operator")
+    n = _require_order(n, DENSE_ORDER_GUARD, "dense operator")
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     f = np.exp(-2j * np.pi * j * k / n) / np.sqrt(n)
     return DenseOperator(n, f)
@@ -64,7 +68,7 @@ def eigenvalues_of_shift(n: int) -> np.ndarray:
 
     The shift is circulant, so this is the FFT of its first column, e_(n-1).
     """
-    _require_order(n, CHECK_ORDER_GUARD, "shift eigenvalues")
+    n = _require_order(n, CHECK_ORDER_GUARD, "shift eigenvalues")
     return np.fft.fft(np.eye(1, n, n - 1)[0])
 
 
@@ -79,7 +83,7 @@ def log_operator(n: int) -> DenseOperator:
     Principal branch throughout (branch index 0 on every eigenvalue), so
     exponentiating the diagonal recovers the shift operator.
     """
-    _require_order(n, DENSE_ORDER_GUARD, "dense operator")
+    n = _require_order(n, DENSE_ORDER_GUARD, "dense operator")
     f = dft_matrix(n).entries
     d = np.diag(_log_eigenvalues(n))
     return DenseOperator(n, f.conj().T @ d @ f)
@@ -128,7 +132,7 @@ def check(n: int) -> list[tuple[str, float, float]]:
     index by index; exp of the logarithm's diagonal equals those eigenvalues.
     A row passes when its deviation is below its bound.
     """
-    _require_order(n, CHECK_ORDER_GUARD, "spectral check")
+    n = _require_order(n, CHECK_ORDER_GUARD, "spectral check")
     unitary = _dft_unitarity(n)
     params = make_params(n, 1 if n > 1 else 0, 64)  # 64 bits: angle error far below 1e-9
     exact = np.fromiter(

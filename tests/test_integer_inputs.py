@@ -5,6 +5,7 @@ the int it holds; a bool, float, str, None or Fraction is refused by name.
 """
 
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from circlelog import (
     GroupParams, KeyPair, Signature, UsageError, _kernels, element, make_params, power,
     to_numeric,
 )
+from circlelog import spectral
+from circlelog.contlog import exponent_recovery_bound, log_branches
 from circlelog.cryptanalysis import (
     accumulation_experiment, derive_uniform, direct_attack_report, precision_sweep,
 )
-from circlelog.protocols import generator_power
+from circlelog.protocols import generator_power, random_scalar
 
 P = make_params(101, 2, 16)
+Q = to_numeric(element(P, 5))
 
 # (entry, name in the message, the call with one integer replaced by v)
 ENTRIES = [
@@ -55,6 +59,16 @@ ENTRIES = [
     ("derive_uniform", "seed", lambda v: derive_uniform(v, (1, 2), 10)),
     ("derive_uniform", "index", lambda v: derive_uniform(0, (1, v), 10)),
     ("derive_uniform", "n", lambda v: derive_uniform(0, (1, 2), v)),
+    ("log_branches", "window", lambda v: log_branches(Q, v)),
+    ("exponent_recovery_bound", "n", lambda v: exponent_recovery_bound(v, 8)),
+    ("exponent_recovery_bound", "p", lambda v: exponent_recovery_bound(12, v)),
+    ("random_scalar", "n", lambda v: random_scalar(Random(1), v)),
+    # the dense operators as lists: their arrays do not compare with ==
+    ("shift_operator", "n", lambda v: spectral.shift_operator(v).entries.tolist()),
+    ("dft_matrix", "n", lambda v: spectral.dft_matrix(v).entries.tolist()),
+    ("log_operator", "n", lambda v: spectral.log_operator(v).entries.tolist()),
+    ("eigenvalues_of_shift", "n", lambda v: spectral.eigenvalues_of_shift(v).tolist()),
+    ("spectral.check", "n", lambda v: spectral.check(v)),
 ]
 
 NOT_INTS = [(2.0, "float"), (True, "bool"), ("2", "str"), (None, "NoneType"),

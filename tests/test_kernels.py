@@ -59,35 +59,41 @@ def exponents(n):
     return st.one_of(st.integers(0, n - 1), st.integers(-(1 << 40), 1 << 40))
 
 
+def checked_rounding(monkeypatch, check):
+    """Route ``to_numeric_t`` through ``check`` on array arguments; ints pass
+    straight through, since the scalar oracles call the same function."""
+    rounding = _kernels.to_numeric_t
+
+    def checked(k, n, p):
+        if isinstance(k, np.ndarray):
+            check(k)
+        return rounding(k, n, p)
+    monkeypatch.setattr(_kernels, "to_numeric_t", checked)
+
+
 @pytest.fixture
 def int64_only(monkeypatch):
-    """Fail if a call rounds anything but an int64 array."""
-    angles = _kernels._angles
-
-    def checked(r, n, p):
-        assert r.dtype == np.int64, f"a call that fits int64 rounded a {r.dtype} array"
-        return angles(r, n, p)
-    monkeypatch.setattr(_kernels, "_angles", checked)
+    """Fail if a call rounds any array but an int64 one."""
+    def check(k):
+        assert k.dtype == np.int64, f"a call that fits int64 rounded a {k.dtype} array"
+    checked_rounding(monkeypatch, check)
 
 
 @pytest.fixture
 def no_rounding(monkeypatch):
-    """Fail if a call reaches the rounding at all."""
-    def refuse(*args):
+    """Fail if a call rounds an array at all."""
+    def check(k):
         raise AssertionError("a refused call reached the rounding")
-    monkeypatch.setattr(_kernels, "_angles", refuse)
+    checked_rounding(monkeypatch, check)
 
 
 @pytest.fixture
 def exact_only(monkeypatch):
-    """Fail if a call rounds anything but an object array of Python ints."""
-    angles = _kernels._angles
-
-    def checked(r, n, p):
-        assert r.dtype == object, f"a call past int64 rounded a {r.dtype} array"
-        assert all(type(x) is int for x in r.flat), "an exact array holds a numpy scalar"
-        return angles(r, n, p)
-    monkeypatch.setattr(_kernels, "_angles", checked)
+    """Fail if a call rounds any array but an object array of Python ints."""
+    def check(k):
+        assert k.dtype == object, f"a call past int64 rounded a {k.dtype} array"
+        assert all(type(x) is int for x in k.flat), "an exact array holds a numpy scalar"
+    checked_rounding(monkeypatch, check)
 
 
 def test_backend_is_always_available():
@@ -171,6 +177,38 @@ def test_scalar_kernels_match_exact_fractions(delta):
                 assert _kernels.recover_t(t, n, p, dnum, dden) == expect, (n, p, t)
             for k in range(-n, 2 * n):
                 assert _kernels.to_numeric_t(k, n, p) == round(Fraction(k * full, n)) % full
+
+
+def periodic_cases():
+    """(form, n, p, j): p = 0, p = 1, a p inside and one past the int64 rule;
+    j negative and large, as large as int64 holds for int64 arrays."""
+    for n, p in [(7, 0), (7, 1), (1000, 12), (2**61 - 1, 128)]:
+        for form in ("int", "int64", "object"):
+            if form != "int64":
+                js = (-(1 << 70), -3, -1, 1, 5, 1 << 70)
+            elif n << p < 1 << 63:
+                big = ((1 << 62) >> p) // n - 1  # (k + j n) 2^p stays below 2^62
+                js = (-big, -3, -1, 1, 5, big)
+            else:
+                continue
+            for j in js:
+                yield form, n, p, j
+
+
+@pytest.mark.parametrize("form, n, p, j", periodic_cases())
+def test_rounding_is_periodic_in_n(form, n, p, j):
+    # (k + j n) 2^p rounds to the angle of k mod 2^p, with no k % n step:
+    # j 2^p is even for p >= 1, and the mask gives 0 at p = 0
+    ks = [0, 1, n // 2, n // 3 + 1, n - 1]
+    expect = [_kernels.to_numeric_t(k, n, p) for k in ks]
+    assert expect == [round(Fraction(k << p, n)) % (1 << p) for k in ks]  # half-to-even
+    shifted = [k + j * n for k in ks]
+    if form == "int":
+        assert [_kernels.to_numeric_t(k, n, p) for k in shifted] == expect
+    else:
+        dtype = np.int64 if form == "int64" else object
+        got = _kernels.to_numeric_t(np.array(shifted, dtype=dtype), n, p)
+        assert got.dtype == dtype and got.tolist() == expect
 
 
 def test_negative_exponent_case():

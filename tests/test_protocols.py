@@ -452,6 +452,37 @@ class TestSignature:
         assert hash_to_scalar(b"abc", 10007) == digest % 10007
 
 
+
+class TestMessageAndSignatureTypes:
+    """A message that is not bytes, or a signature that is not a Signature, is refused by name."""
+
+    params = make_params(MERSENNE61, 3, 128)
+    NOT_BYTES = [("abc", "str"), (bytearray(b"abc"), "bytearray"), ([1, 2], "list"),
+                 (5, "int"), (None, "NoneType")]
+
+    @pytest.mark.parametrize("message, kind", NOT_BYTES)
+    def test_message_refused(self, message, kind):
+        # these ended in a bare TypeError, or, for a bytearray or a list of
+        # ints, signed, verified or encoded the bytes they hold
+        key = keygen(self.params, Random(1))
+        sig = sign(key, b"abc", Random(2))
+        rng = FixedRandom([9])
+        for call in (lambda: sign(key, message, rng),
+                     lambda: verify(key.public, message, sig),
+                     lambda: verify(key.public, message, Signature(0, 0)),  # R out of range
+                     lambda: hash_to_scalar(message, 10007),
+                     lambda: encode_message(message, self.params)):
+            with pytest.raises(UsageError, match=rf"^message must be bytes, got {kind}$"):
+                call()
+        assert rng.values == [9]  # sign drew no nonce
+
+    @pytest.mark.parametrize("sig, kind", [((5, 7), "tuple"), (None, "NoneType"), ("5 7", "str")])
+    def test_signature_refused(self, sig, kind):
+        # a tuple ended in AttributeError: 'tuple' object has no attribute 'R'
+        key = keygen(self.params, Random(1))
+        with pytest.raises(UsageError, match=rf"^sig must be a Signature, got {kind}$"):
+            verify(key.public, b"abc", sig)
+
 def test_is_prime_reference_values():
     assert is_prime(2) and is_prime(101) and is_prime(10007) and is_prime(MERSENNE61)
     assert not is_prime(1) and not is_prime(15) and not is_prime(2**61 + 1)
