@@ -25,7 +25,8 @@ parameters with ``_integer`` and names invalid input in a ``UsageError``:
   ``roundtrip_all`` first refuses n > ``EXHAUSTIVE_ORDER_GUARD``
   (``OrderTooLarge``), the bound ``attack_exhaustive`` puts on the scan below.
 - ``nearest_angle(t, n, p)``, the exhaustive-search baseline, scans every
-  exponent, ``_SCAN_CHUNK`` at a time; it refuses p < 0 and t outside [0, 2^p).
+  exponent, ``_SCAN_CHUNK`` at a time; it refuses p < 0 and then, through
+  ``angle``, which ``attack_direct`` calls too, t outside [0, 2^p).
 
 The dtype is chosen by the overflow condition alone, since int64 arrays wrap
 silently: ``int64`` when no intermediate can reach 2^63, else exact Python ints
@@ -72,6 +73,14 @@ def tolerance(delta) -> tuple[int, int]:
     if not 0 <= 2 * dnum < dden:
         raise UsageError(f"delta must lie in [0, 1/2), got {d}")
     return dnum, dden
+
+
+def angle(t, p: int) -> int:
+    """t as ``_integer`` reads it; ``UsageError`` unless it lies in [0, 2^p)."""
+    t = _integer("t", t)
+    if not 0 <= t < 1 << p:
+        raise UsageError(f"angle t={t} outside [0, 2^{p})")
+    return t
 
 
 def to_numeric_t(k, n: int, p: int):
@@ -174,12 +183,11 @@ def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
     The distance is taken around the circle, in units of 2^-p turn; the
     smallest k wins ties. Every exponent is examined; n < 1 gives (0, 2^p).
     """
-    t, n, p = _integer("t", t), _integer("n", n), _integer("p", p)
+    n, p = _integer("n", n), _integer("p", p)
     if p < 0:
         raise UsageError(f"angles need a precision p >= 0, got p={p}")
+    t = angle(t, p)
     full = 1 << p
-    if not 0 <= t < full:
-        raise UsageError(f"angle t={t} outside [0, 2^{p})")
     import numpy as np
 
     dtype = np.int64 if n << p < 1 << 63 else object

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .errors import AmbiguousAngle, UsageError
+from .errors import AmbiguousAngle, InvalidOrder, UsageError
 from .group import GroupParams, NumericElement
 
 DEFAULT_TOLERANCE = Fraction(1, 5)
@@ -84,7 +84,10 @@ def exponent_recovery_bound(n: int, p: int) -> bool:
     One rounding contributes angular error <= pi/2^p; with p >= ceil(log2 n)+2
     that is at most a quarter of the root spacing 2*pi/n, which keeps every
     rounded angle within 1/2 - 0.25 of its exponent, inside the delta <= 0.2
-    success region. n and p are read by ``_kernels._integer``.
+    success region. n and p are read by ``_kernels._integer``; n < 1 is no
+    group's order (``InvalidOrder``, as ``GroupParams`` refuses it).
     """
     n, p = _kernels._integer("n", n), _kernels._integer("p", p)
+    if n < 1:
+        raise InvalidOrder(f"group order must be >= 1, got {n}")
     return p >= (n - 1).bit_length() + 2

@@ -328,7 +328,9 @@ def attack_direct(
     exponents share an angle, so a caller that knows k compares ``recovered``.
     Refuses, in this order, a public value of neither kind (``UsageError``)
     and one of another group (``ParamsMismatch``), through the check that
-    ``attack_exhaustive`` shares, then delta outside [0, 1/2) (``UsageError``).
+    ``attack_exhaustive`` shares, then delta outside [0, 1/2), then a numeric
+    element's t that is not an int or lies outside [0, 2^p), as the scan of
+    ``attack_exhaustive`` refuses it (``UsageError`` each).
     """
     _check_public(public, params, (ExactElement, NumericElement),
                   "direct attack needs an ExactElement or NumericElement")
@@ -338,9 +340,10 @@ def attack_direct(
         recovered, success, ops = public.k, True, 0
         notes = "exact representation leaks the exponent outright; read k directly"
     else:
-        k = _kernels.recover_t(public.t, n, p, dnum, dden)
+        t = _kernels.angle(public.t, p)
+        k = _kernels.recover_t(t, n, p, dnum, dden)
         recovered = k if k >= 0 else None
-        success = recovered is not None and _kernels.to_numeric_t(k, n, p) == public.t
+        success = recovered is not None and _kernels.to_numeric_t(k, n, p) == t
         ops, notes = 1, "one recovery operation inverts the angle"
     return AttackReport(
         attack_name="direct", params=params, delta=Fraction(delta),
@@ -383,7 +386,9 @@ def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackRepo
     Refuses a public value that is not a ``NumericElement`` (``UsageError``;
     an exact element leaks k, see ``attack_direct``), a public element of
     another group (``ParamsMismatch``) and n > ``EXHAUSTIVE_ORDER_GUARD``
-    (``OrderTooLarge``); the kernel refuses t outside [0, 2^p) (``UsageError``).
+    (``OrderTooLarge``); the kernel then refuses, through ``_kernels.angle`` as
+    ``attack_direct`` does, a t that is not an int or lies outside [0, 2^p)
+    (``UsageError``).
     """
     _check_public(public, params, (NumericElement,), "exhaustive search needs a NumericElement")
     n, p = params.n, params.p

@@ -7,12 +7,13 @@ derived. A public key holds h; its params are h's. Every secret scalar
 InvalidOrder. A key refuses an x, or an h whose exponent k, outside [1, n)
 (UsageError), so no key exists for n < 2; DH refuses a peer's public the
 same way. A value of the wrong type is refused too (UsageError): x, R, s and
-``random_scalar``'s n are read by ``_kernels._integer``; h, a ciphertext's c1
-and c2, ElGamal's m and a DH peer's public must be ExactElements, a message
-to sign, verify, hash or encode must be bytes, and a signature to verify a
-Signature. A key used with another group's element or ciphertext raises
-ParamsMismatch, as mul does. Signatures need a prime order and a p that
-meets the recovery bound, so reading R back from its angle never fails.
+the n of ``random_scalar``, ``hash_to_scalar`` and ``is_prime`` are read by
+``_kernels._integer``; h, a ciphertext's c1 and c2, ElGamal's m and a DH
+peer's public must be ExactElements, a message to sign, verify, hash or
+encode must be bytes, and a signature to verify a Signature. A key used with
+another group's element or ciphertext raises ParamsMismatch, as mul does.
+Signatures need a prime order and a p that meets the recovery bound, so
+reading R back from its angle never fails.
 
 None of this is secure: the cryptanalysis module measures exactly how cheap
 the inversion is. The package exists to make that measurement.
@@ -175,41 +176,42 @@ def decode_message(m: ExactElement) -> bytes:
 
 
 def hash_to_scalar(message: bytes, n: int) -> int:
-    """SHA-256 digest as a big-endian 256-bit integer, reduced mod n."""
+    """SHA-256 digest as a big-endian 256-bit integer, reduced mod n.
+
+    Refuses a message that is not bytes, then an n that ``_kernels._integer``
+    refuses (``UsageError``), then n < 1 (``InvalidOrder``)."""
     _check_type("message", message, bytes, "bytes")
+    n = _integer("n", n)
+    if n < 1:  # no residue mod n to land on
+        raise InvalidOrder(f"hashing to a scalar needs a group of order n >= 1, got n={n}")
     return int.from_bytes(hashlib.sha256(message).digest(), "big") % n
 
 
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# least strong pseudoprimes to _BASES and to _BASES + (41,) (Sorenson, Webster 2017)
-_PSI12 = 318_665_857_834_031_151_167_461
+# least strong pseudoprime to the primes 2..41 (Sorenson, Webster 2017)
 _PSI13 = 3_317_044_064_679_887_385_961_981
 # (bound, bases): the first row with n < bound decides n. Sinclair's seven
 # bases (2011) decide every n < 2^64, checked against the Feitsma-Galway
 # list of base-2 pseudoprimes with a witness that n divides skipped.
 _WITNESSES = (
     (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-    (_PSI12, _BASES),
-    (_PSI13, (*_BASES, 41)),
+    (_PSI13, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < psi13 ~ 3.3e24; larger n raises OrderTooLarge.
 
-    Trial division by 2..37 first. Then Sinclair's seven bases decide n < 2^64
-    (every default order), bases 2..37 decide n < psi12 ~ 3.2e23, and base 41
-    is added from psi12 on. A base that n divides proves nothing and is
-    skipped; one that merely shares a factor with n is kept, and finds n
-    composite.
+    n is read by ``_kernels._integer``. No trial division: the first row of
+    ``_WITNESSES`` with n below its bound decides n, Sinclair's seven bases
+    below 2^64 (7 rounds, every default order) and the primes 2..41 below
+    psi13 (13 rounds). A base that n divides proves nothing and is skipped;
+    one that merely shares a factor with n is kept, and finds n composite.
     """
+    n = _integer("n", n)
     if n >= _PSI13:
         raise OrderTooLarge(f"primality of n={n} >= {_PSI13} is not decided by fixed bases")
-    if n < 2:
-        return False
-    for q in _BASES:
-        if n % q == 0:
-            return n == q
+    if n < 3 or n % 2 == 0:
+        return n == 2
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from circlelog import (
     AmbiguousAngle,
+    InvalidOrder,
     UsageError,
     _kernels,
     element,
@@ -147,6 +148,12 @@ class TestRecoveryBound:
         assert exponent_recovery_bound(256, 10)
         assert not exponent_recovery_bound(256, 8)
         assert exponent_recovery_bound(1000, 12)
+
+    @pytest.mark.parametrize("n", [0, -7])
+    def test_order_no_group_has_refused(self, n):
+        # both answered True: p = 8 is at least (n - 1).bit_length() + 2
+        with pytest.raises(InvalidOrder, match=rf"^group order must be >= 1, got {n}$"):
+            exponent_recovery_bound(n, 8)
 
     def test_bound_backed_by_exhaustive_recovery(self):
         n = 1000

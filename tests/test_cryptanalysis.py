@@ -177,6 +177,21 @@ class TestExhaustive:
                     assert attack_exhaustive(q, p).recovered == direct.recovered
 
 
+@pytest.mark.parametrize("attack", [attack_direct, attack_exhaustive])
+@pytest.mark.parametrize("t, message", [
+    (-3, r"angle t=-3 outside \[0, 2\^16\)"),
+    (1 << 16, r"angle t=65536 outside \[0, 2\^16\)"),
+    (True, "t must be an int, got bool"),
+    (3.5, "t must be an int, got float"),
+], ids=["-3", "2^16", "True", "3.5"])
+def test_both_attacks_refuse_the_same_angles(attack, t, message):
+    # attack_direct reported 0 successes for the first three and ended in a
+    # bare TypeError for 3.5
+    params = make_params(101, 2, 16)
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        attack(NumericElement(params, t), params)
+
+
 class TestPrecisionSweep:
     def test_rows_ordered_and_sized(self):
         rows = precision_sweep(256, range(2, 13), 100, seed=1)

@@ -28,7 +28,6 @@ from circlelog import (
     recover_exponent,
     to_numeric,
 )
-from circlelog import _kernels
 from circlelog.group import MAX_PRECISION, ExactElement, GroupParams, NumericElement
 from circlelog.protocols import generator_power
 
@@ -410,11 +409,12 @@ class TestFactoryBuiltElements:
 
 @pytest.mark.parametrize("n, bits", [(1000, 12), (4096, 14), (10007, 16)])
 def test_round_trip_identity_every_exponent(n, bits):
-    # the per-element identity the exhaustive benchmark workload digests
+    # the per-element identity the exhaustive benchmark workload digests, with
+    # an angle oracle of its own: Python's round is half-to-even, as the kernels are
     params = make_params(n, 1, bits)
     for k in range(n):
         q = to_numeric(element(params, k))
-        assert q == NumericElement(params, _kernels.to_numeric_t(k, n, bits))
+        assert q == NumericElement(params, round(Fraction(k << bits, n)) % (1 << bits))
         assert recover_exponent(q) == k
 
 

@@ -19,7 +19,7 @@ from circlelog.contlog import exponent_recovery_bound, log_branches
 from circlelog.cryptanalysis import (
     accumulation_experiment, derive_uniform, direct_attack_report, precision_sweep,
 )
-from circlelog.protocols import generator_power, random_scalar
+from circlelog.protocols import generator_power, hash_to_scalar, is_prime, random_scalar
 
 P = make_params(101, 2, 16)
 Q = to_numeric(element(P, 5))
@@ -63,6 +63,8 @@ ENTRIES = [
     ("exponent_recovery_bound", "n", lambda v: exponent_recovery_bound(v, 8)),
     ("exponent_recovery_bound", "p", lambda v: exponent_recovery_bound(12, v)),
     ("random_scalar", "n", lambda v: random_scalar(Random(1), v)),
+    ("hash_to_scalar", "n", lambda v: hash_to_scalar(b"abc", v)),
+    ("is_prime", "n", lambda v: is_prime(v)),
     # the dense operators as lists: their arrays do not compare with ==
     ("shift_operator", "n", lambda v: spectral.shift_operator(v).entries.tolist()),
     ("dft_matrix", "n", lambda v: spectral.dft_matrix(v).entries.tolist()),
@@ -95,6 +97,13 @@ def test_numpy_order_rounds_as_its_int():
     params = make_params(np.int64(n), 1, 40)
     assert params == make_params(n, 1, 40) and type(params.n) is int
     assert to_numeric(element(params, params.n - 5)).t == 1099511622656
+
+
+def test_numpy_order_tests_and_hashes_as_its_int():
+    # is_prime ended in TypeError (pow of three int64s) and hash_to_scalar in OverflowError
+    n = 2**61 - 1
+    assert is_prime(np.int64(n))
+    assert hash_to_scalar(b"abc", np.int64(n)) == hash_to_scalar(b"abc", n)
 
 
 def test_numpy_experiment_inputs_draw_as_their_ints():

@@ -2,6 +2,7 @@
 
 import builtins
 import hashlib
+import math
 import pickle
 from random import Random
 
@@ -451,6 +452,13 @@ class TestSignature:
         digest = int.from_bytes(hashlib.sha256(b"abc").digest(), "big")
         assert hash_to_scalar(b"abc", 10007) == digest % 10007
 
+    @pytest.mark.parametrize("n", [0, -7])
+    def test_hash_to_scalar_refuses_an_order_below_1(self, n):
+        # n = 0 ended in ZeroDivisionError and n = -7 gave a residue in (-7, 0]
+        message = rf"^hashing to a scalar needs a group of order n >= 1, got n={n}$"
+        with pytest.raises(InvalidOrder, match=message):
+            hash_to_scalar(b"abc", n)
+
 
 
 class TestMessageAndSignatureTypes:
@@ -486,19 +494,8 @@ class TestMessageAndSignatureTypes:
 def test_is_prime_reference_values():
     assert is_prime(2) and is_prime(101) and is_prime(10007) and is_prime(MERSENNE61)
     assert not is_prime(1) and not is_prime(15) and not is_prime(2**61 + 1)
-    # cross-check against trial division
-    def trial(n):
-        if n < 2:
-            return False
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 1
-        return True
-
     for n in range(1, 500):
-        assert is_prime(n) == trial(n)
+        assert is_prime(n) == trial_division(n)
 
 
 def test_is_prime_beyond_twelve_bases():
@@ -534,8 +531,17 @@ def twelve_base_rule(n):
     return all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 
 
+def thirteen_base_rule(n):
+    """Strong probable prime to bases 2..41: decides every odd n > 41 below psi13."""
+    return twelve_base_rule(n) and _strong_probable_prime(n, 41)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 class TestWitnessTiers:
-    """Sinclair's bases below 2^64, bases 2..37 below psi12, 2..41 below psi13: one verdict."""
+    """Sinclair's bases below 2^64, bases 2..41 below psi13: one verdict, no trial division."""
 
     def test_every_n_below_2_16_against_a_sieve(self):
         limit = 1 << 16
@@ -551,6 +557,19 @@ class TestWitnessTiers:
         ns = [rng.randrange(1 << 32, 1 << 64) | 1 for _ in range(3000)]
         assert sum(map(is_prime, ns)) > 50  # primes, not only composites, are compared
         assert [is_prime(n) for n in ns] == [twelve_base_rule(n) for n in ns]
+
+    def test_random_odd_n_from_2_64_to_psi13_agree_with_thirteen_bases(self):
+        rng = Random(2026)
+        ns = [rng.randrange(1 << 64, PSI13) | 1 for _ in range(1000)]
+        assert sum(map(is_prime, ns)) > 10
+        assert [is_prime(n) for n in ns] == [thirteen_base_rule(n) for n in ns]
+
+    def test_every_divisor_of_a_witness_against_trial_division(self):
+        # a witness n divides is skipped, so these n meet the rule's edge case
+        divisors = sorted({e for a in SINCLAIR for d in range(1, math.isqrt(a) + 1) if a % d == 0
+                           for e in (d, a // d)})
+        assert len(divisors) == 56
+        assert [is_prime(n) for n in divisors] == [trial_division(n) for n in divisors]
 
     def test_semiprimes_near_2_32_agree_with_twelve_bases(self):
         # a product of two primes is the usual shape of a strong pseudoprime
@@ -586,7 +605,7 @@ class TestWitnessTiers:
         assert not is_prime(n)
 
     @pytest.mark.parametrize("n, rounds", [
-        (MERSENNE61, 7), (2**64 - 59, 7), (2**64 + 13, 12), (318665857834031151167483, 13),
+        (MERSENNE61, 7), (2**64 - 59, 7), (2**64 + 13, 13), (318665857834031151167483, 13),
     ])
     def test_round_count(self, monkeypatch, n, rounds):
         calls = []
