@@ -26,7 +26,7 @@ parameters with ``_integer`` and names invalid input in a ``UsageError``:
   (``OrderTooLarge``), the bound ``attack_exhaustive`` puts on the scan below.
 - ``nearest_angle(t, n, p)``, the exhaustive-search baseline, scans every
   exponent, ``_SCAN_CHUNK`` at a time; it refuses p < 0 and then, through
-  ``angle``, which ``attack_direct`` calls too, t outside [0, 2^p).
+  ``angle``, which ``group.NumericElement`` calls too, t outside [0, 2^p).
 
 The dtype is chosen by the overflow condition alone, since int64 arrays wrap
 silently: ``int64`` when no intermediate can reach 2^63, else exact Python ints

@@ -328,9 +328,8 @@ def attack_direct(
     exponents share an angle, so a caller that knows k compares ``recovered``.
     Refuses, in this order, a public value of neither kind (``UsageError``)
     and one of another group (``ParamsMismatch``), through the check that
-    ``attack_exhaustive`` shares, then delta outside [0, 1/2), then a numeric
-    element's t that is not an int or lies outside [0, 2^p), as the scan of
-    ``attack_exhaustive`` refuses it (``UsageError`` each).
+    ``attack_exhaustive`` shares, then delta outside [0, 1/2) (``UsageError``).
+    An element's k or t needs no check: its class refused any outside the group.
     """
     _check_public(public, params, (ExactElement, NumericElement),
                   "direct attack needs an ExactElement or NumericElement")
@@ -340,7 +339,7 @@ def attack_direct(
         recovered, success, ops = public.k, True, 0
         notes = "exact representation leaks the exponent outright; read k directly"
     else:
-        t = _kernels.angle(public.t, p)
+        t = public.t
         k = _kernels.recover_t(t, n, p, dnum, dden)
         recovered = k if k >= 0 else None
         success = recovered is not None and _kernels.to_numeric_t(k, n, p) == t
@@ -386,9 +385,8 @@ def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackRepo
     Refuses a public value that is not a ``NumericElement`` (``UsageError``;
     an exact element leaks k, see ``attack_direct``), a public element of
     another group (``ParamsMismatch``) and n > ``EXHAUSTIVE_ORDER_GUARD``
-    (``OrderTooLarge``); the kernel then refuses, through ``_kernels.angle`` as
-    ``attack_direct`` does, a t that is not an int or lies outside [0, 2^p)
-    (``UsageError``).
+    (``OrderTooLarge``). ``NumericElement`` has already refused a t that is not
+    an int or lies outside [0, 2^p), whichever attack it is then given to.
     """
     _check_public(public, params, (NumericElement,), "exhaustive search needs a NumericElement")
     n, p = params.n, params.p

@@ -4,14 +4,18 @@ Keys, secret scalars and DH shared secrets are made here alone, beside
 ElGamal and ECDSA-style signatures. A private key holds x; its h = g^x is
 derived. A public key holds h; its params are h's. Every secret scalar
 (key, ephemeral, nonce, DH end) lies in [1, n), so n < 2 raises
-InvalidOrder. A key refuses an x, or an h whose exponent k, outside [1, n)
-(UsageError), so no key exists for n < 2; DH refuses a peer's public the
-same way. A value of the wrong type is refused too (UsageError): x, R, s and
-the n of ``random_scalar``, ``hash_to_scalar`` and ``is_prime`` are read by
-``_kernels._integer``; h, a ciphertext's c1 and c2, ElGamal's m and a DH
-peer's public must be ExactElements, a message to sign, verify, hash or
-encode must be bytes, and a signature to verify a Signature. A key used with
-another group's element or ciphertext raises ParamsMismatch, as mul does.
+InvalidOrder. A key refuses an x outside [1, n) and an h that is the identity
+(UsageError), so no key exists for n < 2; DH refuses a peer's public the same
+way. An element's exponent needs no upper check: ``ExactElement`` holds k in
+[0, n). A value of the wrong type is refused too (UsageError), before any
+draw: x, R, s and the n of ``random_scalar``, ``hash_to_scalar`` and
+``is_prime`` are read by ``_kernels._integer``; a group must be a
+GroupParams, a private key a KeyPair, a key to encrypt or verify with a
+PublicKey or KeyPair, a ciphertext a Ciphertext; h, a ciphertext's c1 and
+c2, ElGamal's m, a message to decode and a DH peer's public must be
+ExactElements, a message to sign, verify, hash or encode must be bytes, and
+a signature to verify a Signature. A key used with another group's element
+or ciphertext raises ParamsMismatch, as mul does.
 Signatures need a prime order and a p that meets the recovery bound, so
 reading R back from its angle never fails.
 
@@ -33,7 +37,9 @@ from .errors import (
 from .group import (
     ExactElement,
     GroupParams,
+    _check_group,
     _check_params,
+    _check_type,
     element,
     inv,
     mul,
@@ -48,8 +54,8 @@ class PublicKey:
 
     def __post_init__(self) -> None:
         _check_element("h", self.h)
-        if not 1 <= self.h.k < self.h.params.n:  # h = 0 is the identity: c2 would be m
-            raise UsageError(f"h={self.h.k} outside [1, n)")
+        if self.h.k == 0:  # the identity: c2 would be m
+            raise UsageError("h=0 outside [1, n)")
 
     @property
     def params(self) -> GroupParams:
@@ -62,6 +68,7 @@ class KeyPair:
     x: int
 
     def __post_init__(self) -> None:
+        _check_group(self.params)
         object.__setattr__(self, "x", _integer("x", self.x))
         if not 1 <= self.x < self.params.n:
             raise UsageError(f"x={self.x} outside [1, n)")
@@ -97,14 +104,16 @@ class Signature:
         object.__setattr__(self, "s", _integer("s", self.s))
 
 
-def _check_type(name: str, value, kind: type, noun: str) -> None:
-    """UsageError "<name> must be <noun>, got <type>" unless ``value`` is a ``kind``."""
-    if not isinstance(value, kind):
-        raise UsageError(f"{name} must be {noun}, got {type(value).__name__}")
-
-
 def _check_element(name: str, value) -> None:
     _check_type(name, value, ExactElement, "an ExactElement")
+
+
+def _check_private(name: str, value) -> None:
+    _check_type(name, value, KeyPair, "a KeyPair")
+
+
+def _check_public_key(pk) -> None:
+    _check_type("pk", pk, (PublicKey, KeyPair), "a PublicKey or KeyPair")
 
 
 def random_scalar(rng: Random, n: int) -> int:
@@ -125,10 +134,12 @@ def generator_power(params: GroupParams, e: int) -> ExactElement:
 
 
 def keygen(params: GroupParams, rng: Random) -> KeyPair:
+    _check_group(params)  # before x is drawn
     return KeyPair(params, random_scalar(rng, params.n))
 
 
 def dh_public(keypair: KeyPair) -> ExactElement:
+    _check_private("keypair", keypair)
     return keypair.h
 
 
@@ -138,15 +149,17 @@ def dh_shared(own: KeyPair, their_public: ExactElement) -> ExactElement:
     Another group's g^b raises ParamsMismatch; the identity, whose k = 0 lies
     outside [1, n), raises UsageError, as it does for a PublicKey's h.
     """
+    _check_private("own", own)
     _check_element("their_public", their_public)
     _check_params(own, their_public)
-    if not 1 <= their_public.k < own.params.n:
-        raise UsageError(f"their_public={their_public.k} outside [1, n)")
+    if their_public.k == 0:
+        raise UsageError("their_public=0 outside [1, n)")
     return power(their_public, own.x)
 
 
 def elgamal_encrypt(pk: PublicKey | KeyPair, m: ExactElement, rng: Random) -> Ciphertext:
-    _check_element("m", m)  # before y is drawn
+    _check_public_key(pk)  # before y is drawn
+    _check_element("m", m)
     _check_params(m, pk)
     y = random_scalar(rng, pk.params.n)
     return Ciphertext(
@@ -157,6 +170,8 @@ def elgamal_encrypt(pk: PublicKey | KeyPair, m: ExactElement, rng: Random) -> Ci
 
 def elgamal_decrypt(sk: KeyPair, ct: Ciphertext) -> ExactElement:
     """m = c2 / c1^x; a ciphertext from another group raises ParamsMismatch."""
+    _check_private("sk", sk)
+    _check_type("ct", ct, Ciphertext, "a Ciphertext")
     _check_params(sk, ct.c1)  # mul checks c2 against c1
     return mul(ct.c2, inv(power(ct.c1, sk.x)))
 
@@ -164,6 +179,7 @@ def elgamal_decrypt(sk: KeyPair, ct: Ciphertext) -> ExactElement:
 def encode_message(data: bytes, params: GroupParams) -> ExactElement:
     """Big-endian bytes -> integer -> group element; bijective on [0, n)."""
     _check_type("message", data, bytes, "bytes")
+    _check_group(params)
     value = int.from_bytes(data, "big")
     if value >= params.n:
         raise MessageTooLarge(f"message integer {value} >= group order {params.n}")
@@ -171,6 +187,7 @@ def encode_message(data: bytes, params: GroupParams) -> ExactElement:
 
 
 def decode_message(m: ExactElement) -> bytes:
+    _check_element("m", m)
     k = m.k
     return k.to_bytes((k.bit_length() + 7) // 8, "big") if k else b""
 
@@ -243,6 +260,7 @@ def _check_signature_params(params: GroupParams) -> None:
 
 def sign(sk: KeyPair, message: bytes, rng: Random) -> Signature:
     """ECDSA-style: R is the commitment exponent read back via the continuous log."""
+    _check_private("sk", sk)  # before w is drawn
     _check_signature_params(sk.params)
     n = sk.params.n
     e = hash_to_scalar(message, n)
@@ -259,6 +277,7 @@ def sign(sk: KeyPair, message: bytes, rng: Random) -> Signature:
 
 def verify(pk: PublicKey | KeyPair, message: bytes, sig: Signature) -> bool:
     """True iff ``sig`` signs ``message`` under ``pk``; R or s outside [1, n) is False."""
+    _check_public_key(pk)
     _check_signature_params(pk.params)
     _check_type("sig", sig, Signature, "a Signature")
     n = pk.params.n

@@ -142,11 +142,6 @@ class TestExhaustive:
         with pytest.raises(OrderTooLarge):
             attack_exhaustive(to_numeric(element(p, 1)), p)
 
-    def test_order_guard_comes_before_the_angle_check(self):
-        p = make_params(1 << 25, 1, 28)
-        with pytest.raises(OrderTooLarge):
-            attack_exhaustive(NumericElement(p, -1), p)
-
     @pytest.mark.parametrize("public", [element(make_params(1000, 1, 12), 5), 409, None])
     def test_public_not_numeric_refused(self, public):
         # an ExactElement of the same group used to end in AttributeError on .t
@@ -186,10 +181,23 @@ class TestExhaustive:
 ], ids=["-3", "2^16", "True", "3.5"])
 def test_both_attacks_refuse_the_same_angles(attack, t, message):
     # attack_direct reported 0 successes for the first three and ended in a
-    # bare TypeError for 3.5
+    # bare TypeError for 3.5; NumericElement now refuses each before either attack
     params = make_params(101, 2, 16)
     with pytest.raises(UsageError, match=f"^{message}$"):
         attack(NumericElement(params, t), params)
+
+
+def test_attack_direct_reads_the_angle_its_element_checked(monkeypatch):
+    # NumericElement checked t when it was built; the attack does not check it again
+    params = make_params(101, 2, 16)
+    q = to_numeric(element(params, 5))
+
+    def refuse(t, p):
+        raise AssertionError("attack_direct re-checked the angle")
+
+    monkeypatch.setattr(_kernels, "angle", refuse)
+    report = attack_direct(q, params)
+    assert (report.successes, report.recovered) == (1, 5)
 
 
 class TestPrecisionSweep:

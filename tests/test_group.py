@@ -304,11 +304,14 @@ class TestElementConstructor:
         ]
         assert [f.name for f in dataclasses.fields(cls)] == ["params", field]
 
-    def test_class_stores_k_as_given_element_reduces(self):
-        assert ExactElement(self.P, 1005).k == 1005
-        assert ExactElement(self.P, -1).k == -1
+    def test_class_refuses_what_element_reduces(self):
+        # ExactElement(P, 1005) stored 1005 and differed from element(P, 1005), the same root
         assert element(self.P, 1005).k == 5 and element(self.P, -1).k == 999
-        assert NumericElement(self.P, 1 << 12).t == 1 << 12
+        for k in (1005, -1):
+            with pytest.raises(UsageError, match=rf"^k={k} outside \[0, n\)$"):
+                ExactElement(self.P, k)
+        with pytest.raises(UsageError, match=r"^angle t=4096 outside \[0, 2\^12\)$"):
+            NumericElement(self.P, 1 << 12)
 
     @pytest.mark.parametrize("cls, field", CLASSES)
     def test_copy_and_deepcopy(self, cls, field):
@@ -325,6 +328,93 @@ class TestElementConstructor:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(a, name)
         assert a == cls(self.P, 5)
+
+
+EP = make_params(101, 2, 16)
+
+
+def forged(cls, params, value):
+    """An element filled past its constructor, as ``element`` fills one."""
+    x = object.__new__(cls)
+    for f, v in zip(dataclasses.fields(cls), (params, value)):
+        getattr(cls, f.name).__set__(x, v)
+    return x
+
+
+def replaced(cls, params, value):
+    fields = dict(zip((f.name for f in dataclasses.fields(cls)), (params, value)))
+    return dataclasses.replace(cls(EP, 5), **fields)
+
+
+class TestElementsCheckedWhereMade:
+    """Every way of making an element checks it, as every way of making a GroupParams does."""
+
+    # (class, params, k or t, message)
+    INVALID = [
+        (ExactElement, "x", 5, "params must be a GroupParams, got str"),
+        (ExactElement, None, 5, "params must be a GroupParams, got NoneType"),
+        (ExactElement, EP, True, "k must be an int, got bool"),
+        (ExactElement, EP, 3.5, "k must be an int, got float"),
+        (ExactElement, EP, "5", "k must be an int, got str"),
+        (ExactElement, EP, -1, r"k=-1 outside \[0, n\)"),
+        (ExactElement, EP, 101, r"k=101 outside \[0, n\)"),
+        (ExactElement, EP, 5000, r"k=5000 outside \[0, n\)"),
+        (NumericElement, "x", 5, "params must be a GroupParams, got str"),
+        (NumericElement, EP, -3, r"angle t=-3 outside \[0, 2\^16\)"),
+        (NumericElement, EP, 1 << 16, r"angle t=65536 outside \[0, 2\^16\)"),
+        (NumericElement, EP, True, "t must be an int, got bool"),
+        (NumericElement, EP, 3.5, "t must be an int, got float"),
+        (NumericElement, EP, "5", "t must be an int, got str"),
+    ]
+    WAYS = {
+        "class": lambda cls, params, value: cls(params, value),
+        "replace": replaced,
+        "copy": lambda cls, params, value: copy.copy(forged(cls, params, value)),
+        "deepcopy": lambda cls, params, value: copy.deepcopy(forged(cls, params, value)),
+        "pickle": lambda cls, params, value: pickle.loads(pickle.dumps(forged(cls, params, value))),
+    }
+
+    @pytest.mark.parametrize("way", WAYS)
+    @pytest.mark.parametrize("cls, params, value, message", INVALID,
+                             ids=[f"{c.__name__}-{'P' if p is EP else p}-{v!r}"
+                                  for c, p, v, _ in INVALID])
+    def test_invalid_element_refused(self, way, cls, params, value, message):
+        # at the parent each of these built; NumericElement(P, -3) then
+        # recovered as k = 0 and NumericElement(P, 3.5) ended in a bare TypeError
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            self.WAYS[way](cls, params, value)
+
+    @pytest.mark.parametrize("way", WAYS)
+    @pytest.mark.parametrize("cls", [ExactElement, NumericElement])
+    def test_valid_element_made_every_way(self, way, cls):
+        made = self.WAYS[way](cls, EP, np.int64(100))
+        assert made == cls(EP, 100) and type(made.params) is GroupParams
+        assert type(dataclasses.astuple(made)[-1]) is int
+
+    def test_one_root_one_element(self):
+        # ExactElement(P, 5000) used to differ from element(P, 5000), which is k = 51
+        assert ExactElement(EP, 51) == element(EP, 5000)
+        with pytest.raises(UsageError, match=r"^k=5000 outside \[0, n\)$"):
+            ExactElement(EP, 5000)
+
+
+def test_round_trip_builds_no_element_through_its_class(monkeypatch):
+    # element and to_numeric fill their elements in place; the class's check
+    # costs the exhaustive benchmark about 30 % when the round trip pays it
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built through its class")
+
+    for cls in (ExactElement, NumericElement):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    params = make_params(1000, 7, 12)
+    with pytest.raises(AssertionError, match="built through its class"):
+        ExactElement(params, 5)
+    a = element(params, 1005)
+    b = generator(params)
+    assert identity(params).k == 0 and a.k == 5 and b.k == 7
+    c = power(inv(mul(a, b)), 3)
+    assert c.k == 964 and generator_power(params, 3).k == 21
+    assert recover_exponent(to_numeric(c)) == 964
 
 
 FP = make_params(1000, 7, 12)

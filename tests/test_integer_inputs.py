@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from circlelog import (
-    GroupParams, KeyPair, Signature, UsageError, _kernels, element, make_params, power,
+    ExactElement, GroupParams, KeyPair, NumericElement, Signature, UsageError, _kernels, element, make_params, power,
     to_numeric,
 )
 from circlelog import spectral
@@ -29,6 +29,8 @@ ENTRIES = [
     ("GroupParams", "n", lambda v: GroupParams(v, 1, 8)),
     ("GroupParams", "g", lambda v: GroupParams(13, v, 8)),
     ("GroupParams", "p", lambda v: GroupParams(12, 1, v)),
+    ("ExactElement", "k", lambda v: ExactElement(P, v)),
+    ("NumericElement", "t", lambda v: NumericElement(P, v)),
     ("power", "exponent", lambda v: power(element(P, 5), v)),
     ("generator_power", "exponent", lambda v: generator_power(P, v)),
     ("KeyPair", "x", lambda v: KeyPair(P, v)),
@@ -125,3 +127,5 @@ def test_numpy_scalars_stored_as_ints():
     assert (type(sig.R), type(sig.s)) == (int, int) and sig == Signature(7, 9)
     params = GroupParams(np.int32(12), np.int8(5), np.uint16(8))
     assert {type(params.n), type(params.g), type(params.p)} == {int}
+    assert type(ExactElement(P, np.int64(5)).k) is int
+    assert type(NumericElement(P, np.uint16(5)).t) is int

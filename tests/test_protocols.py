@@ -110,17 +110,22 @@ class TestKeysCheckedWhereMade:
         with pytest.raises(UsageError, match=rf"^x={x} outside \[1, n\)$"):
             KeyPair(self.params, x)
 
+    @staticmethod
+    def refusal(name, k):
+        # k = 0 is an element, the identity, which the key or DH refuses; any
+        # other k outside [1, n) is no element at all, which ExactElement refuses
+        return rf"^{name}=0 outside \[1, n\)$" if k == 0 else rf"^k={k} outside \[0, n\)$"
+
     @pytest.mark.parametrize("k", [0, 101, 104, -3])
     def test_public_value_out_of_range_refused(self, k):
-        # h = 0 is the identity: ElGamal's c2 would be the plaintext itself.
-        # ExactElement stores k as given; element() would reduce it mod n
-        with pytest.raises(UsageError, match=rf"^h={k} outside \[1, n\)$"):
+        # h = 0 is the identity: ElGamal's c2 would be the plaintext itself
+        with pytest.raises(UsageError, match=self.refusal("h", k)):
             PublicKey(ExactElement(self.params, k))
 
     @pytest.mark.parametrize("k", [0, 101, 104, -3])
     def test_dh_peer_public_out_of_range_refused(self, k):
         # the identity g^0 would make the shared secret the identity, whatever x is
-        with pytest.raises(UsageError, match=rf"^their_public={k} outside \[1, n\)$"):
+        with pytest.raises(UsageError, match=self.refusal("their_public", k)):
             dh_shared(KeyPair(self.params, 7), ExactElement(self.params, k))
 
     @pytest.mark.parametrize("x, kind", [(5.5, "float"), (True, "bool"), ("7", "str"), (None, "NoneType")])
@@ -490,6 +495,39 @@ class TestMessageAndSignatureTypes:
         key = keygen(self.params, Random(1))
         with pytest.raises(UsageError, match=rf"^sig must be a Signature, got {kind}$"):
             verify(key.public, b"abc", sig)
+
+class TestProtocolArgumentTypes:
+    """A key, group or ciphertext of the wrong type is refused by name, before any draw."""
+
+    # (id, call given a valid key and a scripted rng, message); each ended in AttributeError
+    CASES = [
+        ("KeyPair", lambda key, rng: KeyPair("x", 5), "params must be a GroupParams, got str"),
+        ("keygen", lambda key, rng: keygen("x", rng), "params must be a GroupParams, got str"),
+        ("sign", lambda key, rng: sign("k", b"m", rng), "sk must be a KeyPair, got str"),
+        ("sign-public", lambda key, rng: sign(key.public, b"m", rng),
+         "sk must be a KeyPair, got PublicKey"),
+        ("verify", lambda key, rng: verify("k", b"m", Signature(1, 1)),
+         "pk must be a PublicKey or KeyPair, got str"),
+        ("elgamal_encrypt", lambda key, rng: elgamal_encrypt("pk", key.h, rng),
+         "pk must be a PublicKey or KeyPair, got str"),
+        ("elgamal_decrypt", lambda key, rng: elgamal_decrypt(key, "ct"),
+         "ct must be a Ciphertext, got str"),
+        ("dh_shared", lambda key, rng: dh_shared("own", key.h), "own must be a KeyPair, got str"),
+        ("dh_public", lambda key, rng: protocols.dh_public("k"),
+         "keypair must be a KeyPair, got str"),
+        ("encode_message", lambda key, rng: encode_message(b"a", "x"),
+         "params must be a GroupParams, got str"),
+        ("decode_message", lambda key, rng: decode_message(5), "m must be an ExactElement, got int"),
+    ]
+
+    @pytest.mark.parametrize("call, message", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_wrong_type_refused_before_drawing(self, call, message):
+        rng = FixedRandom([9])
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            call(KeyPair(make_params(101, 2, 16), 7), rng)
+        assert rng.values == [9]
+
 
 def test_is_prime_reference_values():
     assert is_prime(2) and is_prime(101) and is_prime(10007) and is_prime(MERSENNE61)
