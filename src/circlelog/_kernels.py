@@ -25,8 +25,8 @@ parameters with ``_integer`` and names invalid input in a ``UsageError``:
   ``roundtrip_all`` first refuses n > ``EXHAUSTIVE_ORDER_GUARD``
   (``OrderTooLarge``), the bound ``attack_exhaustive`` puts on the scan below.
 - ``nearest_angle(t, n, p)``, the exhaustive-search baseline, scans every
-  exponent, ``_SCAN_CHUNK`` at a time; it refuses p < 0 and then, through
-  ``angle``, which ``group.NumericElement`` calls too, t outside [0, 2^p).
+  exponent, ``_SCAN_CHUNK`` at a time; it refuses p < 0, then, through
+  ``angle`` (as ``group.NumericElement``), t outside [0, 2^p), then n < 1.
 
 The dtype is chosen by the overflow condition alone, since int64 arrays wrap
 silently: ``int64`` when no intermediate can reach 2^63, else exact Python ints
@@ -181,12 +181,14 @@ def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
     """The exponent k in [0, n) whose angle lies nearest t, and that distance.
 
     The distance is taken around the circle, in units of 2^-p turn; the
-    smallest k wins ties. Every exponent is examined; n < 1 gives (0, 2^p).
+    smallest k wins ties. Every exponent is examined.
     """
     n, p = _integer("n", n), _integer("p", p)
     if p < 0:
         raise UsageError(f"angles need a precision p >= 0, got p={p}")
     t = angle(t, p)
+    if n < 1:
+        raise UsageError(f"the scan needs n >= 1, got n={n}")
     full = 1 << p
     import numpy as np
 

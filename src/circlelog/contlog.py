@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import _kernels
 from .errors import AmbiguousAngle, InvalidOrder, UsageError
-from .group import GroupParams, NumericElement
+from .group import GroupParams, NumericElement, _check_type
 
 DEFAULT_TOLERANCE = Fraction(1, 5)
 _DNUM, _DDEN = _kernels.tolerance(DEFAULT_TOLERANCE)
@@ -44,6 +44,7 @@ class ContinuousLogValue:
 
 def principal_log(q: NumericElement) -> ContinuousLogValue:
     """The branch-0 logarithm; a relabeling of the angle as i*theta."""
+    _check_type("q", q, NumericElement, "a NumericElement")
     return ContinuousLogValue(q.params, q.t, 0)
 
 
@@ -54,6 +55,7 @@ def log_branches(q: NumericElement, window: int) -> list[ContinuousLogValue]:
     full solution set is infinite, the caller picks the window. The window is
     read by ``_kernels._integer``; a negative one raises ``UsageError``.
     """
+    _check_type("q", q, NumericElement, "a NumericElement")
     window = _kernels._integer("window", window)
     if window < 0:
         raise UsageError(f"branch window must be >= 0, got {window}")
@@ -67,12 +69,16 @@ def recover_exponent(q: NumericElement) -> int:
     ``DEFAULT_TOLERANCE``, else raises ``AmbiguousAngle``; the comparison is
     exact rational arithmetic, never floating division.
     """
-    params = q.params
+    try:
+        params, t = q.params, q.t
+    except AttributeError:
+        _check_type("q", q, NumericElement, "a NumericElement")
+        raise
     n, p = params.n, params.p
-    k = _kernels.recover_t(q.t, n, p, _DNUM, _DDEN)
+    k = _kernels.recover_t(t, n, p, _DNUM, _DDEN)
     if k < 0:
         raise AmbiguousAngle(
-            f"angle t={q.t} sits within {_DNUM / _DDEN:g} of the decision boundary "
+            f"angle t={t} sits within {_DNUM / _DDEN:g} of the decision boundary "
             f"between two exponents (n={n}, p={p})"
         )
     return k

@@ -37,7 +37,7 @@ from . import _kernels
 from ._kernels import EXHAUSTIVE_ORDER_GUARD, _integer
 from .contlog import DEFAULT_TOLERANCE
 from .errors import InvalidOrder, OrderTooLarge, ParamsMismatch, UsageError
-from .group import ExactElement, GroupParams, NumericElement
+from .group import ExactElement, GroupParams, NumericElement, _check_type
 
 try:  # CPython's built-in SHA-256: one call on a short path is cheaper than OpenSSL's
     from _sha256 import sha256 as _sha256
@@ -306,15 +306,6 @@ def _experiment_inputs(
     return (n, trials, dnum, dden, seed), [_integer("p", p) for p in p_values], ms
 
 
-def _check_public(public, params: GroupParams, kinds: tuple[type, ...], needs: str) -> None:
-    """Refuse a public value not of ``kinds`` (``UsageError`` "<needs>, got <type>"),
-    then one of a group other than ``params`` (``ParamsMismatch``)."""
-    if not isinstance(public, kinds):
-        raise UsageError(f"{needs}, got {type(public).__name__}")
-    if public.params != params:
-        raise ParamsMismatch(f"public element from another group: {public.params} vs {params}")
-
-
 def attack_direct(
     public: ExactElement | NumericElement,
     params: GroupParams,
@@ -326,13 +317,15 @@ def attack_direct(
     numeric element takes one recovery operation and succeeds iff the
     recovered exponent reproduces its angle; below the recovery bound distinct
     exponents share an angle, so a caller that knows k compares ``recovered``.
-    Refuses, in this order, a public value of neither kind (``UsageError``)
-    and one of another group (``ParamsMismatch``), through the check that
-    ``attack_exhaustive`` shares, then delta outside [0, 1/2) (``UsageError``).
-    An element's k or t needs no check: its class refused any outside the group.
+    Refuses, in this order, a public value or params of the wrong kind
+    (``UsageError``), a public of another group (``ParamsMismatch``) and delta
+    outside [0, 1/2) (``UsageError``); an element's k or t is valid already.
     """
-    _check_public(public, params, (ExactElement, NumericElement),
-                  "direct attack needs an ExactElement or NumericElement")
+    _check_type("public", public, (ExactElement, NumericElement),
+                "an ExactElement or NumericElement")
+    _check_type("params", params, GroupParams, "a GroupParams")
+    if public.params != params:
+        raise ParamsMismatch(f"public element from another group: {public.params} vs {params}")
     dnum, dden = _kernels.tolerance(delta)
     n, p = params.n, params.p
     if isinstance(public, ExactElement):
@@ -362,6 +355,7 @@ def direct_attack_report(
     Each trial draws a random k, publishes its rounded angle, runs one
     recovery, and counts success iff k comes back: one ``precision_sweep`` row.
     """
+    _check_type("params", params, GroupParams, "a GroupParams")
     n, p = params.n, params.p
     successes = precision_sweep(n, (p,), trials, delta, seed)[0].successes
     notes = (
@@ -382,13 +376,15 @@ def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackRepo
 
     Succeeds iff that angle is the public one itself (distance 0): the rule of
     ``attack_direct``, that the recovered exponent reproduces the angle.
-    Refuses a public value that is not a ``NumericElement`` (``UsageError``;
-    an exact element leaks k, see ``attack_direct``), a public element of
-    another group (``ParamsMismatch``) and n > ``EXHAUSTIVE_ORDER_GUARD``
-    (``OrderTooLarge``). ``NumericElement`` has already refused a t that is not
-    an int or lies outside [0, 2^p), whichever attack it is then given to.
+    Refuses, in this order, a public value that is not a ``NumericElement``
+    (``UsageError``; an exact element leaks k, see ``attack_direct``), params
+    of the wrong kind (``UsageError``), a public of another group
+    (``ParamsMismatch``) and n > ``EXHAUSTIVE_ORDER_GUARD`` (``OrderTooLarge``).
     """
-    _check_public(public, params, (NumericElement,), "exhaustive search needs a NumericElement")
+    _check_type("public", public, NumericElement, "a NumericElement")
+    _check_type("params", params, GroupParams, "a GroupParams")
+    if public.params != params:
+        raise ParamsMismatch(f"public element from another group: {public.params} vs {params}")
     n, p = params.n, params.p
     if n > EXHAUSTIVE_ORDER_GUARD:
         raise OrderTooLarge(f"exhaustive search refused for n={n} > 2^24")

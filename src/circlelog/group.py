@@ -15,20 +15,21 @@ consumer re-checks one, and the class is the one home of the (n, p) rule: the
 seeded experiments check an order and each precision by building a group,
 which stores n, g and p as ``_kernels._integer`` reads them.
 
-The two element classes are valid by construction the same way: each refuses
-a ``params`` that is not a ``GroupParams``, reads k or t by
-``_kernels._integer`` and refuses k outside [0, n) or, through
-``_kernels.angle``, t outside [0, 2^p) (``UsageError`` each), so the readers of
-an element (the attacks, ``contlog``, ``mul_numeric``, ``complex_value``, the
-protocols) check none of it again. Every exact factory goes through
-``element``, which reduces k mod n. Only ``element`` and ``to_numeric``, which
-run once per exponent on the round trip ``element -> to_numeric ->
-recover_exponent``, skip the class's check, on values they make valid
-themselves (an int k mod n, a masked angle): each allocates its element with
-``object.__new__`` and stores both fields through the slot descriptors'
-setters, past the frozen ``__setattr__``, which looks each field up by name
-and is slow. Building through the class there made a pass of the exhaustive
-benchmark about 30 % slower (0.095 -> 0.124 s, 2 CPUs, Python 3.11.7).
+The two element classes are valid by construction the same way: each reads k
+or t by ``_kernels._integer`` and refuses k outside [0, n) or, through
+``_kernels.angle``, t outside [0, 2^p) (``UsageError``), so no reader of an
+element checks it again. ``element`` (which reduces k mod n) and
+``to_numeric``, once per exponent on the round trip, fill their elements in
+place, past the frozen ``__setattr__`` (the class made an exhaustive benchmark
+pass 30 % slower, 0.095 -> 0.124 s, 2 CPUs, Python 3.11.7), but read k and
+``params`` by the same rules.
+
+A value of the wrong kind has one refusal, ``_check_type``'s ``UsageError``
+"<name> must be <kind>, got <type>", before any field is read: a ``params`` or
+element argument here and in ``contlog``, and each key, ciphertext, message
+and public value of ``protocols`` and ``cryptanalysis``. The round trip calls
+it only once a cheap test fails (k not an ``int``, ``params`` not a
+``GroupParams``, a field read); those tests cost an exhaustive pass 4-6 %.
 """
 
 from __future__ import annotations
@@ -80,10 +81,6 @@ def _check_type(name: str, value, kind, noun: str) -> None:
         raise UsageError(f"{name} must be {noun}, got {type(value).__name__}")
 
 
-def _check_group(params) -> None:
-    _check_type("params", params, GroupParams, "a GroupParams")
-
-
 @dataclass(frozen=True, slots=True)
 class ExactElement:
     """The root e^{i*2*pi*k/n}, held as its canonical exponent k in [0, n); checked."""
@@ -92,7 +89,7 @@ class ExactElement:
     k: int
 
     def __post_init__(self) -> None:
-        _check_group(self.params)
+        _check_type("params", self.params, GroupParams, "a GroupParams")
         k = _integer("k", self.k)
         if not 0 <= k < self.params.n:
             raise UsageError(f"k={k} outside [0, n)")
@@ -111,15 +108,14 @@ class NumericElement:
     t: int
 
     def __post_init__(self) -> None:
-        _check_group(self.params)
+        _check_type("params", self.params, GroupParams, "a GroupParams")
         object.__setattr__(self, "t", _kernels.angle(self.t, self.params.p))
 
     def __reduce__(self):
         return (NumericElement, (self.params, self.t))
 
 
-# Slot setters for element and to_numeric: they store a field directly, past
-# the frozen __setattr__, without looking it up by name.
+# Slot setters for element and to_numeric, past the frozen __setattr__
 _new = object.__new__
 _set_exact_params = ExactElement.params.__set__
 _set_exact_k = ExactElement.k.__set__
@@ -136,7 +132,11 @@ def make_params(n: int, g: int, p: int) -> GroupParams:
 
 
 def element(params: GroupParams, k: int) -> ExactElement:
-    """The root with exponent k, reduced to its canonical residue mod n."""
+    """The root with exponent k, read by ``_integer``, reduced to its canonical residue mod n."""
+    if type(params) is not GroupParams:
+        _check_type("params", params, GroupParams, "a GroupParams")
+    if type(k) is not int:
+        k = _integer("k", k)
     a = _new(ExactElement)
     _set_exact_params(a, params)
     _set_exact_k(a, k % params.n)
@@ -145,6 +145,7 @@ def element(params: GroupParams, k: int) -> ExactElement:
 
 def generator(params: GroupParams) -> ExactElement:
     """The primitive root chosen as generator."""
+    _check_type("params", params, GroupParams, "a GroupParams")
     return element(params, params.g)
 
 
@@ -158,17 +159,21 @@ def _check_params(a, b) -> None:
 
 
 def mul(a: ExactElement, b: ExactElement) -> ExactElement:
+    _check_type("a", a, ExactElement, "an ExactElement")
+    _check_type("b", b, ExactElement, "an ExactElement")
     _check_params(a, b)
     return element(a.params, a.k + b.k)
 
 
 def inv(a: ExactElement) -> ExactElement:
+    _check_type("a", a, ExactElement, "an ExactElement")
     return element(a.params, -a.k)
 
 
 def power(a: ExactElement, e: int) -> ExactElement:
     """a raised to the e-th power; e is read by ``_integer``, then reduced
     mod n (negatives fine)."""
+    _check_type("a", a, ExactElement, "an ExactElement")
     return element(a.params, a.k * (_integer("exponent", e) % a.params.n))
 
 
@@ -178,20 +183,27 @@ def to_numeric(a: ExactElement) -> NumericElement:
     The only rounding step on the exact-to-numeric path; the angular error is
     at most pi/2^p.
     """
-    params = a.params
+    try:
+        params, k = a.params, a.k
+    except AttributeError:
+        _check_type("a", a, ExactElement, "an ExactElement")
+        raise
     q = _new(NumericElement)
     _set_numeric_params(q, params)
-    _set_numeric_t(q, _kernels.to_numeric_t(a.k, params.n, params.p))
+    _set_numeric_t(q, _kernels.to_numeric_t(k, params.n, params.p))
     return q
 
 
 def mul_numeric(a: NumericElement, b: NumericElement) -> NumericElement:
     """Multiply on the circle by adding angles mod one turn; addition is exact."""
+    _check_type("a", a, NumericElement, "a NumericElement")
+    _check_type("b", b, NumericElement, "a NumericElement")
     _check_params(a, b)
     return NumericElement(a.params, (a.t + b.t) & ((1 << a.params.p) - 1))
 
 
 def complex_value(a: NumericElement) -> tuple[float, float]:
     """(cos theta, sin theta) for display and the spectral module."""
+    _check_type("a", a, NumericElement, "a NumericElement")
     theta = math.tau * (a.t / (1 << a.params.p))
     return (math.cos(theta), math.sin(theta))

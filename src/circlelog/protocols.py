@@ -7,15 +7,11 @@ derived. A public key holds h; its params are h's. Every secret scalar
 InvalidOrder. A key refuses an x outside [1, n) and an h that is the identity
 (UsageError), so no key exists for n < 2; DH refuses a peer's public the same
 way. An element's exponent needs no upper check: ``ExactElement`` holds k in
-[0, n). A value of the wrong type is refused too (UsageError), before any
-draw: x, R, s and the n of ``random_scalar``, ``hash_to_scalar`` and
-``is_prime`` are read by ``_kernels._integer``; a group must be a
-GroupParams, a private key a KeyPair, a key to encrypt or verify with a
-PublicKey or KeyPair, a ciphertext a Ciphertext; h, a ciphertext's c1 and
-c2, ElGamal's m, a message to decode and a DH peer's public must be
-ExactElements, a message to sign, verify, hash or encode must be bytes, and
-a signature to verify a Signature. A key used with another group's element
-or ciphertext raises ParamsMismatch, as mul does.
+[0, n). Every argument but an ``rng`` is read by one of two rules before any
+draw, each raising UsageError that names it and its type: an integer (x, R,
+s, an exponent, an n) by ``_kernels._integer``, any other by
+``group._check_type`` against its annotation. A key used with another group's
+element or ciphertext raises ParamsMismatch, as mul does.
 Signatures need a prime order and a p that meets the recovery bound, so
 reading R back from its angle never fails.
 
@@ -37,7 +33,6 @@ from .errors import (
 from .group import (
     ExactElement,
     GroupParams,
-    _check_group,
     _check_params,
     _check_type,
     element,
@@ -53,7 +48,7 @@ class PublicKey:
     h: ExactElement
 
     def __post_init__(self) -> None:
-        _check_element("h", self.h)
+        _check_type("h", self.h, ExactElement, "an ExactElement")
         if self.h.k == 0:  # the identity: c2 would be m
             raise UsageError("h=0 outside [1, n)")
 
@@ -68,7 +63,7 @@ class KeyPair:
     x: int
 
     def __post_init__(self) -> None:
-        _check_group(self.params)
+        _check_type("params", self.params, GroupParams, "a GroupParams")
         object.__setattr__(self, "x", _integer("x", self.x))
         if not 1 <= self.x < self.params.n:
             raise UsageError(f"x={self.x} outside [1, n)")
@@ -88,8 +83,8 @@ class Ciphertext:
     c2: ExactElement  # masked message m * h^y
 
     def __post_init__(self) -> None:
-        _check_element("c1", self.c1)
-        _check_element("c2", self.c2)
+        _check_type("c1", self.c1, ExactElement, "an ExactElement")
+        _check_type("c2", self.c2, ExactElement, "an ExactElement")
 
 
 @dataclass(frozen=True)
@@ -102,18 +97,6 @@ class Signature:
     def __post_init__(self) -> None:
         object.__setattr__(self, "R", _integer("R", self.R))
         object.__setattr__(self, "s", _integer("s", self.s))
-
-
-def _check_element(name: str, value) -> None:
-    _check_type(name, value, ExactElement, "an ExactElement")
-
-
-def _check_private(name: str, value) -> None:
-    _check_type(name, value, KeyPair, "a KeyPair")
-
-
-def _check_public_key(pk) -> None:
-    _check_type("pk", pk, (PublicKey, KeyPair), "a PublicKey or KeyPair")
 
 
 def random_scalar(rng: Random, n: int) -> int:
@@ -130,16 +113,17 @@ def random_scalar(rng: Random, n: int) -> int:
 
 def generator_power(params: GroupParams, e: int) -> ExactElement:
     """g^e; e is read as ``power`` reads it (``_kernels._integer``)."""
+    _check_type("params", params, GroupParams, "a GroupParams")
     return element(params, params.g * _integer("exponent", e))
 
 
 def keygen(params: GroupParams, rng: Random) -> KeyPair:
-    _check_group(params)  # before x is drawn
+    _check_type("params", params, GroupParams, "a GroupParams")  # before x is drawn
     return KeyPair(params, random_scalar(rng, params.n))
 
 
 def dh_public(keypair: KeyPair) -> ExactElement:
-    _check_private("keypair", keypair)
+    _check_type("keypair", keypair, KeyPair, "a KeyPair")
     return keypair.h
 
 
@@ -149,8 +133,8 @@ def dh_shared(own: KeyPair, their_public: ExactElement) -> ExactElement:
     Another group's g^b raises ParamsMismatch; the identity, whose k = 0 lies
     outside [1, n), raises UsageError, as it does for a PublicKey's h.
     """
-    _check_private("own", own)
-    _check_element("their_public", their_public)
+    _check_type("own", own, KeyPair, "a KeyPair")
+    _check_type("their_public", their_public, ExactElement, "an ExactElement")
     _check_params(own, their_public)
     if their_public.k == 0:
         raise UsageError("their_public=0 outside [1, n)")
@@ -158,8 +142,8 @@ def dh_shared(own: KeyPair, their_public: ExactElement) -> ExactElement:
 
 
 def elgamal_encrypt(pk: PublicKey | KeyPair, m: ExactElement, rng: Random) -> Ciphertext:
-    _check_public_key(pk)  # before y is drawn
-    _check_element("m", m)
+    _check_type("pk", pk, (PublicKey, KeyPair), "a PublicKey or KeyPair")  # before y is drawn
+    _check_type("m", m, ExactElement, "an ExactElement")
     _check_params(m, pk)
     y = random_scalar(rng, pk.params.n)
     return Ciphertext(
@@ -170,7 +154,7 @@ def elgamal_encrypt(pk: PublicKey | KeyPair, m: ExactElement, rng: Random) -> Ci
 
 def elgamal_decrypt(sk: KeyPair, ct: Ciphertext) -> ExactElement:
     """m = c2 / c1^x; a ciphertext from another group raises ParamsMismatch."""
-    _check_private("sk", sk)
+    _check_type("sk", sk, KeyPair, "a KeyPair")
     _check_type("ct", ct, Ciphertext, "a Ciphertext")
     _check_params(sk, ct.c1)  # mul checks c2 against c1
     return mul(ct.c2, inv(power(ct.c1, sk.x)))
@@ -179,7 +163,7 @@ def elgamal_decrypt(sk: KeyPair, ct: Ciphertext) -> ExactElement:
 def encode_message(data: bytes, params: GroupParams) -> ExactElement:
     """Big-endian bytes -> integer -> group element; bijective on [0, n)."""
     _check_type("message", data, bytes, "bytes")
-    _check_group(params)
+    _check_type("params", params, GroupParams, "a GroupParams")
     value = int.from_bytes(data, "big")
     if value >= params.n:
         raise MessageTooLarge(f"message integer {value} >= group order {params.n}")
@@ -187,7 +171,7 @@ def encode_message(data: bytes, params: GroupParams) -> ExactElement:
 
 
 def decode_message(m: ExactElement) -> bytes:
-    _check_element("m", m)
+    _check_type("m", m, ExactElement, "an ExactElement")
     k = m.k
     return k.to_bytes((k.bit_length() + 7) // 8, "big") if k else b""
 
@@ -260,7 +244,7 @@ def _check_signature_params(params: GroupParams) -> None:
 
 def sign(sk: KeyPair, message: bytes, rng: Random) -> Signature:
     """ECDSA-style: R is the commitment exponent read back via the continuous log."""
-    _check_private("sk", sk)  # before w is drawn
+    _check_type("sk", sk, KeyPair, "a KeyPair")  # before w is drawn
     _check_signature_params(sk.params)
     n = sk.params.n
     e = hash_to_scalar(message, n)
@@ -277,7 +261,7 @@ def sign(sk: KeyPair, message: bytes, rng: Random) -> Signature:
 
 def verify(pk: PublicKey | KeyPair, message: bytes, sig: Signature) -> bool:
     """True iff ``sig`` signs ``message`` under ``pk``; R or s outside [1, n) is False."""
-    _check_public_key(pk)
+    _check_type("pk", pk, (PublicKey, KeyPair), "a PublicKey or KeyPair")
     _check_signature_params(pk.params)
     _check_type("sig", sig, Signature, "a Signature")
     n = pk.params.n

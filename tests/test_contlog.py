@@ -149,6 +149,10 @@ class TestRecoveryBound:
         assert not exponent_recovery_bound(256, 8)
         assert exponent_recovery_bound(1000, 12)
 
+    def test_trivial_group_is_a_group(self):
+        # n = 1 has one exponent: the bound is p >= 2, not InvalidOrder
+        assert exponent_recovery_bound(1, 2) and not exponent_recovery_bound(1, 1)
+
     @pytest.mark.parametrize("n", [0, -7])
     def test_order_no_group_has_refused(self, n):
         # both answered True: p = 8 is at least (n - 1).bit_length() + 2

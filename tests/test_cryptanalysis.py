@@ -93,7 +93,7 @@ class TestDirect:
     def test_public_not_an_element_refused(self, public):
         # used to end in AttributeError on .params
         name = type(public).__name__
-        message = f"needs an ExactElement or NumericElement, got {name}$"
+        message = f"^public must be an ExactElement or NumericElement, got {name}$"
         with pytest.raises(UsageError, match=message):
             attack_direct(public, make_params(1000, 1, 12))
 
@@ -146,7 +146,7 @@ class TestExhaustive:
     def test_public_not_numeric_refused(self, public):
         # an ExactElement of the same group used to end in AttributeError on .t
         name = type(public).__name__
-        with pytest.raises(UsageError, match=f"needs a NumericElement, got {name}$"):
+        with pytest.raises(UsageError, match=f"^public must be a NumericElement, got {name}$"):
             attack_exhaustive(public, make_params(1000, 1, 12))
 
     def test_success_only_for_an_exact_preimage(self):
@@ -185,6 +185,20 @@ def test_both_attacks_refuse_the_same_angles(attack, t, message):
     params = make_params(101, 2, 16)
     with pytest.raises(UsageError, match=f"^{message}$"):
         attack(NumericElement(params, t), params)
+
+
+@pytest.mark.parametrize("attack", [
+    lambda params: attack_direct(to_numeric(element(make_params(101, 2, 16), 5)), params),
+    lambda params: attack_exhaustive(to_numeric(element(make_params(101, 2, 16), 5)), params),
+    lambda params: direct_attack_report(params, 10),
+], ids=["attack_direct", "attack_exhaustive", "direct_attack_report"])
+@pytest.mark.parametrize("params", [5, "x", None, to_numeric(element(make_params(101, 2, 16), 5))],
+                         ids=["int", "str", "None", "NumericElement"])
+def test_params_not_a_group_refused(attack, params):
+    # the attacks raised ParamsMismatch ("... vs 5") and the report AttributeError
+    shown = f"^params must be a GroupParams, got {type(params).__name__}$"
+    with pytest.raises(UsageError, match=shown):
+        attack(params)
 
 
 def test_attack_direct_reads_the_angle_its_element_checked(monkeypatch):

@@ -21,10 +21,12 @@ from circlelog import (
     generator,
     identity,
     inv,
+    log_branches,
     make_params,
     mul,
     mul_numeric,
     power,
+    principal_log,
     recover_exponent,
     to_numeric,
 )
@@ -89,6 +91,11 @@ class TestMakeParams:
     def test_hand_built_zero_generator_refused(self):
         # GroupParams(101, 0, 16) used to be accepted, and sign looped on it for ever
         assert_refused(NotPrimitive, "generator exponent must lie in [1, 101), got 0", 101, 0, 16)
+
+    def test_generator_equal_to_the_order_refused_by_range(self):
+        # g = n is the identity's exponent: out of range, before any gcd
+        assert_refused(NotPrimitive, "generator exponent must lie in [1, 101), got 101",
+                       101, 101, 16)
 
     def test_tampered_pickle_refused(self):
         # a pickle is outside input: its fields pass the same checks as the constructor's
@@ -495,6 +502,53 @@ class TestFactoryBuiltElements:
         moved = dataclasses.replace(x, **{field: 11})
         assert moved == type(twin)(FP, 11) and moved.params is x.params
         assert x == twin
+
+
+class TestOneKindRule:
+    """Every group-layer function refuses a value of the wrong kind by name;
+    each call in ``ENTRIES`` ended in a bare AttributeError."""
+
+    EXACT, NUMERIC = exact(5), numeric(20)
+    # (function, argument, kind named, a value of another kind, the call given that argument)
+    ENTRIES = [
+        ("element", "params", "a GroupParams", EXACT, lambda v: element(v, 5)),
+        ("generator", "params", "a GroupParams", EXACT, lambda v: generator(v)),
+        ("identity", "params", "a GroupParams", EXACT, lambda v: identity(v)),
+        ("mul", "a", "an ExactElement", NUMERIC, lambda v: mul(v, exact(3))),
+        ("mul", "b", "an ExactElement", NUMERIC, lambda v: mul(exact(3), v)),
+        ("inv", "a", "an ExactElement", NUMERIC, lambda v: inv(v)),
+        ("power", "a", "an ExactElement", NUMERIC, lambda v: power(v, 3)),
+        ("to_numeric", "a", "an ExactElement", NUMERIC, lambda v: to_numeric(v)),
+        ("mul_numeric", "a", "a NumericElement", EXACT, lambda v: mul_numeric(v, numeric(4))),
+        ("mul_numeric", "b", "a NumericElement", EXACT, lambda v: mul_numeric(numeric(4), v)),
+        ("complex_value", "a", "a NumericElement", EXACT, lambda v: complex_value(v)),
+        ("principal_log", "q", "a NumericElement", EXACT, lambda v: principal_log(v)),
+        ("log_branches", "q", "a NumericElement", EXACT, lambda v: log_branches(v, 1)),
+        ("recover_exponent", "q", "a NumericElement", EXACT, lambda v: recover_exponent(v)),
+    ]
+
+    @pytest.mark.parametrize("wrong", ["int", "str", "None", "other kind"])
+    @pytest.mark.parametrize("name, kind, other, call",
+                             [pytest.param(*entry[1:], id=f"{entry[0]}-{entry[1]}")
+                              for entry in ENTRIES])
+    def test_wrong_kind_refused_by_name(self, name, kind, other, call, wrong):
+        value = {"int": 5, "str": "x", "None": None, "other kind": other}[wrong]
+        shown = f"^{name} must be {kind}, got {type(value).__name__}$"
+        with pytest.raises(UsageError, match=shown):
+            call(value)
+
+    def test_element_reads_a_numpy_k_as_its_int(self):
+        # the int64 k was stored as given and wrapped in k << p: t = 197520
+        n, p, k = 2**40 + 15, 44, 2**39 + 12345
+        a = element(make_params(n, 1, p), np.int64(k))
+        assert type(a.k) is int and a.k == k
+        assert to_numeric(a).t == round(Fraction(k << p, n)) == 8796093219608
+
+    @pytest.mark.parametrize("k, kind", [(3.5, "float"), (True, "bool"), ("5", "str")])
+    def test_element_refuses_a_k_that_is_not_an_int(self, k, kind):
+        # element(P, 3.5) built k=3.5 and element(P, True) k=1
+        with pytest.raises(UsageError, match=f"^k must be an int, got {kind}$"):
+            element(FP, k)
 
 
 @pytest.mark.parametrize("n, bits", [(1000, 12), (4096, 14), (10007, 16)])

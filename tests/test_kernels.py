@@ -290,7 +290,6 @@ def test_nearest_angle_ties_exhaustively(int64_only, monkeypatch, chunk):
 @pytest.mark.parametrize("n, p, t", [
     (1, 31, 5), (7, 40, (1 << 40) - 1),  # int64: n * 2^p < 2^63
     (100, 64, 1 << 63),  # exact ints: n * 2^p >= 2^63
-    (0, 8, 3),  # no exponent at all
 ])
 def test_nearest_angle_outside_domain_is_the_exact_loop(n, p, t):
     # sizes that the int64 rule sends either way agree with the scalar loop
@@ -312,6 +311,13 @@ def test_nearest_angle_refuses_a_target_off_the_turn(no_rounding, n, p, t):
 def test_nearest_angle_refuses_a_negative_precision(no_rounding, n):
     with pytest.raises(UsageError, match="^angles need a precision p >= 0, got p=-1$"):
         _kernels.nearest_angle(0, n, -1)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_nearest_angle_refuses_a_group_with_no_exponent(no_rounding, n):
+    # the scan answered (0, 2^p) here, where the count refuses n < 1
+    with pytest.raises(UsageError, match=f"^the scan needs n >= 1, got n={n}$"):
+        _kernels.nearest_angle(3, n, 8)
 
 
 def test_nearest_angle_at_domain_edges_stays_on_numpy(int64_only):

@@ -518,6 +518,8 @@ class TestProtocolArgumentTypes:
         ("encode_message", lambda key, rng: encode_message(b"a", "x"),
          "params must be a GroupParams, got str"),
         ("decode_message", lambda key, rng: decode_message(5), "m must be an ExactElement, got int"),
+        ("generator_power", lambda key, rng: protocols.generator_power("x", 3),
+         "params must be a GroupParams, got str"),
     ]
 
     @pytest.mark.parametrize("call, message", [case[1:] for case in CASES],
