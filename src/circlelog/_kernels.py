@@ -77,7 +77,7 @@ def tolerance(delta) -> tuple[int, int]:
 
 def angle(t, p: int) -> int:
     """t as ``_integer`` reads it; ``UsageError`` unless it lies in [0, 2^p)."""
-    t = _integer("t", t)
+    t, p = _integer("t", t), _integer("p", p)
     if not 0 <= t < 1 << p:
         raise UsageError(f"angle t={t} outside [0, 2^{p})")
     return t

@@ -7,7 +7,8 @@ the code, not a security recommendation.
 
 Each ``cmd_*`` writes its text to ``out`` and returns its exit code; only
 ``main`` writes that text, whole, to the ``--out`` file or else to stdout,
-and writes nothing when the command raised. Every numeric flag is an
+and writes nothing when the command raised, nor when ``--out`` names one of
+the command's input files (a usage error). Every numeric flag is an
 optional ``-`` and then a ``keyfile.decimal``.
 """
 
@@ -70,9 +71,9 @@ def _utf8(text: str) -> bytes:
 
 
 def _port(text: str) -> int:
-    with suppress(argparse.ArgumentTypeError):
-        if 0 <= (port := _integer(text)) <= 65535:
-            return port
+    """An ``_integer`` that ``wire`` takes as a port; any other text is a usage error."""
+    with suppress(argparse.ArgumentTypeError, UsageError):
+        return wire._port(_integer(text))
     raise argparse.ArgumentTypeError(f"not a TCP port in 0-65535: {text!r}")
 
 
@@ -302,6 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out = io.StringIO()
     try:
+        for flag in ("key", "pub", "ct", "sig"):  # keygen's --out is its key, and out is None
+            path = getattr(args, flag, None)
+            if path and args.out is not None and _same_file(path, args.out):
+                raise UsageError(f"--{flag} and --out name the same file; the input would be lost")
         code = args.func(args, out)
         if args.out is None:
             sys.stdout.write(out.getvalue())

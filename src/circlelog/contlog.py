@@ -33,6 +33,11 @@ class ContinuousLogValue:
     principal_t: int
     branch: int
 
+    def __post_init__(self) -> None:
+        _check_type("params", self.params, GroupParams, "a GroupParams")
+        object.__setattr__(self, "principal_t", _kernels._integer("principal_t", self.principal_t))
+        object.__setattr__(self, "branch", _kernels._integer("branch", self.branch))
+
     def turn_units(self) -> int:
         """The imaginary part in units of 2*pi/2^p, branch included."""
         return self.principal_t + (self.branch << self.params.p)
@@ -52,8 +57,8 @@ def log_branches(q: NumericElement, window: int) -> list[ContinuousLogValue]:
     """Branches -window..+window of the logarithm, 2*window+1 values.
 
     Consecutive values differ by exactly one full turn (2^p turn-units); the
-    full solution set is infinite, the caller picks the window. The window is
-    read by ``_kernels._integer``; a negative one raises ``UsageError``.
+    full solution set is infinite, the caller picks the window; a negative one
+    raises ``UsageError``.
     """
     _check_type("q", q, NumericElement, "a NumericElement")
     window = _kernels._integer("window", window)
@@ -90,8 +95,8 @@ def exponent_recovery_bound(n: int, p: int) -> bool:
     One rounding contributes angular error <= pi/2^p; with p >= ceil(log2 n)+2
     that is at most a quarter of the root spacing 2*pi/n, which keeps every
     rounded angle within 1/2 - 0.25 of its exponent, inside the delta <= 0.2
-    success region. n and p are read by ``_kernels._integer``; n < 1 is no
-    group's order (``InvalidOrder``, as ``GroupParams`` refuses it).
+    success region. n < 1 is no group's order (``InvalidOrder``, as
+    ``GroupParams`` refuses it).
     """
     n, p = _kernels._integer("n", n), _kernels._integer("p", p)
     if n < 1:

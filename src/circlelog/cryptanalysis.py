@@ -98,8 +98,8 @@ def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
     The contract is the byte string: the draw is v mod n for the first
     counter = 0, 1, ... at which v, the SHA-256 digest of the ASCII path
     "seed/i1/.../ik/counter" read big-endian, falls below the largest multiple
-    of n at or under 2^256 (n outside [1, 2^256] is ``InvalidOrder``). seed,
-    indices and n are read by ``_kernels._integer``: a numpy index hashes as its int.
+    of n at or under 2^256 (n outside [1, 2^256] is ``InvalidOrder``). A numpy
+    seed, index or n hashes as its int.
     ``_draw_chunks`` streams the same draws, at most ``max(_CHUNK, m)`` held at
     once, building each counter-0 path as bytes and hashing it in one call;
     only a digest rejected there comes back here.
@@ -284,8 +284,7 @@ def _experiment_inputs(
 ) -> tuple[tuple[int, int, int, int, int], list[int], list[int]]:
     """Read and check an experiment's inputs before any draw or kernel sees them.
 
-    n, trials, seed, each m and each p are read by ``_kernels._integer``; a
-    request of impossible shape (fewer than one trial, an empty precision or
+    A request of impossible shape (fewer than one trial, an empty precision or
     chain-length range, m < 1, a tolerance outside [0, 1/2)) raises
     ``UsageError``; an order or precision no group has raises ``GroupParams``'s
     ``InvalidOrder`` for the first p out of range. Returns ``_rows``' leading
@@ -317,9 +316,8 @@ def attack_direct(
     numeric element takes one recovery operation and succeeds iff the
     recovered exponent reproduces its angle; below the recovery bound distinct
     exponents share an angle, so a caller that knows k compares ``recovered``.
-    Refuses, in this order, a public value or params of the wrong kind
-    (``UsageError``), a public of another group (``ParamsMismatch``) and delta
-    outside [0, 1/2) (``UsageError``); an element's k or t is valid already.
+    Refuses a public of another group (``ParamsMismatch``), then delta outside
+    [0, 1/2) (``UsageError``); an element's k or t is valid already.
     """
     _check_type("public", public, (ExactElement, NumericElement),
                 "an ExactElement or NumericElement")
@@ -375,11 +373,10 @@ def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackRepo
     """Baseline: try every exponent, keep the nearest angle (wrap-around metric).
 
     Succeeds iff that angle is the public one itself (distance 0): the rule of
-    ``attack_direct``, that the recovered exponent reproduces the angle.
-    Refuses, in this order, a public value that is not a ``NumericElement``
-    (``UsageError``; an exact element leaks k, see ``attack_direct``), params
-    of the wrong kind (``UsageError``), a public of another group
-    (``ParamsMismatch``) and n > ``EXHAUSTIVE_ORDER_GUARD`` (``OrderTooLarge``).
+    ``attack_direct``, that the recovered exponent reproduces the angle. The
+    public must be a ``NumericElement``: an exact one leaks k (see
+    ``attack_direct``). Refuses a public of another group (``ParamsMismatch``),
+    then n > ``EXHAUSTIVE_ORDER_GUARD`` (``OrderTooLarge``).
     """
     _check_type("public", public, NumericElement, "a NumericElement")
     _check_type("params", params, GroupParams, "a GroupParams")
@@ -444,6 +441,7 @@ def write_csv(rows: Iterable[SweepRow], stream: TextIO) -> None:
 
 
 def format_report(report: AttackReport) -> str:
+    _check_type("report", report, AttackReport, "an AttackReport")
     params = report.params
     lines = [
         f"attack: {report.attack_name}",

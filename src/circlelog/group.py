@@ -24,12 +24,11 @@ place, past the frozen ``__setattr__`` (the class made an exhaustive benchmark
 pass 30 % slower, 0.095 -> 0.124 s, 2 CPUs, Python 3.11.7), but read k and
 ``params`` by the same rules.
 
-A value of the wrong kind has one refusal, ``_check_type``'s ``UsageError``
-"<name> must be <kind>, got <type>", before any field is read: a ``params`` or
-element argument here and in ``contlog``, and each key, ciphertext, message
-and public value of ``protocols`` and ``cryptanalysis``. The round trip calls
-it only once a cheap test fails (k not an ``int``, ``params`` not a
-``GroupParams``, a field read); those tests cost an exhaustive pass 4-6 %.
+``_check_type`` and ``_kernels._integer`` are the package's one kind rule
+(README; ``tests/test_contract.py`` checks every public argument against it).
+The round trip calls them only once a cheap test fails (k not an ``int``,
+``params`` not a ``GroupParams``, a field read); those tests cost an
+exhaustive pass 4-6 %.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ def make_params(n: int, g: int, p: int) -> GroupParams:
 
 
 def element(params: GroupParams, k: int) -> ExactElement:
-    """The root with exponent k, read by ``_integer``, reduced to its canonical residue mod n."""
+    """The root with exponent k, reduced to its canonical residue mod n."""
     if type(params) is not GroupParams:
         _check_type("params", params, GroupParams, "a GroupParams")
     if type(k) is not int:
@@ -171,8 +170,7 @@ def inv(a: ExactElement) -> ExactElement:
 
 
 def power(a: ExactElement, e: int) -> ExactElement:
-    """a raised to the e-th power; e is read by ``_integer``, then reduced
-    mod n (negatives fine)."""
+    """a raised to the e-th power; e is reduced mod n (negatives fine)."""
     _check_type("a", a, ExactElement, "an ExactElement")
     return element(a.params, a.k * (_integer("exponent", e) % a.params.n))
 

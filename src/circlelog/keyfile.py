@@ -20,23 +20,26 @@ load(save(key)) is byte-exact.
 
 from __future__ import annotations
 
+import os
 import sys
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
 
 from .errors import CircleLogError, ConsistencyError, OutputError, ParseError
-from .group import GroupParams, element, make_params
+from .group import GroupParams, _check_type, element, make_params
 # generator_power is not called here; perfbench's tracing test reads keyfile.generator_power.
 from .protocols import Ciphertext, KeyPair, PublicKey, Signature, generator_power  # noqa: F401
 
 MAGIC = "circlelog-key v1"
 CT_MAGIC = "circlelog-ct v1"
 SIG_MAGIC = "circlelog-sig v1"
+_PATH = (str, os.PathLike)
 
 
 def decimal(text: str) -> int:
     """The value of one or more ASCII digits 0-9; any other text raises ParseError."""
+    _check_type("text", text, str, "a str")
     if not (text.isascii() and text.isdigit()):
         raise ParseError("not a decimal integer")
     try:
@@ -46,7 +49,10 @@ def decimal(text: str) -> int:
 
 
 def _lines(text: str, magic: str) -> list[str]:
-    """A record's lines, split on LF alone with the final LF optional, under ``magic``."""
+    """A record's lines, split on LF alone with the final LF optional, under ``magic``.
+
+    Every parser's first step, so it refuses a ``text`` of the wrong kind for all three."""
+    _check_type("text", text, str, "a str")
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -80,6 +86,7 @@ def _in_range(number: int, name: str, value: int, low: int, n: int) -> int:
 
 
 def serialize_key(key: KeyPair | PublicKey) -> str:
+    _check_type("key", key, (KeyPair, PublicKey), "a KeyPair or PublicKey")
     if isinstance(key, KeyPair):
         role, tail = "private", f"x: {key.x}"
     else:
@@ -116,10 +123,12 @@ def parse_key(text: str) -> KeyPair | PublicKey:
 
 
 def serialize_ciphertext(ct: Ciphertext) -> str:
+    _check_type("ct", ct, Ciphertext, "a Ciphertext")
     return f"{CT_MAGIC}\nc1: {ct.c1.k}\nc2: {ct.c2.k}\n"
 
 
 def parse_ciphertext(text: str, params: GroupParams) -> Ciphertext:
+    _check_type("params", params, GroupParams, "a GroupParams")
     c1, c2 = _fields(_lines(text, CT_MAGIC), 1, ("c1", "c2"))
     return Ciphertext(
         element(params, _in_range(2, "c1", c1, 0, params.n)),
@@ -128,6 +137,7 @@ def parse_ciphertext(text: str, params: GroupParams) -> Ciphertext:
 
 
 def serialize_signature(sig: Signature) -> str:
+    _check_type("sig", sig, Signature, "a Signature")
     return f"{SIG_MAGIC}\nR: {sig.R}\ns: {sig.s}\n"
 
 
@@ -137,6 +147,7 @@ def parse_signature(text: str) -> Signature:
 
 def load(path: str | Path, parse: Callable, *args):
     """``parse(text, *args)`` on a file's UTF-8 text; every CircleLogError names the path."""
+    _check_type("path", path, _PATH, "a str or PathLike")
     try:
         return parse(Path(path).read_bytes().decode("utf-8"), *args)
     except OSError as exc:
@@ -153,6 +164,8 @@ def load_key(path: str | Path) -> KeyPair | PublicKey:
 
 def write_text(path: str | Path, text: str) -> None:
     """Write an output file's text as UTF-8; an unwritable path raises OutputError."""
+    _check_type("path", path, _PATH, "a str or PathLike")
+    _check_type("text", text, str, "a str")
     try:
         Path(path).write_bytes(text.encode("utf-8"))
     except OSError as exc:

@@ -7,11 +7,9 @@ derived. A public key holds h; its params are h's. Every secret scalar
 InvalidOrder. A key refuses an x outside [1, n) and an h that is the identity
 (UsageError), so no key exists for n < 2; DH refuses a peer's public the same
 way. An element's exponent needs no upper check: ``ExactElement`` holds k in
-[0, n). Every argument but an ``rng`` is read by one of two rules before any
-draw, each raising UsageError that names it and its type: an integer (x, R,
-s, an exponent, an n) by ``_kernels._integer``, any other by
-``group._check_type`` against its annotation. A key used with another group's
-element or ciphertext raises ParamsMismatch, as mul does.
+[0, n). Every argument but an ``rng`` follows the package's kind rule
+before any draw. A key used with another group's element or ciphertext
+raises ParamsMismatch, as mul does.
 Signatures need a prime order and a p that meets the recovery bound, so
 reading R back from its angle never fails.
 
@@ -112,7 +110,7 @@ def random_scalar(rng: Random, n: int) -> int:
 
 
 def generator_power(params: GroupParams, e: int) -> ExactElement:
-    """g^e; e is read as ``power`` reads it (``_kernels._integer``)."""
+    """g^e, for any integer e."""
     _check_type("params", params, GroupParams, "a GroupParams")
     return element(params, params.g * _integer("exponent", e))
 
@@ -177,10 +175,7 @@ def decode_message(m: ExactElement) -> bytes:
 
 
 def hash_to_scalar(message: bytes, n: int) -> int:
-    """SHA-256 digest as a big-endian 256-bit integer, reduced mod n.
-
-    Refuses a message that is not bytes, then an n that ``_kernels._integer``
-    refuses (``UsageError``), then n < 1 (``InvalidOrder``)."""
+    """SHA-256 digest as a big-endian 256-bit integer, reduced mod n; n < 1 is InvalidOrder."""
     _check_type("message", message, bytes, "bytes")
     n = _integer("n", n)
     if n < 1:  # no residue mod n to land on
@@ -202,11 +197,11 @@ _WITNESSES = (
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < psi13 ~ 3.3e24; larger n raises OrderTooLarge.
 
-    n is read by ``_kernels._integer``. No trial division: the first row of
-    ``_WITNESSES`` with n below its bound decides n, Sinclair's seven bases
-    below 2^64 (7 rounds, every default order) and the primes 2..41 below
-    psi13 (13 rounds). A base that n divides proves nothing and is skipped;
-    one that merely shares a factor with n is kept, and finds n composite.
+    No trial division: the first row of ``_WITNESSES`` with n below its bound
+    decides n, Sinclair's seven bases below 2^64 (7 rounds, every default
+    order) and the primes 2..41 below psi13 (13 rounds). A base that n divides
+    proves nothing and is skipped; one that merely shares a factor with n is
+    kept, and finds n composite.
     """
     n = _integer("n", n)
     if n >= _PSI13:

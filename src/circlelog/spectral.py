@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import _integer
 from .errors import InvalidOrder, OrderTooLarge, UsageError
-from .group import complex_value, element, make_params, to_numeric
+from .group import _check_type, complex_value, element, make_params, to_numeric
 
 DENSE_ORDER_GUARD = 1 << 10  # n x n complex matrices: 16 MB each at the guard
 CHECK_ORDER_GUARD = 1 << 20  # the exact roots are built one Python call per k
@@ -43,6 +43,8 @@ class DenseOperator:
     entries: np.ndarray  # (dim, dim) complex128
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer("dim", self.dim))
+        _check_type("entries", self.entries, np.ndarray, "an ndarray")
         if self.dim < 1 or self.entries.shape != (self.dim, self.dim):
             raise UsageError(f"expected a {self.dim}x{self.dim} matrix")
 
@@ -91,6 +93,7 @@ def log_operator(n: int) -> DenseOperator:
 
 def exp_operator(op: DenseOperator) -> DenseOperator:
     """Matrix exponential via the Fourier diagonal; a non-circulant op raises UsageError."""
+    _check_type("op", op, DenseOperator, "a DenseOperator")
     f = dft_matrix(op.dim).entries
     d = f @ op.entries @ f.conj().T
     diag = np.diag(d)
@@ -101,6 +104,7 @@ def exp_operator(op: DenseOperator) -> DenseOperator:
 
 def dump_operator(op: DenseOperator, stream: TextIO) -> None:
     """Plain text, one row per line, entries as re+imi with 17 significant digits."""
+    _check_type("op", op, DenseOperator, "a DenseOperator")
     for row in op.entries:
         stream.write(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) + "\n")
 

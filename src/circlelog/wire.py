@@ -23,8 +23,10 @@ that fails mid-session (a reset, a broken pipe) raises a ``ProtocolError``
 naming the message being sent or waited for. The server
 waits for its client to connect without limit. A connection that cannot be
 made, or a port that cannot be listened on, raises a ``ProtocolError``
-naming host:port and the step. Each end makes its key with ``protocols``
-before it listens or connects, so n < 2 raises ``InvalidOrder`` first.
+naming host:port and the step. Each end reads its port by ``_port``, the
+one port rule (the CLI's ``--port`` too), and then makes its key with
+``protocols`` before it listens or connects, so a port outside [0, 65535]
+raises ``UsageError`` and n < 2 ``InvalidOrder`` first.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
-from .errors import ParamsMismatch, ParseError, ProtocolError
-from .group import ExactElement, GroupParams, element
+from ._kernels import _integer
+from .errors import ParamsMismatch, ParseError, ProtocolError, UsageError
+from .group import ExactElement, GroupParams, _check_type, element
 from .keyfile import decimal
 # generator_power is not called here; perfbench's tracing test reads wire.generator_power.
 from .protocols import KeyPair, dh_public, dh_shared, generator_power, keygen  # noqa: F401
@@ -53,7 +56,16 @@ class SessionResult:
     transcript: str
 
 
+def _port(port) -> int:
+    """A TCP port as ``_integer`` reads it; ``UsageError`` unless it lies in [0, 65535]."""
+    port = _integer("port", port)
+    if not 0 <= port <= 65535:
+        raise UsageError(f"port={port} outside [0, 65535]")
+    return port
+
+
 def confirm_digest(shared: ExactElement) -> str:
+    _check_type("shared", shared, ExactElement, "an ExactElement")
     return hashlib.sha256(str(shared.k).encode("ascii")).hexdigest()
 
 
@@ -146,6 +158,8 @@ def dh_serve(
 
     ``on_listen`` receives the bound port (useful with port=0).
     """
+    port = _port(port)
+    _check_type("host", host, str, "a str")
     own = keygen(params, rng)
     try:
         server = socket.create_server((host, port))
@@ -161,6 +175,8 @@ def dh_serve(
 
 
 def dh_connect(host: str, port: int, params: GroupParams, rng: Random) -> SessionResult:
+    _check_type("host", host, str, "a str")
+    port = _port(port)
     own = keygen(params, rng)
     try:
         sock = socket.create_connection((host, port), timeout=TIMEOUT_S)

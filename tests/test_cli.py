@@ -453,6 +453,23 @@ def test_malformed_key_file_error_names_its_path(keys, capsys):
     assert err.startswith(f"error: {keys['priv']}: line 6: field 'x'")
 
 
+@pytest.mark.parametrize("argv, victim", [
+    (["encrypt", "--pub", "pub", "--message", "hi", "--seed", "2"], "pub"),
+    (["decrypt", "--key", "priv", "--ct", "ct"], "priv"),
+    (["decrypt", "--key", "priv", "--ct", "ct"], "ct"),
+    (["sign", "--key", "priv", "--message", "hi", "--seed", "2"], "priv"),
+])
+def test_out_onto_an_input_exits_2(keys, monkeypatch, capsys, argv, victim):
+    # the output replaced the key or ciphertext it was made from, and exited 0
+    monkeypatch.chdir(keys[victim].parent)
+    before = keys[victim].read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", f"./{victim}"])
+    assert exc.value.code == 2
+    assert "same file" in capsys.readouterr().err
+    assert keys[victim].read_bytes() == before
+
+
 def test_sign_with_a_public_key_exits_1(keys, tmp_path, capsys):
     out = tmp_path / "pub.sig"
     argv = ["sign", "--key", str(keys["pub"]), "--message", "hi", "--seed", "3", "--out", str(out)]

@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from circlelog import InvalidOrder, ParamsMismatch, ProtocolError, keygen, make_params, wire
+from circlelog import InvalidOrder, ParamsMismatch, ProtocolError, UsageError, keygen, make_params
+from circlelog import wire
 from circlelog.wire import dh_connect, dh_serve
 
 GOLDEN = Path(__file__).parent / "data" / "dh_transcript.golden"
@@ -165,6 +166,18 @@ def test_port_in_use_names_host_port_and_step():
         port = taken.getsockname()[1]
         with pytest.raises(ProtocolError, match=f"listen on 127.0.0.1:{port} failed"):
             dh_serve(port, PARAMS, Random(SERVER_SEED))
+
+
+@pytest.mark.parametrize("port", [70000, 65536, -1])
+def test_port_outside_range_refused_before_the_key(port):
+    # dh_serve ended in an OverflowError traceback; dh_connect tried to connect
+    rng = Random(SERVER_SEED)
+    state = rng.getstate()
+    for call in (lambda: dh_serve(port, PARAMS, rng),
+                 lambda: dh_connect("127.0.0.1", port, PARAMS, rng)):
+        with pytest.raises(UsageError, match=rf"^port={port} outside \[0, 65535\]$"):
+            call()
+    assert rng.getstate() == state
 
 
 def test_order_below_two_refused_before_listening():

@@ -38,9 +38,11 @@ TIMEOUT_S = 600
 
 # module -> the test files that must kill its mutants
 TESTS = {
-    "_kernels.py": ("tests/test_kernels.py", "tests/test_integer_inputs.py"),
-    "group.py": ("tests/test_group.py", "tests/test_integer_inputs.py"),
-    "contlog.py": ("tests/test_contlog.py", "tests/test_group.py"),
+    "_kernels.py": ("tests/test_kernels.py", "tests/test_integer_inputs.py",
+                    "tests/test_contract.py"),
+    "group.py": ("tests/test_group.py", "tests/test_integer_inputs.py", "tests/test_contract.py"),
+    "contlog.py": ("tests/test_contlog.py", "tests/test_group.py", "tests/test_contract.py"),
+    "keyfile.py": ("tests/test_keyfile.py", "tests/test_contract.py"),
 }
 
 # accepted equivalent mutants: name -> why no test can tell it from the original
