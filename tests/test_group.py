@@ -21,10 +21,12 @@ from circlelog import (
     generator,
     identity,
     inv,
+    log_branches,
     make_params,
     mul,
     mul_numeric,
     power,
+    principal_log,
     recover_exponent,
     to_numeric,
 )
@@ -137,6 +139,16 @@ class TestExactArithmetic:
             assert a == power(element(p, MERSENNE61 - 4), int(e)) and type(a.k) is int
         assert power(element(p, MERSENNE61 - 4), np.int64(1000)).k == 2305843009213689951
         assert to_numeric(power(element(p, 5), np.int64(1000))) == to_numeric(element(p, 5000))
+
+    @pytest.mark.parametrize("e, kind", [(2.0, "float"), (Fraction(2), "Fraction"),
+                                         ("2", "str"), (None, "NoneType"),
+                                         (np.float64(2), "float64"), (True, "bool")])
+    def test_pow_non_integer_exponent_refused(self, e, kind):
+        with pytest.raises(UsageError, match=rf"^exponent must be an int, got {kind}$"):
+            power(element(make_params(12, 1, 8), 5), e)
+        # generator_power reads its exponent the same way: 2.0 used to give k = 6.0
+        with pytest.raises(UsageError, match=rf"^exponent must be an int, got {kind}$"):
+            generator_power(make_params(MERSENNE61, 3, 128), e)
 
     @pytest.mark.parametrize("e", [np.int64(2**61), np.int64(2**62), np.uint64(1000),
                                    np.int32(-1)])
@@ -493,8 +505,37 @@ class TestFactoryBuiltElements:
 
 
 class TestOneKindRule:
-    """element reads k by the integer rule; the other kinds of every argument are
-    refused in ``test_contract.py``."""
+    """Every group-layer function refuses a value of the wrong kind by name;
+    each call in ``ENTRIES`` ended in a bare AttributeError."""
+
+    EXACT, NUMERIC = exact(5), numeric(20)
+    # (function, argument, kind named, a value of another kind, the call given that argument)
+    ENTRIES = [
+        ("element", "params", "a GroupParams", EXACT, lambda v: element(v, 5)),
+        ("generator", "params", "a GroupParams", EXACT, lambda v: generator(v)),
+        ("identity", "params", "a GroupParams", EXACT, lambda v: identity(v)),
+        ("mul", "a", "an ExactElement", NUMERIC, lambda v: mul(v, exact(3))),
+        ("mul", "b", "an ExactElement", NUMERIC, lambda v: mul(exact(3), v)),
+        ("inv", "a", "an ExactElement", NUMERIC, lambda v: inv(v)),
+        ("power", "a", "an ExactElement", NUMERIC, lambda v: power(v, 3)),
+        ("to_numeric", "a", "an ExactElement", NUMERIC, lambda v: to_numeric(v)),
+        ("mul_numeric", "a", "a NumericElement", EXACT, lambda v: mul_numeric(v, numeric(4))),
+        ("mul_numeric", "b", "a NumericElement", EXACT, lambda v: mul_numeric(numeric(4), v)),
+        ("complex_value", "a", "a NumericElement", EXACT, lambda v: complex_value(v)),
+        ("principal_log", "q", "a NumericElement", EXACT, lambda v: principal_log(v)),
+        ("log_branches", "q", "a NumericElement", EXACT, lambda v: log_branches(v, 1)),
+        ("recover_exponent", "q", "a NumericElement", EXACT, lambda v: recover_exponent(v)),
+    ]
+
+    @pytest.mark.parametrize("wrong", ["int", "str", "None", "other kind"])
+    @pytest.mark.parametrize("name, kind, other, call",
+                             [pytest.param(*entry[1:], id=f"{entry[0]}-{entry[1]}")
+                              for entry in ENTRIES])
+    def test_wrong_kind_refused_by_name(self, name, kind, other, call, wrong):
+        value = {"int": 5, "str": "x", "None": None, "other kind": other}[wrong]
+        shown = f"^{name} must be {kind}, got {type(value).__name__}$"
+        with pytest.raises(UsageError, match=shown):
+            call(value)
 
     def test_element_reads_a_numpy_k_as_its_int(self):
         # the int64 k was stored as given and wrapped in k << p: t = 197520
@@ -502,6 +543,12 @@ class TestOneKindRule:
         a = element(make_params(n, 1, p), np.int64(k))
         assert type(a.k) is int and a.k == k
         assert to_numeric(a).t == round(Fraction(k << p, n)) == 8796093219608
+
+    @pytest.mark.parametrize("k, kind", [(3.5, "float"), (True, "bool"), ("5", "str")])
+    def test_element_refuses_a_k_that_is_not_an_int(self, k, kind):
+        # element(P, 3.5) built k=3.5 and element(P, True) k=1
+        with pytest.raises(UsageError, match=f"^k must be an int, got {kind}$"):
+            element(FP, k)
 
 
 @pytest.mark.parametrize("n, bits", [(1000, 12), (4096, 14), (10007, 16)])

@@ -1,16 +1,17 @@
 """One integer rule: every integer the library takes is read by ``_kernels._integer``.
 
 A numpy integer is read as its exact Python int, so it gives the results of
-the int it holds; every other kind is refused by name (``test_contract.py``).
+the int it holds; a bool, float, str, None or Fraction is refused by name.
 """
 
+from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
 
 from circlelog import (
-    ExactElement, GroupParams, KeyPair, NumericElement, Signature, _kernels, element, make_params, power,
+    ExactElement, GroupParams, KeyPair, NumericElement, Signature, UsageError, _kernels, element, make_params, power,
     to_numeric,
 )
 from circlelog import spectral
@@ -74,6 +75,18 @@ ENTRIES = [
     ("spectral.check", "n", lambda v: spectral.check(v)),
 ]
 
+NOT_INTS = [(2.0, "float"), (True, "bool"), ("2", "str"), (None, "NoneType"),
+            (Fraction(2), "Fraction")]
+
+
+@pytest.mark.parametrize("value, kind", NOT_INTS, ids=[kind for _, kind in NOT_INTS])
+@pytest.mark.parametrize("name, call", [pytest.param(name, call, id=f"{entry}-{name}")
+                                        for entry, name, call in ENTRIES])
+def test_non_integer_refused_by_name(name, call, value, kind):
+    with pytest.raises(UsageError, match=rf"^{name} must be an int, got {kind}$"):
+        call(value)
+
+
 @pytest.mark.parametrize("name, call", [pytest.param(name, call, id=f"{entry}-{name}")
                                         for entry, name, call in ENTRIES])
 def test_numpy_integer_reads_as_its_int(name, call):
@@ -99,6 +112,12 @@ def test_numpy_experiment_inputs_draw_as_their_ints():
     rows = precision_sweep(256, [np.int64(4)], 2000, seed=np.int64(3))
     assert rows == precision_sweep(256, [4], 2000, seed=3)
     assert rows[0].successes == 124 and type(rows[0].variable) is int
+    # a float p or seed used to hash the path "3/4.0/..." or "3.0/4/...":
+    # 104 and 107 successes, other draws than the int row's
+    with pytest.raises(UsageError, match=r"^p must be an int, got float$"):
+        precision_sweep(256, [4.0], 2000, seed=3)
+    with pytest.raises(UsageError, match=r"^seed must be an int, got float$"):
+        precision_sweep(256, [4], 2000, seed=3.0)
 
 
 def test_numpy_scalars_stored_as_ints():

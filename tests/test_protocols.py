@@ -31,6 +31,7 @@ from circlelog import (
     keygen,
     make_params,
     sign,
+    to_numeric,
     verify,
 )
 from circlelog.protocols import hash_to_scalar, is_prime, random_scalar
@@ -127,10 +128,64 @@ class TestKeysCheckedWhereMade:
         with pytest.raises(UsageError, match=self.refusal("their_public", k)):
             dh_shared(KeyPair(self.params, 7), ExactElement(self.params, k))
 
+    @pytest.mark.parametrize("x, kind", [(5.5, "float"), (True, "bool"), ("7", "str"), (None, "NoneType")])
+    def test_private_value_of_wrong_type_refused(self, x, kind):
+        # a float x would be written to a key file that parse_key then refuses
+        with pytest.raises(UsageError, match=rf"^x must be an int, got {kind}$"):
+            KeyPair(self.params, x)
+
+    @pytest.mark.parametrize("h, kind", [(True, "bool"), (5, "int")])
+    def test_public_value_of_wrong_type_refused(self, h, kind):
+        with pytest.raises(UsageError, match=rf"^h must be an ExactElement, got {kind}$"):
+            PublicKey(h)
+
+    def test_numeric_public_value_refused(self):
+        h = to_numeric(element(self.params, 5))
+        with pytest.raises(UsageError, match=r"^h must be an ExactElement, got NumericElement$"):
+            PublicKey(h)
+
     @pytest.mark.parametrize("x", [1, 100])
     def test_range_ends_accepted(self, x):
         key = KeyPair(self.params, x)
         assert key.public == PublicKey(element(self.params, 2 * x % 101))
+
+
+class TestElementArgumentsChecked:
+    """A group element argument that is not an ExactElement is refused by name."""
+
+    params = make_params(101, 2, 16)
+    WRONG = [(5, "int"), (True, "bool"), (None, "NoneType")]
+
+    @pytest.mark.parametrize("value, kind", WRONG)
+    @pytest.mark.parametrize("field", ["c1", "c2"])
+    def test_ciphertext_field_refused(self, field, value, kind):
+        fields = {"c1": element(self.params, 3), "c2": element(self.params, 4), field: value}
+        with pytest.raises(UsageError, match=rf"^{field} must be an ExactElement, got {kind}$"):
+            Ciphertext(**fields)
+
+    def test_numeric_ciphertext_field_refused(self):
+        q = to_numeric(element(self.params, 3))
+        with pytest.raises(UsageError, match=r"^c1 must be an ExactElement, got NumericElement$"):
+            Ciphertext(q, element(self.params, 4))
+
+    @pytest.mark.parametrize("value, kind", WRONG)
+    def test_elgamal_message_refused_before_drawing(self, value, kind):
+        key = KeyPair(self.params, 7)
+        rng = FixedRandom([9])
+        with pytest.raises(UsageError, match=rf"^m must be an ExactElement, got {kind}$"):
+            elgamal_encrypt(key, value, rng)
+        assert rng.values == [9]  # no ephemeral was drawn
+
+    @pytest.mark.parametrize("value, kind", WRONG)
+    def test_dh_public_refused(self, value, kind):
+        key = KeyPair(self.params, 7)
+        with pytest.raises(UsageError, match=rf"^their_public must be an ExactElement, got {kind}$"):
+            dh_shared(key, value)
+
+    def test_numeric_dh_public_refused(self):
+        q = to_numeric(element(self.params, 3))
+        with pytest.raises(UsageError, match=r"^their_public must be an ExactElement, got NumericElement$"):
+            dh_shared(KeyPair(self.params, 7), q)
 
 
 class TestDH:
@@ -382,6 +437,17 @@ class TestSignature:
         )
         assert accepts == 0
 
+    @pytest.mark.parametrize("fields, name, kind", [
+        ((5.5, 3), "R", "float"),
+        ((3, 2.5), "s", "float"),
+        (("7", 3), "R", "str"),
+        ((True, 3), "R", "bool"),
+        ((3, False), "s", "bool"),
+    ])
+    def test_components_of_wrong_type_refused(self, fields, name, kind):
+        with pytest.raises(UsageError, match=rf"^{name} must be an int, got {kind}$"):
+            Signature(*fields)
+
     @pytest.mark.parametrize("fields", [(0, 3), (3, 0), (-1, 3), (3, MERSENNE61), (MERSENNE61 + 5, 1)])
     def test_out_of_range_components_build_and_fail(self, fields):
         key = keygen(self.params, Random(1))
@@ -398,6 +464,71 @@ class TestSignature:
         with pytest.raises(InvalidOrder, match=message):
             hash_to_scalar(b"abc", n)
 
+
+
+class TestMessageAndSignatureTypes:
+    """A message that is not bytes, or a signature that is not a Signature, is refused by name."""
+
+    params = make_params(MERSENNE61, 3, 128)
+    NOT_BYTES = [("abc", "str"), (bytearray(b"abc"), "bytearray"), ([1, 2], "list"),
+                 (5, "int"), (None, "NoneType")]
+
+    @pytest.mark.parametrize("message, kind", NOT_BYTES)
+    def test_message_refused(self, message, kind):
+        # these ended in a bare TypeError, or, for a bytearray or a list of
+        # ints, signed, verified or encoded the bytes they hold
+        key = keygen(self.params, Random(1))
+        sig = sign(key, b"abc", Random(2))
+        rng = FixedRandom([9])
+        for call in (lambda: sign(key, message, rng),
+                     lambda: verify(key.public, message, sig),
+                     lambda: verify(key.public, message, Signature(0, 0)),  # R out of range
+                     lambda: hash_to_scalar(message, 10007),
+                     lambda: encode_message(message, self.params)):
+            with pytest.raises(UsageError, match=rf"^message must be bytes, got {kind}$"):
+                call()
+        assert rng.values == [9]  # sign drew no nonce
+
+    @pytest.mark.parametrize("sig, kind", [((5, 7), "tuple"), (None, "NoneType"), ("5 7", "str")])
+    def test_signature_refused(self, sig, kind):
+        # a tuple ended in AttributeError: 'tuple' object has no attribute 'R'
+        key = keygen(self.params, Random(1))
+        with pytest.raises(UsageError, match=rf"^sig must be a Signature, got {kind}$"):
+            verify(key.public, b"abc", sig)
+
+class TestProtocolArgumentTypes:
+    """A key, group or ciphertext of the wrong type is refused by name, before any draw."""
+
+    # (id, call given a valid key and a scripted rng, message); each ended in AttributeError
+    CASES = [
+        ("KeyPair", lambda key, rng: KeyPair("x", 5), "params must be a GroupParams, got str"),
+        ("keygen", lambda key, rng: keygen("x", rng), "params must be a GroupParams, got str"),
+        ("sign", lambda key, rng: sign("k", b"m", rng), "sk must be a KeyPair, got str"),
+        ("sign-public", lambda key, rng: sign(key.public, b"m", rng),
+         "sk must be a KeyPair, got PublicKey"),
+        ("verify", lambda key, rng: verify("k", b"m", Signature(1, 1)),
+         "pk must be a PublicKey or KeyPair, got str"),
+        ("elgamal_encrypt", lambda key, rng: elgamal_encrypt("pk", key.h, rng),
+         "pk must be a PublicKey or KeyPair, got str"),
+        ("elgamal_decrypt", lambda key, rng: elgamal_decrypt(key, "ct"),
+         "ct must be a Ciphertext, got str"),
+        ("dh_shared", lambda key, rng: dh_shared("own", key.h), "own must be a KeyPair, got str"),
+        ("dh_public", lambda key, rng: protocols.dh_public("k"),
+         "keypair must be a KeyPair, got str"),
+        ("encode_message", lambda key, rng: encode_message(b"a", "x"),
+         "params must be a GroupParams, got str"),
+        ("decode_message", lambda key, rng: decode_message(5), "m must be an ExactElement, got int"),
+        ("generator_power", lambda key, rng: protocols.generator_power("x", 3),
+         "params must be a GroupParams, got str"),
+    ]
+
+    @pytest.mark.parametrize("call, message", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_wrong_type_refused_before_drawing(self, call, message):
+        rng = FixedRandom([9])
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            call(KeyPair(make_params(101, 2, 16), 7), rng)
+        assert rng.values == [9]
 
 
 def test_is_prime_reference_values():
