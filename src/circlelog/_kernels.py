@@ -66,6 +66,8 @@ def _integer(name: str, value) -> int:
 def tolerance(delta) -> tuple[int, int]:
     """The recovery tolerance as (dnum, dden); ``UsageError`` unless a rational in [0, 1/2)."""
     try:
+        if isinstance(delta, bool):  # Fraction reads True as 1; the integer rule refuses a bool
+            raise TypeError
         d = Fraction(delta)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise UsageError(f"delta must be a finite rational, got {delta!r}") from None

@@ -27,7 +27,12 @@ _DNUM, _DDEN = _kernels.tolerance(DEFAULT_TOLERANCE)
 
 @dataclass(frozen=True)
 class ContinuousLogValue:
-    """One logarithm value i*(2*pi*principal_t/2^p + 2*pi*branch)."""
+    """One logarithm value i*(2*pi*principal_t/2^p + 2*pi*branch).
+
+    A principal angle outside [0, 2^p) carries its whole turns into the
+    branch, as ``element`` reduces k mod n, so each value has one
+    representation: (65541, 0) and (5, 1) are equal at p = 16.
+    """
 
     params: GroupParams
     principal_t: int
@@ -35,8 +40,9 @@ class ContinuousLogValue:
 
     def __post_init__(self) -> None:
         _check_type("params", self.params, GroupParams, "a GroupParams")
-        object.__setattr__(self, "principal_t", _kernels._integer("principal_t", self.principal_t))
-        object.__setattr__(self, "branch", _kernels._integer("branch", self.branch))
+        turns, t = divmod(_kernels._integer("principal_t", self.principal_t), 1 << self.params.p)
+        object.__setattr__(self, "principal_t", t)
+        object.__setattr__(self, "branch", _kernels._integer("branch", self.branch) + turns)
 
     def turn_units(self) -> int:
         """The imaginary part in units of 2*pi/2^p, branch included."""

@@ -15,6 +15,11 @@ lowercase SHA-256 of the ASCII decimal of the shared exponent S.k. Both
 sides log the session as a transcript with C:/S: line prefixes in protocol
 order; with fixed seeds the transcripts are byte-identical on both ends.
 
+Each end is a socket opener around a session function: ``dh_serve`` and
+``dh_connect`` check their arguments, make the key and open the socket;
+``_serve_session`` and ``_connect_session`` run the steps over a line reader
+and anything with ``sendall``, so the protocol runs without a socket too.
+
 A peer that stays silent for ``TIMEOUT_S`` seconds, sends a line longer
 than ``MAX_LINE`` characters (LF included) or sends bytes that are not
 UTF-8 ends the session with a ``ProtocolError`` naming the message waited
@@ -147,6 +152,26 @@ def _serve_session(reader, sock, own: KeyPair) -> SessionResult:
     return SessionResult(shared, confirm, "\n".join(transcript) + "\n")
 
 
+def _connect_session(reader, sock, own: KeyPair) -> SessionResult:
+    transcript: list[str] = []
+    _send(sock, transcript, "C: ", HELLO)
+    _send(sock, transcript, "C: ", f"PARAMS n={own.params.n} g={own.params.g}")
+    line = _recv(reader, transcript, "S: ", "OK")
+    if line == "ERR PARAMS":
+        raise ParamsMismatch("server rejected parameters")
+    if line != "OK":
+        raise ProtocolError(f"expected OK, got {line!r}")
+
+    _send(sock, transcript, "C: ", f"A={dh_public(own).k}")
+    b_line = _recv(reader, transcript, "S: ", "B")
+    shared, confirm = _shared_secret(b_line, "B", own)
+    _send(sock, transcript, "C: ", f"CONFIRM {confirm}")
+    their = _recv(reader, transcript, "S: ", "CONFIRM")
+    if their != f"CONFIRM {confirm}":
+        raise ProtocolError(f"confirmation mismatch: {their!r}")
+    return SessionResult(shared, confirm, "\n".join(transcript) + "\n")
+
+
 def dh_serve(
     port: int,
     params: GroupParams,
@@ -183,20 +208,4 @@ def dh_connect(host: str, port: int, params: GroupParams, rng: Random) -> Sessio
     except OSError as exc:
         raise ProtocolError(f"connect to {host}:{port} failed: {exc.strerror or exc}") from None
     with sock, _reader(sock) as reader:
-        transcript: list[str] = []
-        _send(sock, transcript, "C: ", HELLO)
-        _send(sock, transcript, "C: ", f"PARAMS n={params.n} g={params.g}")
-        line = _recv(reader, transcript, "S: ", "OK")
-        if line == "ERR PARAMS":
-            raise ParamsMismatch("server rejected parameters")
-        if line != "OK":
-            raise ProtocolError(f"expected OK, got {line!r}")
-
-        _send(sock, transcript, "C: ", f"A={dh_public(own).k}")
-        b_line = _recv(reader, transcript, "S: ", "B")
-        shared, confirm = _shared_secret(b_line, "B", own)
-        _send(sock, transcript, "C: ", f"CONFIRM {confirm}")
-        their = _recv(reader, transcript, "S: ", "CONFIRM")
-        if their != f"CONFIRM {confirm}":
-            raise ProtocolError(f"confirmation mismatch: {their!r}")
-        return SessionResult(shared, confirm, "\n".join(transcript) + "\n")
+        return _connect_session(reader, sock, own)

@@ -622,19 +622,25 @@ def test_dh_connect_peer_reset_exits_1(capsys):
     assert re.fullmatch(r"error: connection lost while (sending PARAMS|waiting for OK): .+\n", err)
 
 
-def test_dh_serve_peer_reset_exits_1(monkeypatch, capsys):
+@pytest.fixture
+def served_ports(monkeypatch):
+    """The ports ``dh-serve`` listens on, put on a queue as each is bound."""
     ports = queue.Queue()
     serve = wire.dh_serve
 
     def serve_reporting_port(port, params, rng, host, on_listen):
         return serve(port, params, rng, host, on_listen=lambda p: (on_listen(p), ports.put(p)))
 
+    monkeypatch.setattr(wire, "dh_serve", serve_reporting_port)
+    return ports
+
+
+def test_dh_serve_peer_reset_exits_1(served_ports, capsys):
     def client():
-        sock = socket.create_connection(("127.0.0.1", ports.get(timeout=5)))
+        sock = socket.create_connection(("127.0.0.1", served_ports.get(timeout=5)))
         sock.sendall(b"HELLO circlelog/1\n")
         _reset(sock)
 
-    monkeypatch.setattr(wire, "dh_serve", serve_reporting_port)
     thread = threading.Thread(target=client, daemon=True)
     thread.start()
     assert main(["dh-serve", "--port", "0", "--n", "101", "--g", "2", "--p", "16"]) == 1
@@ -644,6 +650,19 @@ def test_dh_serve_peer_reset_exits_1(monkeypatch, capsys):
     assert captured.out == "" and listening.startswith("listening on 127.0.0.1:")
     # the reset may arrive before the server has read HELLO
     assert re.fullmatch(r"error: connection lost while waiting for (HELLO|PARAMS): .+", error)
+
+
+def test_dh_serve_prints_the_golden_transcript(served_ports, capsys):
+    box = {}
+    argv = ["dh-serve", "--port", "0", "--n", "101", "--g", "2", "--p", "16", "--seed", "2024"]
+    thread = threading.Thread(target=lambda: box.update(rc=main(argv)), daemon=True)
+    thread.start()
+    client = wire.dh_connect("127.0.0.1", served_ports.get(timeout=5), make_params(101, 2, 16),
+                             Random(4202))
+    thread.join(5)
+    assert box["rc"] == 0
+    golden = (Path(__file__).parent / "data" / "dh_transcript.golden").read_text("utf-8")
+    assert capsys.readouterr().out == f"{golden}CONFIRM {client.confirm}\n"
 
 
 def test_order_above_2_256_exits_1(monkeypatch, capsys):

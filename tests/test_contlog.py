@@ -1,5 +1,6 @@
 """Continuous logarithm: principal value, branches, exponent recovery."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from circlelog import (
     recover_exponent,
     to_numeric,
 )
-from circlelog.contlog import DEFAULT_TOLERANCE
+from circlelog.contlog import DEFAULT_TOLERANCE, ContinuousLogValue
 from circlelog.group import NumericElement
 
 
@@ -40,6 +41,27 @@ class TestPrincipalLog:
         p = make_params(8, 1, 16)
         v = principal_log(to_numeric(element(p, 3)))
         assert v.principal_t == 3 * 65536 // 8 == 24576
+
+
+class TestOneRepresentation:
+    P = make_params(101, 2, 16)
+
+    def test_whole_turns_of_the_angle_go_to_the_branch(self):
+        v = ContinuousLogValue(self.P, 65541, 0)
+        assert v == ContinuousLogValue(self.P, 5, 1)
+        assert (v.principal_t, v.branch) == (5, 1)
+
+    def test_negative_angle_reads_on_branch_minus_one(self):
+        v = ContinuousLogValue(self.P, -3, 0)
+        assert (v.principal_t, v.branch) == (65533, -1)
+        assert v.turn_units() == -3 and v.imag() == math.tau * (-3 / 65536)
+
+    @given(st.integers(-2**40, 2**40), st.integers(-100, 100))
+    def test_turn_units_and_imag_unchanged(self, t, branch):
+        v = ContinuousLogValue(self.P, t, branch)
+        assert 0 <= v.principal_t < 1 << 16
+        assert v.turn_units() == t + (branch << 16)
+        assert v.imag() == math.tau * ((t + (branch << 16)) / (1 << 16))
 
 
 class TestLogBranches:

@@ -75,7 +75,7 @@ VALID = {
 
 # "<parameter>" (of any callable) or "<name>.<parameter>" -> more kinds it accepts
 ACCEPTS = {
-    "delta": (int, float, bool),  # any number Fraction reads, as _kernels.tolerance does
+    "delta": (int, float),  # any number but a bool that Fraction reads, as _kernels.tolerance does
     "cryptanalysis.attack_direct.public": (ExactElement,),  # the exact attack reads k outright
 }
 

@@ -137,6 +137,12 @@ class TestExhaustive:
         with pytest.raises(ParamsMismatch):
             attack_exhaustive(to_numeric(element(other, 777)), params)
 
+    def test_order_at_the_guard_accepted(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "nearest_angle", lambda t, n, p: (5, 0))  # no 2^24 scan
+        p = make_params(1 << 24, 1, 26)
+        report = attack_exhaustive(to_numeric(element(p, 5)), p)
+        assert report.recovered == 5 and report.mean_ops == 1 << 24
+
     def test_order_guard(self):
         p = make_params(1 << 25, 1, 28)
         with pytest.raises(OrderTooLarge):
@@ -298,6 +304,12 @@ class TestReporting:
         row = SweepRow(5, 1, 3)
         assert row.success_rate == Fraction(1, 3)
 
+    def test_recovered_line_only_for_a_single_target(self):
+        p = make_params(1000, 3, 12)
+        one = attack_direct(to_numeric(element(p, 5)), p)
+        assert format_report(one).splitlines()[5] == f"recovered: {one.recovered}"
+        assert "recovered:" not in format_report(direct_attack_report(p, 10, seed=1))
+
     def test_report_text_states_measured_cost(self):
         p = make_params(1 << 20, 1, 22)
         report = direct_attack_report(p, 100, seed=1)
@@ -310,6 +322,27 @@ class TestReporting:
         vs = [derive_uniform(7, (3, 1, t, 0), 1000) for t in range(200)]
         assert all(0 <= v < 1000 for v in vs)
         assert vs == [derive_uniform(7, (3, 1, t, 0), 1000) for t in range(200)]
+
+    def test_derive_uniform_takes_every_digest_at_order_2_256(self):
+        # the limit is 2^256 itself: no digest is redrawn
+        v = int.from_bytes(hashlib.sha256(b"7/3/0").digest(), "big")
+        assert derive_uniform(7, (3,), 1 << 256) == v
+
+    def test_derive_uniform_redraws_at_counter_1(self):
+        # at n = 2^255 + 1 the limit is n: about half the counter-0 digests are rejected
+        n = 2**255 + 1
+
+        def v(path):
+            return int.from_bytes(hashlib.sha256(path).digest(), "big")
+
+        t = next(t for t in range(100) if v(b"7/%d/0" % t) >= n > v(b"7/%d/1" % t))
+        assert derive_uniform(7, (t,), n) == v(b"7/%d/1" % t)
+
+    def test_derive_uniform_redraws_a_digest_at_the_limit(self, monkeypatch):
+        rigged = _rigged_sha256(b"7/3/0", _limit(1000).to_bytes(32, "big"))
+        monkeypatch.setattr(cryptanalysis, "hashlib", SimpleNamespace(sha256=rigged))
+        redrawn = int.from_bytes(hashlib.sha256(b"7/3/1").digest(), "big")
+        assert redrawn < _limit(1000) and derive_uniform(7, (3,), 1000) == redrawn % 1000
 
 
 def _limit(n):

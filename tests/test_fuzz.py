@@ -1,8 +1,8 @@
 """Property tests of the text parsers: every input parses or raises a CircleLogError.
 
 Each parser gets arbitrary text and single-line mutations of valid records:
-key, ciphertext and signature files, and a DH client's lines as read by the
-server.
+key, ciphertext and signature files, and each DH end's lines as read by the
+other end.
 """
 
 import io
@@ -11,7 +11,7 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelog import CircleLogError, ParseError, keygen, make_params, wire
@@ -147,15 +147,23 @@ def client_script(seed: int, a: int) -> str:
     return f"{wire.HELLO}\nPARAMS n=101 g=2\nA={public.k}\nCONFIRM {confirm}\n"
 
 
-def serve(text: str, seed: int):
+def server_script(seed: int, b: int) -> str:
+    """A server's lines for a session the client completes: OK to CONFIRM."""
+    public = generator_power(WIRE_PARAMS, b)
+    a = random_scalar(Random(seed), WIRE_PARAMS.n)  # the client's first draw
+    return f"OK\nB={public.k}\nCONFIRM {wire.confirm_digest(power(public, a))}\n"
+
+
+def run(session, text: str, seed: int):
     key = keygen(WIRE_PARAMS, Random(seed))
-    return wire._serve_session(io.StringIO(text), SimpleNamespace(sendall=lambda data: None), key)
+    return session(io.StringIO(text), SimpleNamespace(sendall=lambda data: None), key)
 
 
 @FUZZ
 @given(st.integers(0, 2**32), st.integers(1, 100))
+@example(seed=0, a=51)  # A = 2 * 51 mod 101 = 1, the low end of [1, n)
 def test_valid_client_script_completes(seed, a):
-    result = serve(client_script(seed, a), seed)
+    result = run(wire._serve_session, client_script(seed, a), seed)
     assert result.shared == generator_power(WIRE_PARAMS, a * random_scalar(Random(seed), 101))
 
 
@@ -164,6 +172,24 @@ def test_valid_client_script_completes(seed, a):
 def test_server_session_total(seed, a, data):
     text = data.draw(st.one_of(TEXT, mutated(st.just(client_script(seed, a)))))
     try:
-        serve(text, seed)
+        run(wire._serve_session, text, seed)
+    except CircleLogError:
+        pass
+
+
+@FUZZ
+@given(st.integers(0, 2**32), st.integers(1, 100))
+@example(seed=0, b=51)  # B = 1
+def test_valid_server_script_completes(seed, b):
+    result = run(wire._connect_session, server_script(seed, b), seed)
+    assert result.shared == generator_power(WIRE_PARAMS, b * random_scalar(Random(seed), 101))
+
+
+@FUZZ
+@given(st.integers(0, 2**32), st.integers(1, 100), st.data())
+def test_client_session_total(seed, b, data):
+    text = data.draw(st.one_of(TEXT, mutated(st.just(server_script(seed, b)))))
+    try:
+        run(wire._connect_session, text, seed)
     except CircleLogError:
         pass

@@ -472,3 +472,14 @@ def test_tolerance_refuses_what_is_not_a_finite_rational(delta):
                  lambda: accumulation_experiment(1000, 12, [2], 5, delta)):
         with pytest.raises(UsageError, match=shown):
             call()
+
+
+@pytest.mark.parametrize("delta", [False, True])
+def test_tolerance_refuses_a_bool_by_name(delta):
+    # Fraction read False as 0 and True as 1, where the integer rule refuses a bool
+    params = make_params(1000, 1, 12)
+    public = to_numeric(element(params, 5))
+    for call in (lambda: _kernels.tolerance(delta),
+                 lambda: attack_direct(public, params, delta)):
+        with pytest.raises(UsageError, match=f"^delta must be a finite rational, got {delta}$"):
+            call()

@@ -5,6 +5,7 @@ import hashlib
 import math
 import pickle
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -72,6 +73,12 @@ class TestKeygen:
         p = make_params(2, 1, 8)
         key = keygen(p, Random(0))
         assert key.x == 1 and key.h.k == 1
+
+    def test_rejection_skips_zero_and_n(self):
+        # every draw asks for bitlen(n - 1) bits; 0 and n lie outside [1, n)
+        draws, bits = iter([0, 4, 1]), []
+        rng = SimpleNamespace(getrandbits=lambda k: bits.append(k) or next(draws))
+        assert random_scalar(rng, 4) == 1 and bits == [2, 2, 2]
 
     def test_rejection_sampling_range(self):
         p = make_params(1000, 3, 12)
@@ -463,6 +470,22 @@ class TestSignature:
         message = rf"^hashing to a scalar needs a group of order n >= 1, got n={n}$"
         with pytest.raises(InvalidOrder, match=message):
             hash_to_scalar(b"abc", n)
+
+    def test_hash_to_scalar_at_order_1(self):
+        assert hash_to_scalar(b"x", 1) == 0
+
+    def test_smallest_order_signs_and_verifies(self):
+        params = make_params(5, 2, 5)  # p = 5 meets the recovery bound of n = 5
+        key = keygen(params, Random(1))
+        assert verify(key, b"m", sign(key, b"m", Random(2)))
+
+    def test_component_one_verifies(self):
+        # R = g*w mod n and s = (e + x*R)/w mod n, so the nonce w sets each to 1
+        key, n = KeyPair(make_params(101, 2, 16), 7), 101
+        e = hash_to_scalar(b"m", n)
+        for w, field in ((pow(2, -1, n), "R"), (e * pow(1 - 2 * key.x, -1, n) % n, "s")):
+            sig = sign(key, b"m", FixedRandom([w]))
+            assert getattr(sig, field) == 1 and verify(key.public, b"m", sig), field
 
 
 

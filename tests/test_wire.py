@@ -80,22 +80,26 @@ def test_params_mismatch_rejected():
     assert isinstance(box.get("error"), ParamsMismatch)
 
 
+def _refused(session, text, seed):
+    """The ``ProtocolError`` text of ``session`` (``wire._serve_session`` or
+    ``_connect_session``) reading ``text`` with the key drawn at ``seed``, and the
+    lines it sent: the protocol without a socket."""
+    sent = []
+    with pytest.raises(ProtocolError) as exc:
+        session(io.StringIO(text), SimpleNamespace(sendall=sent.append),
+                keygen(PARAMS, Random(seed)))
+    return str(exc.value), sent
+
+
 def test_truncated_stream_names_expected_message():
-    box, thread = serve_in_thread(PARAMS, SERVER_SEED)
-    with socket.create_connection(("127.0.0.1", box["port"])) as sock:
-        sock.sendall(b"HELLO circlelog/1\n")
-    thread.join(5)
-    err = box.get("error")
-    assert isinstance(err, ProtocolError)
-    assert "PARAMS" in str(err)
+    message, _ = _refused(wire._serve_session, "HELLO circlelog/1\n", SERVER_SEED)
+    assert message == "connection closed while waiting for PARAMS"
 
 
 def test_garbage_hello_rejected():
-    box, thread = serve_in_thread(PARAMS, SERVER_SEED)
-    with socket.create_connection(("127.0.0.1", box["port"])) as sock:
-        sock.sendall(b"EHLO wrong/9\nPARAMS n=101 g=2\n")
-    thread.join(5)
-    assert isinstance(box.get("error"), ProtocolError)
+    message, sent = _refused(wire._serve_session, "EHLO wrong/9\nPARAMS n=101 g=2\n",
+                             SERVER_SEED)
+    assert message == "expected 'HELLO circlelog/1', got 'EHLO wrong/9'" and sent == []
 
 
 def test_pipelined_client_lines_are_not_lost():
@@ -143,14 +147,9 @@ def test_silent_server_times_out_naming_ok(monkeypatch):
 
 def test_overlong_line_rejected_naming_step(monkeypatch):
     monkeypatch.setattr(wire, "MAX_LINE", 64)
-    box, thread = serve_in_thread(PARAMS, SERVER_SEED)
-    with socket.create_connection(("127.0.0.1", box["port"]), timeout=5) as sock:
-        sock.sendall(b"HELLO circlelog/1\nPARAMS n=" + b"1" * 100 + b" g=2\n")
-        thread.join(5)
-    assert not thread.is_alive()
-    err = box.get("error")
-    assert isinstance(err, ProtocolError)
-    assert "longer than 64" in str(err) and "PARAMS" in str(err)
+    message, _ = _refused(wire._serve_session,
+                          "HELLO circlelog/1\nPARAMS n=" + "1" * 100 + " g=2\n", SERVER_SEED)
+    assert message == "line longer than 64 characters while waiting for PARAMS"
 
 
 def test_refused_connection_names_host_port_and_step():
@@ -226,34 +225,16 @@ def test_degenerate_client_public_rejected(a_pub):
 
 @pytest.mark.parametrize("a_line", ["A= 5", "A=+5", "A=5 ", "A=0_5", "A=\u0665", "A=5\r"])
 def test_non_decimal_client_public_rejected(a_line):
-    reader = io.StringIO(f"HELLO circlelog/1\nPARAMS n=101 g=2\n{a_line}\n")
-    sent = []
-    with pytest.raises(ProtocolError, match="expected A=<decimal>"):
-        wire._serve_session(reader, SimpleNamespace(sendall=sent.append),
-                            keygen(PARAMS, Random(SERVER_SEED)))
+    message, sent = _refused(wire._serve_session,
+                             f"HELLO circlelog/1\nPARAMS n=101 g=2\n{a_line}\n", SERVER_SEED)
+    assert message == f"expected A=<decimal>, got {a_line!r}"
     assert sent == [b"OK\n"]  # no B= for a refused public
 
 
 def test_degenerate_server_public_rejected():
-    box = {}
-
-    def fake_server(server):
-        conn, _ = server.accept()
-        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as reader:
-            for _ in range(2):  # HELLO, PARAMS
-                reader.readline()
-            conn.sendall(b"OK\n")
-            reader.readline()  # A=
-            conn.sendall(b"B=0\n")
-            box["after_b"] = reader.readline()
-
-    with socket.create_server(("127.0.0.1", 0)) as server:
-        thread = threading.Thread(target=fake_server, args=(server,), daemon=True)
-        thread.start()
-        with pytest.raises(ProtocolError, match=r"expected B in \[1, 101\), got 0"):
-            dh_connect("127.0.0.1", server.getsockname()[1], PARAMS, Random(CLIENT_SEED))
-        thread.join(5)
-    assert box["after_b"] == ""  # the client sent no CONFIRM
+    message, sent = _refused(wire._connect_session, "OK\nB=0\n", CLIENT_SEED)
+    assert message == "expected B in [1, 101), got 0"
+    assert sent[-1].startswith(b"A=")  # the client sent no CONFIRM
 
 
 def test_non_utf8_client_line_names_hello():
@@ -283,42 +264,14 @@ def test_non_utf8_server_line_names_ok():
         thread.join(5)
 
 
-def _connect_to(fake_server):
-    """The ``ProtocolError`` text of ``dh_connect`` against ``fake_server(conn, reader)``."""
-
-    def run(server):
-        conn, _ = server.accept()
-        with conn, conn.makefile("r", encoding="utf-8", newline="\n") as reader:
-            fake_server(conn, reader)
-
-    with socket.create_server(("127.0.0.1", 0)) as server:
-        thread = threading.Thread(target=run, args=(server,), daemon=True)
-        thread.start()
-        with pytest.raises(ProtocolError) as exc:
-            dh_connect("127.0.0.1", server.getsockname()[1], PARAMS, Random(CLIENT_SEED))
-        thread.join(5)
-    assert not thread.is_alive()
-    return str(exc.value)
-
-
 @pytest.mark.parametrize("answer", ["NO", "OK PARAMS", "ok", "ERR"])
 def test_server_answering_params_with_neither_ok_nor_err_rejected(answer):
-    def fake_server(conn, reader):
-        for _ in range(2):  # HELLO, PARAMS
-            reader.readline()
-        conn.sendall(f"{answer}\n".encode())
-
-    assert _connect_to(fake_server) == f"expected OK, got {answer!r}"
+    assert _refused(wire._connect_session, f"{answer}\n", CLIENT_SEED) == (
+        f"expected OK, got {answer!r}", [b"HELLO circlelog/1\n", b"PARAMS n=101 g=2\n"])
 
 
 def test_wrong_server_confirm_rejected():
-    def fake_server(conn, reader):
-        for _ in range(2):  # HELLO, PARAMS
-            reader.readline()
-        conn.sendall(b"OK\n")
-        reader.readline()  # A=
-        conn.sendall(b"B=5\n")
-        reader.readline()  # the client's CONFIRM
-        conn.sendall(b"CONFIRM " + b"0" * 64 + b"\n")
-
-    assert _connect_to(fake_server) == f"confirmation mismatch: 'CONFIRM {'0' * 64}'"
+    message, sent = _refused(wire._connect_session, "OK\nB=5\nCONFIRM " + "0" * 64 + "\n",
+                             CLIENT_SEED)
+    assert message == f"confirmation mismatch: 'CONFIRM {'0' * 64}'"
+    assert sent[-1].startswith(b"CONFIRM ")

@@ -6,17 +6,21 @@ It is not part of Tier-1 and needs pytest only. For each module in
 ``TESTS``, every comparison (``<``, ``<=``, ``>``, ``>=``, ``==``, ``!=``,
 ``is``, ``is not``), ``+``/``-``, shift, ``//`` and ``&`` outside an f-string
 is flipped in turn (augmented assignments included), one per mutant. Each
-mutant is written into a temporary copy of ``src`` and ``tests``, never into
-the checkout, and the module's mapped test files run against that copy in
-one ``pytest -x`` process, one process per usable CPU at a time. A mutant
-survives when every test passes; one that hangs past ``TIMEOUT_S`` counts as
+mutant is written into a temporary copy of ``src``, ``tests`` and
+``perfbench``, never into the checkout, and the module's mapped test files
+run against that copy in one ``pytest -x`` process, one process per usable
+CPU at a time. A mutant survives when every test passes; one that runs past
+its module's timeout counts as killed. The timeout is ``TIMEOUT_FACTOR``
+times the seconds of one run of the module's mapped tests on the unmutated
+copy, plus ``TIMEOUT_SLACK_S``; that run comes first, and a mapped test
+already red there stops the tool, since every mutant would then count as
 killed.
 
 A mutant is named ``<file>:<function>:<source of the operation>:<op>-><op>``
 (``#2`` etc. for a repeat in one function), a name that survives edits
 elsewhere in the file. Exit status: 0 when every survivor is listed in
-``EQUIVALENT`` with its reason, 1 otherwise; entries that match no mutant any
-more are printed as stale.
+``EQUIVALENT`` with its reason, 1 otherwise, 2 when a module's mapped tests
+fail unmutated; entries that match no mutant any more are printed as stale.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -34,7 +39,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "circlelog"
-TIMEOUT_S = 600
+TIMEOUT_FACTOR = 3
+TIMEOUT_SLACK_S = 30
 
 # module -> the test files that must kill its mutants
 TESTS = {
@@ -43,10 +49,26 @@ TESTS = {
     "group.py": ("tests/test_group.py", "tests/test_integer_inputs.py", "tests/test_contract.py"),
     "contlog.py": ("tests/test_contlog.py", "tests/test_group.py", "tests/test_contract.py"),
     "keyfile.py": ("tests/test_keyfile.py", "tests/test_contract.py"),
+    "cryptanalysis.py": ("tests/test_cryptanalysis.py", "tests/test_contract.py"),
+    # the benchmark's digests pin the bits random_scalar draws at n = 2^61 - 1
+    "protocols.py": ("tests/test_protocols.py", "tests/test_contract.py",
+                     "tests/test_benchmark_references.py"),
+    # the CLI's --port 65535 reaches the upper end of the port rule
+    "wire.py": ("tests/test_wire.py", "tests/test_fuzz.py", "tests/test_contract.py",
+                "tests/test_cli.py"),
 }
 
 # accepted equivalent mutants: name -> why no test can tell it from the original
-EQUIVALENT: dict[str, str] = {}
+EQUIVALENT: dict[str, str] = {
+    "cryptanalysis.py:_rows:len(window) > 4 * workers:>->>=":
+        "sets only how many ranges are in flight at once, not what they count",
+    "protocols.py:is_prime:n < bound:<-><=":
+        "differs only at n = 2^64, which is even, and at psi13, which is refused first",
+    "protocols.py:is_prime:r - 1:-->+":
+        "squares x past a^(n-1); no composite below 3*10^6 passes every base that way",
+    "protocols.py:verify:1 <= sig.R < n:<-><=":
+        "an R equal to n goes on to a recovery, which returns an exponent below n",
+}
 
 # operator class -> (its source text, the text it flips to)
 FLIPS = {
@@ -128,40 +150,60 @@ def mutants(module: str) -> list[Mutant]:
     return sorted(found, key=lambda m: m.start)
 
 
-def run(mutant: Mutant) -> tuple[Mutant, str, float]:
-    """'killed by <the first failing test>', 'survived' or 'timeout' for one
-    mutant, and its seconds."""
+def run_tests(module: str, mutant: Mutant | None = None,
+              timeout: float | None = None) -> tuple[str, float]:
+    """'passed', 'failed: <the first failing test>' or 'timeout' for the module's
+    mapped tests on a copy of ``src`` with ``mutant`` applied (or none), and the seconds."""
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):  # perfbench: the reference digests
             shutil.copytree(ROOT / part, tmp / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
-        path = tmp / PACKAGE / mutant.module
-        source = path.read_bytes()
-        path.write_bytes(source[:mutant.start] + mutant.text + source[mutant.end:])
+        if mutant is not None:
+            path = tmp / PACKAGE / module
+            source = path.read_bytes()
+            path.write_bytes(source[:mutant.start] + mutant.text + source[mutant.end:])
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                   *TESTS[mutant.module]]
+                   *TESTS[module]]
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         env.pop("PYTHONPATH", None)  # pyproject's pythonpath = ["src"] is the copy
-        try:
-            done = subprocess.run(command, cwd=tmp, env=env, capture_output=True, text=True,
-                                  timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return mutant, "timeout", time.perf_counter() - t0
-    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+        # a session of its own, so that a timeout also kills the pool workers a test forked
+        with subprocess.Popen(command, cwd=tmp, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True,
+                              start_new_session=True) as done:
+            try:
+                stdout, _ = done.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(done.pid, signal.SIGKILL)
+                return "timeout", time.perf_counter() - t0
+    failed = [line.split()[1] for line in stdout.splitlines() if line.startswith("FAILED ")]
     if done.returncode == 0:
-        verdict = "survived"
+        verdict = "passed"
     else:
-        verdict = f"killed by {failed[0] if failed else f'exit status {done.returncode}'}"
-    return mutant, verdict, time.perf_counter() - t0
+        verdict = f"failed: {failed[0] if failed else f'exit status {done.returncode}'}"
+    return verdict, time.perf_counter() - t0
 
 
 def main() -> int:
     jobs = len(os.sched_getaffinity(0))  # one pytest process per usable CPU
-    todo = [m for module in TESTS for m in mutants(module)]
     t0 = time.perf_counter()
+    timeouts = {}
+    with ThreadPoolExecutor(jobs) as pool:
+        for module, (verdict, seconds) in zip(TESTS, pool.map(run_tests, TESTS)):
+            print(f"unmutated {module}: {verdict} in {seconds:.1f}s", flush=True)
+            if verdict != "passed":
+                print(f"{module}: its mapped tests must pass before any mutant is run")
+                return 2
+            timeouts[module] = TIMEOUT_FACTOR * seconds + TIMEOUT_SLACK_S
+
+    def run(m: Mutant) -> tuple[Mutant, str, float]:
+        verdict, seconds = run_tests(m.module, m, timeouts[m.module])
+        verdict = {"passed": "survived"}.get(verdict, verdict.replace("failed:", "killed by"))
+        return m, verdict, seconds
+
+    todo = [m for module in TESTS for m in mutants(module)]
     survivors = []
     with ThreadPoolExecutor(jobs) as pool:
         for i, (m, verdict, seconds) in enumerate(pool.map(run, todo), 1):
