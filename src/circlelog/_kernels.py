@@ -23,10 +23,11 @@ parameters with ``_integer`` and names invalid input in a ``UsageError``:
   ``tolerance`` returns). ``sweep_success_count`` and ``roundtrip_all`` call
   it for the tests and the benchmark's probes (a traced call counts twice);
   ``roundtrip_all`` first refuses n > ``EXHAUSTIVE_ORDER_GUARD``
-  (``OrderTooLarge``), the bound ``attack_exhaustive`` puts on the scan below.
+  (``OrderTooLarge``), the bound of the scan below.
 - ``nearest_angle(t, n, p)``, the exhaustive-search baseline, scans every
   exponent, ``_SCAN_CHUNK`` at a time; it refuses p < 0, then, through
-  ``angle`` (as ``group.NumericElement``), t outside [0, 2^p), then n < 1.
+  ``angle`` (as ``group.NumericElement``), t outside [0, 2^p), then n < 1
+  (``UsageError``), then n > ``EXHAUSTIVE_ORDER_GUARD`` (``OrderTooLarge``).
 
 The dtype is chosen by the overflow condition alone, since int64 arrays wrap
 silently: ``int64`` when no intermediate can reach 2^63, else exact Python ints
@@ -183,7 +184,8 @@ def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
     """The exponent k in [0, n) whose angle lies nearest t, and that distance.
 
     The distance is taken around the circle, in units of 2^-p turn; the
-    smallest k wins ties. Every exponent is examined.
+    smallest k wins ties. Every exponent is examined, so n above
+    ``EXHAUSTIVE_ORDER_GUARD`` is refused (``OrderTooLarge``).
     """
     n, p = _integer("n", n), _integer("p", p)
     if p < 0:
@@ -191,6 +193,8 @@ def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
     t = angle(t, p)
     if n < 1:
         raise UsageError(f"the scan needs n >= 1, got n={n}")
+    if n > EXHAUSTIVE_ORDER_GUARD:
+        raise OrderTooLarge(f"exhaustive search refused for n={n} > 2^24")
     full = 1 << p
     import numpy as np
 

@@ -201,7 +201,7 @@ def cmd_info(args, out: io.StringIO) -> int:
     import numpy  # imported here only to report its version
 
     from . import __version__, spectral
-    from .cryptanalysis import EXHAUSTIVE_ORDER_GUARD
+    from ._kernels import EXHAUSTIVE_ORDER_GUARD
     from .group import MAX_PRECISION
     from .protocols import _PSI13
 

@@ -80,12 +80,9 @@ def recover_exponent(q: NumericElement) -> int:
     ``DEFAULT_TOLERANCE``, else raises ``AmbiguousAngle``; the comparison is
     exact rational arithmetic, never floating division.
     """
-    try:
-        params, t = q.params, q.t
-    except AttributeError:
+    if type(q) is not NumericElement:
         _check_type("q", q, NumericElement, "a NumericElement")
-        raise
-    n, p = params.n, params.p
+    t, n, p = q.t, q.params.n, q.params.p
     k = _kernels.recover_t(t, n, p, _DNUM, _DDEN)
     if k < 0:
         raise AmbiguousAngle(

@@ -34,9 +34,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from . import _kernels
-from ._kernels import EXHAUSTIVE_ORDER_GUARD, _integer
+from ._kernels import _integer
 from .contlog import DEFAULT_TOLERANCE
-from .errors import InvalidOrder, OrderTooLarge, ParamsMismatch, UsageError
+from .errors import InvalidOrder, ParamsMismatch, UsageError
 from .group import ExactElement, GroupParams, NumericElement, _check_type
 
 try:  # CPython's built-in SHA-256: one call on a short path is cheaper than OpenSSL's
@@ -375,16 +375,14 @@ def attack_exhaustive(public: NumericElement, params: GroupParams) -> AttackRepo
     Succeeds iff that angle is the public one itself (distance 0): the rule of
     ``attack_direct``, that the recovered exponent reproduces the angle. The
     public must be a ``NumericElement``: an exact one leaks k (see
-    ``attack_direct``). Refuses a public of another group (``ParamsMismatch``),
-    then n > ``EXHAUSTIVE_ORDER_GUARD`` (``OrderTooLarge``).
+    ``attack_direct``). Refuses a public of another group (``ParamsMismatch``);
+    the scan then refuses n > ``_kernels.EXHAUSTIVE_ORDER_GUARD`` (``OrderTooLarge``).
     """
     _check_type("public", public, NumericElement, "a NumericElement")
     _check_type("params", params, GroupParams, "a GroupParams")
     if public.params != params:
         raise ParamsMismatch(f"public element from another group: {public.params} vs {params}")
     n, p = params.n, params.p
-    if n > EXHAUSTIVE_ORDER_GUARD:
-        raise OrderTooLarge(f"exhaustive search refused for n={n} > 2^24")
     best_k, best_dist = _kernels.nearest_angle(public.t, n, p)
     return AttackReport(
         attack_name="exhaustive", params=params, delta=Fraction(0),

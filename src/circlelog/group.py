@@ -26,9 +26,9 @@ pass 30 % slower, 0.095 -> 0.124 s, 2 CPUs, Python 3.11.7), but read k and
 
 ``_check_type`` and ``_kernels._integer`` are the package's one kind rule
 (README; ``tests/test_contract.py`` checks every public argument against it).
-The round trip calls them only once a cheap test fails (k not an ``int``,
-``params`` not a ``GroupParams``, a field read); those tests cost an
-exhaustive pass 4-6 %.
+The round trip calls them only once a cheap type test fails (k not an
+``int``, an element or ``params`` not of its exact class); those tests cost
+an exhaustive pass 4-6 %.
 """
 
 from __future__ import annotations
@@ -181,14 +181,12 @@ def to_numeric(a: ExactElement) -> NumericElement:
     The only rounding step on the exact-to-numeric path; the angular error is
     at most pi/2^p.
     """
-    try:
-        params, k = a.params, a.k
-    except AttributeError:
+    if type(a) is not ExactElement:
         _check_type("a", a, ExactElement, "an ExactElement")
-        raise
+    params = a.params
     q = _new(NumericElement)
     _set_numeric_params(q, params)
-    _set_numeric_t(q, _kernels.to_numeric_t(k, params.n, params.p))
+    _set_numeric_t(q, _kernels.to_numeric_t(a.k, params.n, params.p))
     return q
 
 

@@ -16,9 +16,10 @@ from random import Random
 import numpy
 import pytest
 
-from circlelog import __version__, cryptanalysis, make_params, wire
+from circlelog import __version__, cryptanalysis, make_params, spectral, wire
 from circlelog.cli import DEFAULT_N, DEFAULT_SEED, DUMP_OPERATORS, build_parser, main
-from circlelog.cryptanalysis import CSV_HEADER, EXHAUSTIVE_ORDER_GUARD
+from circlelog._kernels import EXHAUSTIVE_ORDER_GUARD
+from circlelog.cryptanalysis import CSV_HEADER
 from circlelog.group import MAX_PRECISION
 from circlelog.keyfile import load_key
 from circlelog.spectral import CHECK_ORDER_GUARD, DENSE_ORDER_GUARD, OPERATORS
@@ -183,6 +184,14 @@ def test_spectral_check_labels(capsys):
         "dft unitary", "shift eigenvalues vs exact roots", "exp(log) vs shift",
     ]
     assert all(line.endswith(" PASS") for line in lines)
+
+
+def test_spectral_check_fails_a_row_at_its_bound(monkeypatch, capsys):
+    # a row passes only below its bound, and one failed row fails the command
+    monkeypatch.setattr(spectral, "check", lambda n: [("below", 0.5, 1.0), ("at", 1.0, 1.0)])
+    assert main(["spectral-check", "--n", "16"]) == 1
+    assert capsys.readouterr().out == ("below: max deviation 5.000e-01 PASS\n"
+                                       "at: max deviation 1.000e+00 FAIL\n")
 
 
 # SHA-256 of the --dump text, recorded while the dense products also did the check

@@ -16,6 +16,7 @@ import os
 import pkgutil
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +41,8 @@ SIG = Signature(3, 5)
 OP = spectral.shift_operator(2)
 RNG = Random(0)  # no refusal may draw from it
 
-WRONG = (5, "x", None, 2.0, True, EXACT, NUMERIC)
+# the last has every field an element reads, and is not one
+WRONG = (5, "x", None, 2.0, True, EXACT, NUMERIC, SimpleNamespace(params=P, k=5, t=5))
 # more wrong values for a parameter whose valid value has this type
 MORE_WRONG = {
     int: (Fraction(2), np.float64(2)),

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from circlelog import (
@@ -631,7 +631,10 @@ class TestPool:
         return (precision_sweep(n, [p, p + 1], trials, seed=seed),
                 accumulation_experiment(n, p, range(1, m + 1), trials, seed=seed))
 
-    @settings(max_examples=12, deadline=None)
+    # no explain phase: it only annotates a failure, and its traced re-run waited
+    # for ever on a forked worker, so a wrong count showed as a hang
+    @settings(max_examples=12, deadline=None,
+              phases=[phase for phase in Phase if phase is not Phase.explain])
     @given(
         n=st.one_of(st.integers(1, 5000), st.integers(1, 1 << 70)),
         p=st.integers(1, 40),

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from circlelog import (
     KERNEL_BACKEND, OrderTooLarge, UsageError, _kernels, element, make_params, to_numeric,
 )
-from circlelog.cryptanalysis import (
-    EXHAUSTIVE_ORDER_GUARD, accumulation_experiment, attack_direct, precision_sweep,
-)
+from circlelog.cryptanalysis import accumulation_experiment, attack_direct, precision_sweep
 
 
 def oracle(n, p, dnum, dden, ks, m):
@@ -232,12 +230,20 @@ def test_roundtrip_all_refuses_an_order_past_the_guard(n):
 
 
 def test_roundtrip_all_runs_up_to_the_guard(monkeypatch):
-    # the bound attack_exhaustive puts on the other whole-group scan
-    assert _kernels.EXHAUSTIVE_ORDER_GUARD == EXHAUSTIVE_ORDER_GUARD == 1 << 24
+    # the bound of the other whole-group scan, nearest_angle
+    assert _kernels.EXHAUSTIVE_ORDER_GUARD == 1 << 24
     monkeypatch.setattr(_kernels, "EXHAUSTIVE_ORDER_GUARD", 100)
     assert _kernels.roundtrip_all(100, 0, 0, 1) == 1  # at p = 0 only k = 0 comes back
     with pytest.raises(OrderTooLarge):
         _kernels.roundtrip_all(101, 0, 0, 1)
+
+
+def test_nearest_angle_runs_up_to_the_guard(monkeypatch):
+    # the scan refuses an order past the guard itself, whoever calls it
+    monkeypatch.setattr(_kernels, "EXHAUSTIVE_ORDER_GUARD", 100)
+    assert _kernels.nearest_angle(0, 100, 8) == (0, 0)
+    with pytest.raises(OrderTooLarge, match="^exhaustive search refused for n=101 > 2\\^24$"):
+        _kernels.nearest_angle(0, 101, 8)
 
 
 def test_inputs_are_not_modified():

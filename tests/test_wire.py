@@ -1,5 +1,6 @@
 """Loopback DH sessions over TCP."""
 
+import errno
 import io
 import pickle
 import socket
@@ -275,3 +276,23 @@ def test_wrong_server_confirm_rejected():
                              CLIENT_SEED)
     assert message == f"confirmation mismatch: 'CONFIRM {'0' * 64}'"
     assert sent[-1].startswith(b"CONFIRM ")
+
+
+@pytest.mark.parametrize("session, text, seed, step, before", [
+    (wire._connect_session, "OK\n", CLIENT_SEED, "A",
+     [b"HELLO circlelog/1\n", b"PARAMS n=101 g=2\n"]),
+    (wire._serve_session, "HELLO circlelog/1\nPARAMS n=101 g=2\nA=5\n", SERVER_SEED, "B",
+     [b"OK\n"]),
+], ids=["client", "server"])
+def test_lost_send_names_the_step(session, text, seed, step, before):
+    sent = []
+
+    def sendall(data):
+        if data.startswith(f"{step}=".encode()):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        sent.append(data)
+
+    with pytest.raises(ProtocolError) as exc:
+        session(io.StringIO(text), SimpleNamespace(sendall=sendall), keygen(PARAMS, Random(seed)))
+    assert str(exc.value) == f"connection lost while sending {step}: Broken pipe"
+    assert sent == before  # nothing goes out after the lost line

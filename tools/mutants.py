@@ -56,6 +56,10 @@ TESTS = {
     # the CLI's --port 65535 reaches the upper end of the port rule
     "wire.py": ("tests/test_wire.py", "tests/test_fuzz.py", "tests/test_contract.py",
                 "tests/test_cli.py"),
+    "cli.py": ("tests/test_cli.py", "tests/test_fresh_process.py"),
+    # a node id: criterion 8 in the same file is red by design
+    "spectral.py": ("tests/test_spectral.py", "tests/test_cli.py", "tests/test_contract.py",
+                    "tests/test_acceptance.py::test_criterion_10_spectral"),
 }
 
 # accepted equivalent mutants: name -> why no test can tell it from the original
@@ -68,6 +72,12 @@ EQUIVALENT: dict[str, str] = {
         "squares x past a^(n-1); no composite below 3*10^6 passes every base that way",
     "protocols.py:verify:1 <= sig.R < n:<-><=":
         "an R equal to n goes on to a recovery, which returns an exponent below n",
+    "spectral.py:exp_operator:np.abs(d - np.diag(diag)).max() > 1e-9 * max(1.0, "
+    "np.abs(diag).max()):>->>=":
+        "an off-diagonal residue exactly at the threshold is never met in floating point",
+    "spectral.py:_dft_unitarity:rng.standard_normal((2, n)) + 1j * "
+    "rng.standard_normal((2, n)):+->-":
+        "any two random unit vectors test the DFT alike; only their draw changes",
 }
 
 # operator class -> (its source text, the text it flips to)
