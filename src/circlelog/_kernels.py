@@ -64,6 +64,13 @@ def _integer(name: str, value) -> int:
     raise UsageError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def _refuse_above(n: int, guard: int, what: str) -> None:
+    """OrderTooLarge "<what> refused for n=<n> > <guard>" if n > guard; a power of two reads 2^k."""
+    if n > guard:
+        bound = f"2^{guard.bit_length() - 1}" if guard & (guard - 1) == 0 else guard
+        raise OrderTooLarge(f"{what} refused for n={n} > {bound}")
+
+
 def tolerance(delta) -> tuple[int, int]:
     """The recovery tolerance as (dnum, dden); ``UsageError`` unless a rational in [0, 1/2)."""
     try:
@@ -173,8 +180,7 @@ def sweep_success_count(n: int, p: int, dnum: int, dden: int, ks) -> int:
 
 def roundtrip_all(n: int, p: int, dnum: int, dden: int) -> int:
     """Count exponents k in [0, n) surviving to_numeric -> recover intact."""
-    if _integer("n", n) > EXHAUSTIVE_ORDER_GUARD:  # np.arange(n) would take 8n bytes
-        raise OrderTooLarge(f"exhaustive round trip refused for n={n} > 2^24")
+    _refuse_above(_integer("n", n), EXHAUSTIVE_ORDER_GUARD, "exhaustive round trip")  # 8n bytes
     import numpy as np
 
     return chain_success_count(n, p, dnum, dden, np.arange(n, dtype=np.int64), 1)
@@ -193,8 +199,7 @@ def nearest_angle(t: int, n: int, p: int) -> tuple[int, int]:
     t = angle(t, p)
     if n < 1:
         raise UsageError(f"the scan needs n >= 1, got n={n}")
-    if n > EXHAUSTIVE_ORDER_GUARD:
-        raise OrderTooLarge(f"exhaustive search refused for n={n} > 2^24")
+    _refuse_above(n, EXHAUSTIVE_ORDER_GUARD, "exhaustive search")
     full = 1 << p
     import numpy as np
 

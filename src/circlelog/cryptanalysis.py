@@ -9,8 +9,8 @@ actually begins, and a chained-product experiment measuring how rounding
 errors accumulate.
 
 All randomness derives from a master seed through SHA-256 of the index path
-"seed/p/m/trial/element/counter" with rejection sampling, so every report is
-bit-identical no matter how trials are ordered or parallelized.
+"seed/p/m/trial/element/counter", reduced by ``_reduce`` with one rejection
+rule for every n, so every report is bit-identical however trials are split.
 
 The sweep and the accumulation experiment cut each row's trials into ranges
 of ``_RANGE_CHUNKS`` draw chunks and sum the ranges' success counts per
@@ -102,7 +102,7 @@ def derive_uniform(seed: int, indices: tuple[int, ...], n: int) -> int:
     seed, index or n hashes as its int.
     ``_draw_chunks`` streams the same draws, at most ``max(_CHUNK, m)`` held at
     once, building each counter-0 path as bytes and hashing it in one call;
-    only a digest rejected there comes back here.
+    only a digest that ``_reduce`` rejects there comes back here.
     """
     n = _integer("n", n)
     limit = _limit(n)
@@ -125,24 +125,24 @@ def _limit(n: int) -> int:
     return (1 << 256) - (1 << 256) % n
 
 
-def _reduce_ints(digests: list[bytes], n: int, limit: int) -> tuple[list[int], list[int]]:
-    """v mod n for every digest v (read big-endian), and where v >= limit.
+def _reduce(digests: list[bytes], n: int, limit: int) -> tuple[np.ndarray | list[int], list[int]]:
+    """v mod n for every digest v (read big-endian), and the positions where v >= limit.
 
-    The exact reduction, for any n: rejected positions are returned by index
-    (their value is meaningless). ``_reduce_words`` must agree with it.
+    The values are an int64 array for n <= 2^32 (numpy Horner over the eight
+    32-bit words), else exact Python ints (a list). One rule for every n: only
+    a digest whose top word is at least limit >> 224 can reach the limit, and
+    only those are compared exactly; as limit > 2^256 - n, for n <= 2^224 that
+    is a top word of all ones, or none when n divides 2^256.
     """
-    vs = [int.from_bytes(d, "big") for d in digests]
-    return [v % n for v in vs], [i for i, v in enumerate(vs) if v >= limit]
-
-
-def _reduce_words(digests: list[bytes], n: int, limit: int) -> tuple[np.ndarray, list[int]]:
-    """``_reduce_ints`` in numpy for n <= 2^32, the values as an int64 array."""
     import numpy as np
 
     words = np.frombuffer(b"".join(digests), dtype=">u4").reshape(-1, 8)
-    # Horner over the eight 32-bit words: acc < n <= 2^32, so acc << 32 | w fits.
-    # Every operand is uint64 by its own dtype, so the result does not hang on
-    # NumPy's scalar promotion rules (NumPy 1.x would keep uint32 for n < 2^32)
+    candidates = np.flatnonzero(words[:, 0] >= limit >> 224).tolist()
+    rejected = [i for i in candidates if int.from_bytes(digests[i], "big") >= limit]
+    if n > 1 << 32:
+        return [int.from_bytes(d, "big") % n for d in digests], rejected
+    # acc < n <= 2^32, so acc << 32 | w fits; every operand is uint64 by its own dtype,
+    # not by NumPy's scalar promotion rules (1.x would keep uint32 for n < 2^32)
     acc = words[:, 0].astype(np.uint64)
     n64, shift = np.uint64(n), np.uint64(32)
     acc %= n64
@@ -150,10 +150,6 @@ def _reduce_words(digests: list[bytes], n: int, limit: int) -> tuple[np.ndarray,
         acc <<= shift
         acc |= words[:, i]
         acc %= n64
-    # limit > 2^256 - 2^32, so only a digest whose top word is all ones can
-    # reach it; those rare candidates are checked exactly
-    candidates = np.flatnonzero(words[:, 0] == 0xFFFFFFFF).tolist()
-    rejected = [i for i in candidates if int.from_bytes(digests[i], "big") >= limit]
     return acc.view(np.int64), rejected  # acc < 2^32: the same values as int64
 
 
@@ -171,19 +167,18 @@ def _draw_chunks(seed: int, head: int, n: int, trials: int, m: int, first: int =
     ``first``. Each draw's path "seed/head/m/t/j/0" is joined from bytes made
     once per row, trial and element and hashed in one call: under 56 bytes it
     is one SHA-256 block, no more than a copied prefix state would compress.
-    A chunk is reduced mod n at once: in numpy for n <= 2^32, yielding the
-    int64 array that the kernel computes on, with Python ints above (a list).
-    A digest rejected at counter 0 is redrawn by ``derive_uniform``.
+    A chunk is reduced mod n at once by ``_reduce``: the int64 array the kernel
+    computes on for n <= 2^32, Python ints above (a list). Each digest it
+    rejects at counter 0 is redrawn by ``derive_uniform``.
     """
     limit = _limit(n)
-    reduce = _reduce_words if n <= 1 << 32 else _reduce_ints
     prefix = f"{seed}/{head}/{m}/".encode("ascii")
     tails = [b"%d/0" % j for j in range(m)]
     per_chunk = _per_chunk(m)
     for start in range(first, trials, per_chunk):
         heads = [prefix + b"%d/" % t for t in range(start, min(start + per_chunk, trials))]
         paths = [trial + tail for trial in heads for tail in tails]
-        values, rejected = reduce([h.digest() for h in map(_sha256, paths)], n, limit)
+        values, rejected = _reduce([h.digest() for h in map(_sha256, paths)], n, limit)
         for i in rejected:
             t, j = divmod(i, m)
             values[i] = derive_uniform(seed, (head, m, start + t, j), n)

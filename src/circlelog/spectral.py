@@ -19,8 +19,8 @@ from typing import TextIO
 
 import numpy as np
 
-from ._kernels import _integer
-from .errors import InvalidOrder, OrderTooLarge, UsageError
+from ._kernels import _integer, _refuse_above
+from .errors import InvalidOrder, UsageError
 from .group import _check_type, complex_value, element, make_params, to_numeric
 
 DENSE_ORDER_GUARD = 1 << 10  # n x n complex matrices: 16 MB each at the guard
@@ -32,8 +32,7 @@ def _require_order(n: int, guard: int, what: str) -> int:
     n = _integer("n", n)
     if n < 1:
         raise InvalidOrder(f"operator order must be >= 1, got {n}")
-    if n > guard:
-        raise OrderTooLarge(f"{what} refused for n={n} > 2^{guard.bit_length() - 1}")
+    _refuse_above(n, guard, what)
     return n
 
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from circlelog import (
@@ -33,8 +33,7 @@ from circlelog.cryptanalysis import (
     CSV_HEADER,
     SweepRow,
     _draw_chunks,
-    _reduce_ints,
-    _reduce_words,
+    _reduce,
     accumulation_experiment,
     attack_direct,
     attack_exhaustive,
@@ -446,49 +445,50 @@ class TestDrawBlock:
         if first % 256 == 0:
             assert part == whole[first // 256:]
 
-    @pytest.mark.parametrize("n", [1000, (1 << 40) + 15])
+    @pytest.mark.parametrize("n", [1000, (1 << 40) + 15, 2**255 + 12345])
     @pytest.mark.parametrize("v, rejected", [
         ("ff" * 32, True),
         ("limit", True),
-        ("limit - 1", False),  # top 224 bits all ones, yet accepted
+        ("limit - 1", False),  # a candidate for rejection, yet accepted
     ])
     def test_rejection_at_the_limit(self, monkeypatch, redraws, n, v, rejected):
         seed, head, trials, m, t, j = 1, 12, 3000, 3, 2000, 2  # (t, j) in the second chunk
         v = {"ff" * 32: (1 << 256) - 1, "limit": _limit(n), "limit - 1": _limit(n) - 1}[v]
-        if n <= 1 << 32:  # the numpy path's candidates: the top 224 bits all ones
-            assert v >> 32 == (1 << 224) - 1
+        if n <= 1 << 224:  # the candidates: the top 32-bit word all ones
+            assert v >> 224 == (1 << 32) - 1
         rigged = _rigged_sha256(b"%d/%d/%d/%d/%d/0" % (seed, head, m, t, j), v.to_bytes(32, "big"))
         monkeypatch.setattr(cryptanalysis, "_sha256", rigged)
         draws = _flat(_chunks(seed, head, n, trials, m))
         expected = _expected_draws(seed, head, n, trials, m)
-        pos = t * m + j
-        if rejected:
-            assert redraws == [(seed, (head, m, t, j), n)]
-        else:
-            assert redraws == []
-            expected[pos] = v % n
+        assert redraws.count((seed, (head, m, t, j), n)) == rejected
+        if n < 1 << 255:
+            assert len(redraws) == rejected
+        else:  # the limit is n: about half of all first digests are redrawn
+            assert len(redraws) > trials * m // 4
+        if not rejected:
+            expected[t * m + j] = v % n
         assert draws == expected
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        n=st.integers(1, 1 << 32),
-        values=st.lists(
-            st.one_of(
-                st.integers(0, (1 << 256) - 1),
-                st.integers((1 << 256) - (1 << 33), (1 << 256) - 1),  # near the limit
-            ),
-            max_size=40,
-        ),
+        n=st.one_of(st.integers(1, 1 << 32), st.integers(1, 1 << 256)),
+        values=st.lists(st.integers(0, (1 << 256) - 1), max_size=40),
+        near=st.lists(st.integers(-(1 << 33), 1 << 33), max_size=20),  # offsets from the limit
     )
-    def test_numpy_reduction_matches_ints(self, n, values):
-        digests = [v.to_bytes(32, "big") for v in values]
+    @example(n=1 << 32, values=[(1 << 256) - 1], near=[-1])  # limit = 2^256: no candidates
+    @example(n=(1 << 32) + 1, values=[(1 << 256) - 1], near=[-1, 0])
+    @example(n=(1 << 224) + 1, values=[], near=[-1, 0])
+    @example(n=2**255 + 12345, values=[2**255], near=[-1, 0, 1])  # limit = n
+    def test_numpy_reduction_matches_ints(self, n, values, near):
         limit = _limit(n)
-        words, words_rejected = _reduce_words(digests, n, limit)
-        ints, ints_rejected = _reduce_ints(digests, n, limit)
-        assert isinstance(words, np.ndarray) and words.dtype == np.int64
-        assert isinstance(ints, list)
-        assert list(words) == ints
-        assert words_rejected == ints_rejected == [i for i, v in enumerate(values) if v >= limit]
+        values = values + [limit + d for d in near if 0 <= limit + d < 1 << 256]
+        reduced, rejected = _reduce([v.to_bytes(32, "big") for v in values], n, limit)
+        if n <= 1 << 32:  # the array the kernel computes on
+            assert isinstance(reduced, np.ndarray) and reduced.dtype == np.int64
+        else:
+            assert isinstance(reduced, list)
+        assert list(reduced) == [v % n for v in values]
+        assert rejected == [i for i, v in enumerate(values) if v >= limit]
 
     @pytest.mark.skipif(platform.python_implementation() != "CPython",
                         reason="the built-in SHA-256 module is CPython's")

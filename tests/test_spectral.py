@@ -13,6 +13,7 @@ from circlelog import (
     complex_value,
     element,
     make_params,
+    spectral,
     to_numeric,
 )
 from circlelog.spectral import (
@@ -151,6 +152,18 @@ def test_order_guards():
         with pytest.raises(OrderTooLarge):
             build(DENSE_ORDER_GUARD + 1)
     assert shift_operator(DENSE_ORDER_GUARD).dim == DENSE_ORDER_GUARD
+
+
+def test_order_guard_text_names_the_guard(monkeypatch):
+    # the shipped guards are powers of two, written 2^k; any other guard is written out
+    with pytest.raises(OrderTooLarge, match="^spectral check refused for n=1048577 > 2\\^20$"):
+        check(CHECK_ORDER_GUARD + 1)
+    with pytest.raises(OrderTooLarge, match="^dense operator refused for n=1025 > 2\\^10$"):
+        shift_operator(DENSE_ORDER_GUARD + 1)
+    monkeypatch.setattr(spectral, "DENSE_ORDER_GUARD", 100)
+    assert shift_operator(100).dim == 100
+    with pytest.raises(OrderTooLarge, match="^dense operator refused for n=101 > 100$"):
+        shift_operator(101)
 
 
 def test_shape_validation():
