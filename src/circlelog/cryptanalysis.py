@@ -14,11 +14,13 @@ rule for every n, so every report is bit-identical however trials are split.
 
 The sweep and the accumulation experiment cut each row's trials into ranges
 of ``_RANGE_CHUNKS`` draw chunks and sum the ranges' success counts per
-row. A call of ``_POOL_DRAWS`` draws or more counts its ranges in a pool of
-forked worker processes, one per usable CPU but no more than there are
-ranges, which lives only for that call; a smaller call, and any call in a
-process with one usable CPU, a second Python thread or a start method other
-than fork, counts them in-process. Each worker draws and counts whole ranges and sends back only
+row. A call of ``_POOL_DRAWS`` draws or more counts its ranges in a
+``ProcessPoolExecutor`` of forked workers, one per usable CPU but no more
+than there are ranges, which lives only for that call and whose initializer
+makes each worker ignore SIGINT (a Ctrl-C ends the parent, which shuts the
+pool down); a smaller call, and any call in a process with one usable CPU, a
+second Python thread or a start method other than fork, counts them
+in-process. Each worker draws and counts whole ranges and sends back only
 their counts, so the rows, and the CSVs written from them, are the same
 bytes either way.
 """
@@ -185,10 +187,9 @@ def _draw_chunks(seed: int, head: int, n: int, trials: int, m: int, first: int =
         yield values
 
 
-def _count(span: tuple[int, int, int, int, int, int, int, int]) -> int:
+def _count(n: int, p: int, m: int, dnum: int, dden: int, seed: int, first: int, stop: int) -> int:
     """How many of the seeded m-fold chains at precision p of trials [first,
-    stop) recover intact; ``span`` is (n, p, m, dnum, dden, seed, first, stop)."""
-    n, p, m, dnum, dden, seed, first, stop = span
+    stop) recover intact: one of ``_rows``' trial ranges, in-process or pooled."""
     return sum(_kernels.chain_success_count(n, p, dnum, dden, ks, m)
                for ks in _draw_chunks(seed, p, n, stop, m, first))
 
@@ -201,9 +202,10 @@ def _rows(n: int, trials: int, dnum: int, dden: int, seed: int,
     Each row's trials are cut into ranges of ``_RANGE_CHUNKS`` draw chunks,
     which ``_count`` turns into success counts, summed per row. A call that
     ``_pool_workers`` gives workers counts its ranges in a pool of that many
-    forked workers, or one per range if there are fewer, made and shut down
-    here; every other call counts them in this process, with the same sums. An order without seeded draws
-    (``InvalidOrder``) is refused before any worker starts.
+    forked workers (one per range if there are fewer), made and shut down
+    here, whose initializer makes each worker ignore SIGINT; every other call
+    counts them in this process, with the same sums. An order without seeded
+    draws (``InvalidOrder``) is refused before any worker starts.
     """
     _limit(n)
 
@@ -217,10 +219,11 @@ def _rows(n: int, trials: int, dnum: int, dden: int, seed: int,
     successes = [0] * len(rows)
     workers = min(_pool_workers(trials * sum(m for _, _, m in rows)), sum(map(len, firsts)))
     if not workers:
-        for row, span in spans():
-            successes[row] += _count(span)
+        for row, args in spans():
+            successes[row] += _count(*args)
     else:
         import multiprocessing
+        import signal
         from concurrent.futures import ProcessPoolExecutor
 
         import numpy  # noqa: F401  the kernel's; imported once here, not in each worker
@@ -229,13 +232,15 @@ def _rows(n: int, trials: int, dnum: int, dden: int, seed: int,
         # and a spawn pool of two took 0.3-0.47 s to start, most of what the
         # pool saves. _pool_workers forks only from a single Python thread
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                   initializer=_ignore_sigint)
+                                   # a Ctrl-C ends the parent, which shuts the pool down
+                                   initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
             # a few ranges per worker in flight: the workers never wait, and
             # memory does not grow with the trials
             window: deque = deque()
-            for row, span in spans():
-                window.append((row, pool.submit(_count, span)))
+            for row, args in spans():
+                window.append((row, pool.submit(_count, *args)))
                 if len(window) > 4 * workers:
                     row, counted = window.popleft()
                     successes[row] += counted.result()
@@ -260,13 +265,6 @@ def _pool_workers(draws: int) -> int:
     method = (multiprocessing.get_start_method(allow_none=True)
               or multiprocessing.get_all_start_methods()[0])
     return cpus if method == "fork" else 0
-
-
-def _ignore_sigint() -> None:
-    """A worker's initializer: a Ctrl-C ends the parent, which shuts the pool down."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _experiment_inputs(

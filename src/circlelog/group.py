@@ -20,9 +20,10 @@ or t by ``_kernels._integer`` and refuses k outside [0, n) or, through
 ``_kernels.angle``, t outside [0, 2^p) (``UsageError``), so no reader of an
 element checks it again. ``element`` (which reduces k mod n) and
 ``to_numeric``, once per exponent on the round trip, fill their elements in
-place, past the frozen ``__setattr__`` (the class made an exhaustive benchmark
-pass 30 % slower, 0.095 -> 0.124 s, 2 CPUs, Python 3.11.7), but read k and
-``params`` by the same rules.
+place, past the frozen ``__setattr__`` (with its checks the class made an
+exhaustive benchmark pass 1.9x slower, 0.095 -> 0.185 s, medians of 4
+alternating 10-s pairs, 2 CPUs, Python 3.11.7), but read k and ``params`` by
+the same rules.
 
 ``_check_type`` and ``_kernels._integer`` are the package's one kind rule
 (README; ``tests/test_contract.py`` checks every public argument against it).

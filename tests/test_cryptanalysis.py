@@ -3,11 +3,14 @@
 import hashlib
 import importlib
 import io
+import itertools
+import math
 import multiprocessing
 import os
 import platform
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -43,6 +46,7 @@ from circlelog.cryptanalysis import (
     precision_sweep,
     write_csv,
 )
+from circlelog.cli import build_parser
 from circlelog.group import MAX_PRECISION
 
 
@@ -279,6 +283,79 @@ class TestAccumulation:
         # n divides 2^p: representation is exact, chains never fail
         rows = accumulation_experiment(1024, 12, range(1, 17), 200, seed=1)
         assert all(r.success_rate == 1 for r in rows)
+
+
+def exact_successes(n, p, m, dnum, dden):
+    """How many of the n^m chains of m exponents in [0, n) recover intact, for m < 2^(p+1).
+
+    With e(k) = t(k)*n - k*2^p, t(k) the rounded angle before the mod-2^p
+    step, a chain recovers iff E = e(k_1) + ... + e(k_m) lies in the window
+    (-2^(p-1), 2^(p-1)] and 2*dden*|E| <= 2^p*(dden - 2*dnum): at delta = 0 a
+    sum on the low edge rounds away. k -> k*2^p mod n is g-to-one onto the
+    multiples of g = gcd(n, 2^p), so e/g takes consecutive values, each
+    equally often but for the two ends when p < v2(n); each of the m
+    convolution steps is one prefix-sum difference on exact ints plus those
+    two ends.
+    """
+    g = math.gcd(n, 1 << p)
+    hist = Counter((round(Fraction(k << p, n)) * n - (k << p)) // g for k in range(n))
+    lo, hi = min(hist), max(hist)
+    assert sorted(hist) == list(range(lo, hi + 1))
+    mid = hist[(lo + hi) // 2]
+    assert all(hist[v] == mid for v in range(lo + 1, hi))
+    width = hi - lo
+    counts = [1]  # counts[i]: chains so far whose sum of e/g is m_so_far*lo + i
+    for _ in range(m):
+        prefix = [0, *itertools.accumulate(counts)]
+
+        def below(i):
+            return prefix[min(max(i, 0), len(counts))]
+
+        def at(i):
+            return counts[i] if 0 <= i < len(counts) else 0
+
+        counts = [mid * (below(s + 1) - below(s - width))
+                  + (hist[lo] - mid) * at(s) + (hist[hi] - mid) * at(s - width)
+                  for s in range(len(counts) + width)]
+    return sum(c for i, c in enumerate(counts)
+               if -(1 << p) < 2 * (m * lo + i) * g
+               and 2 * dden * abs((m * lo + i) * g) <= (1 << p) * (dden - 2 * dnum))
+
+
+class TestExactRate:
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 5), Fraction(1, 3)])
+    def test_oracle_counts_every_chain(self, delta):
+        dnum, dden = _kernels.tolerance(delta)
+        for n in range(1, 13):
+            for p in range(7):
+                for m in range(1, min(3, (2 << p) - 1) + 1):
+                    chains = [k for chain in itertools.product(range(n), repeat=m) for k in chain]
+                    assert (exact_successes(n, p, m, dnum, dden)
+                            == _kernels.chain_success_count(n, p, dnum, dden, chains, m)), (n, p, m)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("argv", [["accumulate"], ["sweep", "--p-min", "2", "--p-max", "12"]],
+                             ids=["accumulate", "sweep"])
+    def test_seeded_rows_lie_near_the_exact_rate(self, argv, seed):
+        # deterministic, as the seeds are fixed: a draw layer whose bias
+        # shifts the law of e(k) moves some row beyond four standard deviations
+        args = build_parser().parse_args([*argv, "--seed", str(seed)])
+        if args.command == "accumulate":
+            rows = accumulation_experiment(args.n, args.p, range(1, args.m_max + 1),
+                                           args.trials, args.delta, seed)
+            shapes = [(args.p, row.variable) for row in rows]
+        else:
+            rows = precision_sweep(args.n, range(args.p_min, args.p_max + 1),
+                                   args.trials, args.delta, seed)
+            shapes = [(row.variable, 1) for row in rows]
+        dnum, dden = _kernels.tolerance(args.delta)
+        for row, (p, m) in zip(rows, shapes, strict=True):
+            rate = Fraction(exact_successes(args.n, p, m, dnum, dden), args.n ** m)
+            if rate == 1:
+                assert row.successes == row.trials, row
+            else:
+                z = (row.successes - row.trials * rate) / math.sqrt(row.trials * rate * (1 - rate))
+                assert abs(z) <= 4, (row, float(rate), z)
 
 
 class TestReporting:

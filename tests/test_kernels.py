@@ -298,7 +298,7 @@ def test_nearest_angle_ties_exhaustively(int64_only, monkeypatch, chunk):
     (1, 31, 5), (7, 40, (1 << 40) - 1),  # int64: n * 2^p < 2^63
     (100, 64, 1 << 63),  # exact ints: n * 2^p >= 2^63
 ])
-def test_nearest_angle_outside_domain_is_the_exact_loop(n, p, t):
+def test_nearest_angle_on_either_dtype_matches_the_oracle(n, p, t):
     # sizes that the int64 rule sends either way agree with the scalar loop
     assert _kernels.nearest_angle(t, n, p) == scan_oracle(t, n, p)
 
