@@ -64,11 +64,12 @@ def _integer(name: str, value) -> int:
     raise UsageError(f"{name} must be an int, got {type(value).__name__}")
 
 
-def _refuse_above(n: int, guard: int, what: str) -> None:
-    """OrderTooLarge "<what> refused for n=<n> > <guard>" if n > guard; a power of two reads 2^k."""
+def _refuse_above(n: int, guard: int, what: str, name: str = "n") -> None:
+    """OrderTooLarge "<what> refused for <name>=<n> > <guard>" if n > guard; a power of two
+    reads 2^k."""
     if n > guard:
         bound = f"2^{guard.bit_length() - 1}" if guard & (guard - 1) == 0 else guard
-        raise OrderTooLarge(f"{what} refused for n={n} > {bound}")
+        raise OrderTooLarge(f"{what} refused for {name}={n} > {bound}")
 
 
 def tolerance(delta) -> tuple[int, int]:

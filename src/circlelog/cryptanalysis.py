@@ -23,16 +23,26 @@ second Python thread or a start method other than fork, counts them
 in-process. Each worker draws and counts whole ranges and sends back only
 their counts, so the rows, and the CSVs written from them, are the same
 bytes either way.
+
+``exact_successes(n, p, m, delta)`` is the law those rows sample: how many
+of the n^m chains of m exponents recover, counted from the histogram of the
+rounding errors instead of drawn. It takes the experiments' inputs (p >= 1)
+and refuses, with ``OrderTooLarge``, a chain length whose sums would take
+more than ``_kernels.EXHAUSTIVE_ORDER_GUARD`` values. The tests check every
+seeded row of the default ``accumulate`` and ``sweep`` against it within
+|z| <= 4.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, TextIO
 
 from . import _kernels
@@ -411,13 +421,64 @@ def accumulation_experiment(
     exponents mod n) and numerically (sum of rounded angles mod 2^p), then
     recovers the exponent from the numeric product. Per-element rounding
     errors add up: with e(k) = t(k)*n - k*2^p, t(k) the rounded angle before
-    the mod-2^p step, a chain fails once |sum of e(k_i)| exceeds
-    (1/2 - delta)*2^p, so the worst case first fails at
-    m = floor((1/2 - delta)*2^p / max|e|) + 1 (never if n divides 2^p, where
-    e = 0). At n = 1000, p = 12, delta = 1/5, max|e| = 496 and that m is 3.
+    the mod-2^p step, a chain of m < 2^(p+1) recovers iff E, the sum of its
+    e(k_i), lies in (-2^(p-1), 2^(p-1)] and |E| <= (1/2 - delta)*2^p
+    (``exact_successes`` counts them). The worst chain repeats the k with
+    e(k) = -max|e|, so chains first fail at the least m with
+    m*max|e| > (1/2 - delta)*2^p, m = floor((1/2 - delta)*2^p / max|e|) + 1;
+    at delta = 0 a sum of exactly -2^(p-1) is a round-half-even tie that
+    rounds to the wrong exponent, so there they first fail at the least m
+    with m*max|e| >= 2^(p-1), m = ceil(2^(p-1) / max|e|). They never fail if
+    n divides 2^p, where e = 0. At n = 1000, p = 12, delta = 1/5,
+    max|e| = 496 and that m is 3.
     """
     inputs, (p,), ms = _experiment_inputs(n, (p,), trials, delta, seed, chain_lengths)
     return _rows(*inputs, [(m, p, m) for m in ms])
+
+
+def exact_successes(n: int, p: int, m: int, delta: Fraction = DEFAULT_TOLERANCE) -> int:
+    """How many of the n^m chains of m exponents in [0, n) recover intact at
+    precision p: ``_kernels.chain_success_count`` over every chain, counted
+    from the law of the angle map instead of the chains.
+
+    With e(k) = t(k)*n - k*2^p, t(k) the rounded angle before the mod-2^p
+    step, write a chain's sum E = e(k_1) + ... + e(k_m) as j*2^p + r with r in
+    (-2^(p-1), 2^(p-1)]: the chain recovers iff n divides j and
+    2*dden*|r| <= 2^p*(dden - 2*dnum). k -> k*2^p mod n is g-to-one onto the
+    multiples of g = gcd(n, 2^p), so e/g takes the N = n/g integers nearest 0,
+    g exponents each: -(N-1)/2 to (N-1)/2 for odd N, and for even N
+    (p < v2(n)) -N/2 to N/2, where the two ends share the g exponents whose
+    angle is a half-way tie, g/2 each. The histogram of E/g is that histogram
+    convolved m times, each step one prefix-sum difference on exact ints.
+
+    The inputs are checked as the experiments check them
+    (``_experiment_inputs``, so p >= 1). A call whose m-fold histogram would
+    hold more than ``_kernels.EXHAUSTIVE_ORDER_GUARD`` sums (m*(N-1) + 1 for
+    odd N, m*N + 1 for even N) is refused with ``OrderTooLarge`` before
+    anything is allocated; the time grows as m times that size.
+    """
+    (n, _, dnum, dden, _), (p,), (m,) = _experiment_inputs(n, (p,), 1, delta, 0, (m,))
+    g = math.gcd(n, 1 << p)
+    half, odd = divmod(n // g, 2)  # e/g lies in [-half, half]
+    width = 2 * half
+    _kernels._refuse_above(m * width + 1, _kernels.EXHAUSTIVE_ORDER_GUARD,
+                           f"exact count at n={n}, p={p}, m={m}", name="distinct sums")
+    end = g if odd else g // 2  # the weight of e/g = -half and of e/g = half
+    pad = [0] * width
+    counts = [1]  # counts[i]: the chains so far whose sum of e/g is i - half * their length
+    for _ in range(m):
+        padded = pad + counts + pad
+        below = [0, *accumulate(padded)]
+        counts = [g * (below[s + width + 1] - below[s])
+                  + (end - g) * (padded[s] + padded[s + width])
+                  for s in range(len(counts) + width)]
+    h = 1 << p - 1
+    successes = 0
+    for i, chains in enumerate(counts):
+        j, r = divmod(h - (i - m * half) * g, 1 << p)  # E = -j*2^p + h - r
+        if j % n == 0 and 2 * dden * abs(h - r) <= (1 << p) * (dden - 2 * dnum):
+            successes += chains
+    return successes
 
 
 def write_csv(rows: Iterable[SweepRow], stream: TextIO) -> None:

@@ -57,6 +57,7 @@ VALID = {
     "trials": 5, "trials_per_p": 5, "dnum": 1, "dden": 5, "window": 1, "principal_t": 5,
     "branch": 0, "dim": 2, "indices": (1, 2), "p_range": [3, 4], "chain_lengths": [1, 2],
     "ks_flat": [1, 2], "ks": [1, 2], "_kernels.chain_success_count.m": 1,
+    "cryptanalysis.exact_successes.m": 1,
     "params": P, "a": EXACT, "b": EXACT, "h": EXACT, "c1": EXACT, "c2": EXACT, "m": EXACT,
     "their_public": EXACT, "shared": EXACT, "q": NUMERIC, "public": NUMERIC,
     "group.mul_numeric.a": NUMERIC, "group.mul_numeric.b": NUMERIC,

@@ -10,7 +10,6 @@ import os
 import platform
 import sys
 import threading
-from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -42,6 +41,7 @@ from circlelog.cryptanalysis import (
     attack_exhaustive,
     derive_uniform,
     direct_attack_report,
+    exact_successes,
     format_report,
     precision_sweep,
     write_csv,
@@ -150,13 +150,6 @@ class TestExhaustive:
         p = make_params(1 << 25, 1, 28)
         with pytest.raises(OrderTooLarge):
             attack_exhaustive(to_numeric(element(p, 1)), p)
-
-    @pytest.mark.parametrize("public", [element(make_params(1000, 1, 12), 5), 409, None])
-    def test_public_not_numeric_refused(self, public):
-        # an ExactElement of the same group used to end in AttributeError on .t
-        name = type(public).__name__
-        with pytest.raises(UsageError, match=f"^public must be a NumericElement, got {name}$"):
-            attack_exhaustive(public, make_params(1000, 1, 12))
 
     def test_success_only_for_an_exact_preimage(self):
         # the nearest exponent's angle must be the public angle itself, as in
@@ -285,53 +278,60 @@ class TestAccumulation:
         assert all(r.success_rate == 1 for r in rows)
 
 
-def exact_successes(n, p, m, dnum, dden):
-    """How many of the n^m chains of m exponents in [0, n) recover intact, for m < 2^(p+1).
-
-    With e(k) = t(k)*n - k*2^p, t(k) the rounded angle before the mod-2^p
-    step, a chain recovers iff E = e(k_1) + ... + e(k_m) lies in the window
-    (-2^(p-1), 2^(p-1)] and 2*dden*|E| <= 2^p*(dden - 2*dnum): at delta = 0 a
-    sum on the low edge rounds away. k -> k*2^p mod n is g-to-one onto the
-    multiples of g = gcd(n, 2^p), so e/g takes consecutive values, each
-    equally often but for the two ends when p < v2(n); each of the m
-    convolution steps is one prefix-sum difference on exact ints plus those
-    two ends.
-    """
-    g = math.gcd(n, 1 << p)
-    hist = Counter((round(Fraction(k << p, n)) * n - (k << p)) // g for k in range(n))
-    lo, hi = min(hist), max(hist)
-    assert sorted(hist) == list(range(lo, hi + 1))
-    mid = hist[(lo + hi) // 2]
-    assert all(hist[v] == mid for v in range(lo + 1, hi))
-    width = hi - lo
-    counts = [1]  # counts[i]: chains so far whose sum of e/g is m_so_far*lo + i
-    for _ in range(m):
-        prefix = [0, *itertools.accumulate(counts)]
-
-        def below(i):
-            return prefix[min(max(i, 0), len(counts))]
-
-        def at(i):
-            return counts[i] if 0 <= i < len(counts) else 0
-
-        counts = [mid * (below(s + 1) - below(s - width))
-                  + (hist[lo] - mid) * at(s) + (hist[hi] - mid) * at(s - width)
-                  for s in range(len(counts) + width)]
-    return sum(c for i, c in enumerate(counts)
-               if -(1 << p) < 2 * (m * lo + i) * g
-               and 2 * dden * abs((m * lo + i) * g) <= (1 << p) * (dden - 2 * dnum))
-
-
 class TestExactRate:
-    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 5), Fraction(1, 3)])
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 5), Fraction(1, 3), Fraction(2, 5)])
     def test_oracle_counts_every_chain(self, delta):
+        # m >= 2^(p+1) included: there sums wrap by whole turns
         dnum, dden = _kernels.tolerance(delta)
         for n in range(1, 13):
-            for p in range(7):
-                for m in range(1, min(3, (2 << p) - 1) + 1):
-                    chains = [k for chain in itertools.product(range(n), repeat=m) for k in chain]
-                    assert (exact_successes(n, p, m, dnum, dden)
-                            == _kernels.chain_success_count(n, p, dnum, dden, chains, m)), (n, p, m)
+            for m in range(1, 5):
+                chains = [k for chain in itertools.product(range(n), repeat=m) for k in chain]
+                for p in range(1, 7):
+                    count = exact_successes(n, p, m, delta)
+                    assert type(count) is int  # a float count would compare equal here
+                    assert count == _kernels.chain_success_count(n, p, dnum, dden, chains, m), \
+                        (n, p, m)
+
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 5), Fraction(1, 3)])
+    def test_failure_onset_as_documented(self, delta):
+        # accumulation_experiment's rule: the least m with m*max|e| > (1/2 - delta)*2^p,
+        # or with m*max|e| >= 2^(p-1) at delta = 0, where a sum of -2^(p-1) is a tie
+        for n in range(2, 41):
+            for p in range(1, 9):
+                worst = max(abs(round(Fraction(k << p, n)) * n - (k << p)) for k in range(n))
+                if worst == 0:  # n divides 2^p
+                    assert all(exact_successes(n, p, m, delta) == n ** m for m in (1, 2, 4 << p))
+                    continue
+                if delta:
+                    onset = math.floor((Fraction(1, 2) - delta) * 2 ** p / worst) + 1
+                else:
+                    onset = -(-(1 << p - 1) // worst)
+                assert onset == 1 or exact_successes(n, p, onset - 1, delta) == n ** (onset - 1)
+                assert exact_successes(n, p, onset, delta) < n ** onset, (n, p)
+
+    def test_criterion_8_order_never_fails(self):
+        # why test_criterion_8_error_accumulation is red: 2^10 divides 2^12, so
+        # every angle is exact and every chain of every length recovers
+        assert all(exact_successes(1024, 12, m) == 1024 ** m for m in range(1, 17))
+        rates = [Fraction(exact_successes(1000, 12, m), 1000 ** m) for m in range(1, 5)]
+        assert rates == [1, 1, Fraction(388007, 390625), Fraction(47383213, 48828125)]
+
+    @pytest.mark.parametrize("n, p", [(1000, 0), (0, 12)])
+    def test_order_and_precision_are_domain_errors(self, n, p):
+        with pytest.raises(InvalidOrder):
+            exact_successes(n, p, 1)
+
+    def test_order_guard(self, monkeypatch):
+        with pytest.raises(OrderTooLarge, match="^exact count at n=2305843009213693951, p=128, "
+                                                "m=1 refused for distinct sums=2305843009213693951 "
+                                                "> 2\\^24$"):
+            exact_successes(2**61 - 1, 128, 1)
+        # n = 11, p = 4: e/g takes the 11 values -5..5, so m chains sum to 10m + 1 values
+        monkeypatch.setattr(_kernels, "EXHAUSTIVE_ORDER_GUARD", 100)
+        assert 0 < exact_successes(11, 4, 9) < 11 ** 9
+        with pytest.raises(OrderTooLarge, match="^exact count at n=11, p=4, m=10 refused for "
+                                                "distinct sums=101 > 100$"):
+            exact_successes(11, 4, 10)
 
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("argv", [["accumulate"], ["sweep", "--p-min", "2", "--p-max", "12"]],
@@ -348,9 +348,8 @@ class TestExactRate:
             rows = precision_sweep(args.n, range(args.p_min, args.p_max + 1),
                                    args.trials, args.delta, seed)
             shapes = [(row.variable, 1) for row in rows]
-        dnum, dden = _kernels.tolerance(args.delta)
         for row, (p, m) in zip(rows, shapes, strict=True):
-            rate = Fraction(exact_successes(args.n, p, m, dnum, dden), args.n ** m)
+            rate = Fraction(exact_successes(args.n, p, m, args.delta), args.n ** m)
             if rate == 1:
                 assert row.successes == row.trials, row
             else:

@@ -66,6 +66,8 @@ TESTS = {
 EQUIVALENT: dict[str, str] = {
     "cryptanalysis.py:_rows:len(window) > 4 * workers:>->>=":
         "sets only how many ranges are in flight at once, not what they count",
+    "cryptanalysis.py:exact_successes:h - (i - m * half) * g:-->+":
+        "counts the chains by -E: e/g's histogram is symmetric about 0, and so is E's",
     "protocols.py:is_prime:n < bound:<-><=":
         "differs only at n = 2^64, which is even, and at psi13, which is refused first",
     "protocols.py:is_prime:r - 1:-->+":
