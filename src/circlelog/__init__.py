@@ -9,7 +9,7 @@ every intermediate fits in int64 and exact Python ints otherwise.
 
 Importing the package loads no numpy, and neither do the protocols, which
 run on exact Python ints. numpy is imported on first use: by every batch
-kernel or exhaustive-scan call, by the draw reduction for n <= 2^32, and by
+kernel or exhaustive-scan call, by the draw reduction, and by
 ``circlelog.spectral``.
 """
 

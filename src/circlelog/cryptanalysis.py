@@ -27,10 +27,10 @@ bytes either way.
 ``exact_successes(n, p, m, delta)`` is the law those rows sample: how many
 of the n^m chains of m exponents recover, counted from the histogram of the
 rounding errors instead of drawn. It takes the experiments' inputs (p >= 1)
-and refuses, with ``OrderTooLarge``, a chain length whose sums would take
-more than ``_kernels.EXHAUSTIVE_ORDER_GUARD`` values. The tests check every
-seeded row of the default ``accumulate`` and ``sweep`` against it within
-|z| <= 4.
+and refuses, with ``OrderTooLarge``, a chain length whose work (m times the
+number of values its sums take) exceeds ``_kernels.EXHAUSTIVE_ORDER_GUARD``.
+The tests check every seeded row of the default ``accumulate`` and ``sweep``
+against it within |z| <= 4.
 """
 
 from __future__ import annotations
@@ -288,9 +288,9 @@ def _experiment_inputs(
     """Read and check an experiment's inputs before any draw or kernel sees them.
 
     A request of impossible shape (fewer than one trial, an empty precision or
-    chain-length range, m < 1, a tolerance outside [0, 1/2)) raises
-    ``UsageError``; an order or precision no group has raises ``GroupParams``'s
-    ``InvalidOrder`` for the first p out of range. Returns ``_rows``' leading
+    chain-length range, an m < 1, named by the least, a tolerance outside
+    [0, 1/2)) raises ``UsageError``; an order or precision no group has raises
+    ``GroupParams``'s ``InvalidOrder`` for the first p out of range. Returns ``_rows``' leading
     arguments (n, trials, dnum, dden, seed), the p's in the order given and the m's.
     """
     n, trials, seed = _integer("n", n), _integer("trials", trials), _integer("seed", seed)
@@ -299,8 +299,10 @@ def _experiment_inputs(
     if not p_values:
         raise UsageError("precision range is empty (p-min > p-max?)")
     ms = [_integer("m", m) for m in chain_lengths]
-    if not ms or min(ms) < 1:
+    if not ms:
         raise UsageError("chain lengths must be a non-empty range of m >= 1 (m-max < 1?)")
+    if min(ms) < 1:
+        raise UsageError(f"m must be >= 1, got {min(ms)}")
     dnum, dden = _kernels.tolerance(delta)
     for p in p_values:  # generator 1 (0 if n = 1) is primitive: only n and p can fail
         GroupParams(n, 1 if n > 1 else 0, p)
@@ -420,15 +422,14 @@ def accumulation_experiment(
     Each trial draws m random exact elements, multiplies them exactly (sum of
     exponents mod n) and numerically (sum of rounded angles mod 2^p), then
     recovers the exponent from the numeric product. Per-element rounding
-    errors add up: with e(k) = t(k)*n - k*2^p, t(k) the rounded angle before
-    the mod-2^p step, a chain of m < 2^(p+1) recovers iff E, the sum of its
-    e(k_i), lies in (-2^(p-1), 2^(p-1)] and |E| <= (1/2 - delta)*2^p
-    (``exact_successes`` counts them). The worst chain repeats the k with
-    e(k) = -max|e|, so chains first fail at the least m with
-    m*max|e| > (1/2 - delta)*2^p, m = floor((1/2 - delta)*2^p / max|e|) + 1;
-    at delta = 0 a sum of exactly -2^(p-1) is a round-half-even tie that
-    rounds to the wrong exponent, so there they first fail at the least m
-    with m*max|e| >= 2^(p-1), m = ceil(2^(p-1) / max|e|). They never fail if
+    errors add up: how many chains recover follows from E, the sum of their
+    rounding errors e(k_i), by the law ``exact_successes`` states and counts.
+    The worst chains repeat a k with |e(k)| = max|e|, so chains first fail at
+    the least m with m*max|e| > (1/2 - delta)*2^p,
+    m = floor((1/2 - delta)*2^p / max|e|) + 1; at delta = 0 a sum of
+    exactly +-2^(p-1) is a round-half-even tie and only as many tied chains
+    recover as sum to +2^(p-1), so there they first fail at the least m with
+    m*max|e| >= 2^(p-1), m = ceil(2^(p-1) / max|e|). They never fail if
     n divides 2^p, where e = 0. At n = 1000, p = 12, delta = 1/5,
     max|e| = 496 and that m is 3.
     """
@@ -443,26 +444,33 @@ def exact_successes(n: int, p: int, m: int, delta: Fraction = DEFAULT_TOLERANCE)
 
     With e(k) = t(k)*n - k*2^p, t(k) the rounded angle before the mod-2^p
     step, write a chain's sum E = e(k_1) + ... + e(k_m) as j*2^p + r with r in
-    (-2^(p-1), 2^(p-1)]: the chain recovers iff n divides j and
-    2*dden*|r| <= 2^p*(dden - 2*dnum). k -> k*2^p mod n is g-to-one onto the
-    multiples of g = gcd(n, 2^p), so e/g takes the N = n/g integers nearest 0,
-    g exponents each: -(N-1)/2 to (N-1)/2 for odd N, and for even N
-    (p < v2(n)) -N/2 to N/2, where the two ends share the g exponents whose
-    angle is a half-way tie, g/2 each. The histogram of E/g is that histogram
-    convolved m times, each step one prefix-sum difference on exact ints.
+    (-2^(p-1), 2^(p-1)]. The law is a count: as many chains recover as have
+    n | j and 2*dden*|r| <= 2^p*(dden - 2*dnum). It holds chain by chain but
+    for the round-half-even ties |r| = 2^(p-1) at delta = 0, where the parity
+    of the rounded quotient decides which tied chains recover (at n = 3,
+    p = 1 the chain (1), e = +1, fails and the chain (2), e = -1, recovers);
+    they number the tied chains with r = +2^(p-1) and n | j all the same.
+
+    k -> k*2^p mod n is g-to-one onto the multiples of g = gcd(n, 2^p), so
+    e/g takes the N = n/g integers nearest 0, g exponents each: -(N-1)/2 to
+    (N-1)/2 for odd N, and for even N (p < v2(n)) -N/2 to N/2, where the two
+    ends share the g exponents whose angle is a half-way tie, g/2 each. The
+    histogram of E/g is that histogram convolved m times, each step one
+    prefix-sum difference on exact ints.
 
     The inputs are checked as the experiments check them
-    (``_experiment_inputs``, so p >= 1). A call whose m-fold histogram would
-    hold more than ``_kernels.EXHAUSTIVE_ORDER_GUARD`` sums (m*(N-1) + 1 for
-    odd N, m*N + 1 for even N) is refused with ``OrderTooLarge`` before
-    anything is allocated; the time grows as m times that size.
+    (``_experiment_inputs``, so p >= 1). The work is m convolutions, each at
+    most the m-fold histogram's size (m*(N-1) + 1 sums for odd N, m*N + 1 for
+    even N); a call whose work, m times that size, exceeds
+    ``_kernels.EXHAUSTIVE_ORDER_GUARD`` is refused with ``OrderTooLarge``
+    before anything is allocated.
     """
     (n, _, dnum, dden, _), (p,), (m,) = _experiment_inputs(n, (p,), 1, delta, 0, (m,))
     g = math.gcd(n, 1 << p)
     half, odd = divmod(n // g, 2)  # e/g lies in [-half, half]
     width = 2 * half
-    _kernels._refuse_above(m * width + 1, _kernels.EXHAUSTIVE_ORDER_GUARD,
-                           f"exact count at n={n}, p={p}, m={m}", name="distinct sums")
+    _kernels._refuse_above(m * (m * width + 1), _kernels.EXHAUSTIVE_ORDER_GUARD,
+                           f"exact count at n={n}, p={p}, m={m}", name="work")
     end = g if odd else g // 2  # the weight of e/g = -half and of e/g = half
     pad = [0] * width
     counts = [1]  # counts[i]: the chains so far whose sum of e/g is i - half * their length

@@ -323,15 +323,46 @@ class TestExactRate:
 
     def test_order_guard(self, monkeypatch):
         with pytest.raises(OrderTooLarge, match="^exact count at n=2305843009213693951, p=128, "
-                                                "m=1 refused for distinct sums=2305843009213693951 "
+                                                "m=1 refused for work=2305843009213693951 "
                                                 "> 2\\^24$"):
             exact_successes(2**61 - 1, 128, 1)
-        # n = 11, p = 4: e/g takes the 11 values -5..5, so m chains sum to 10m + 1 values
+        # n = 11, p = 4: e/g takes the 11 values -5..5, so m chains sum to 10m + 1
+        # values and the work is m(10m + 1)
         monkeypatch.setattr(_kernels, "EXHAUSTIVE_ORDER_GUARD", 100)
-        assert 0 < exact_successes(11, 4, 9) < 11 ** 9
-        with pytest.raises(OrderTooLarge, match="^exact count at n=11, p=4, m=10 refused for "
-                                                "distinct sums=101 > 100$"):
-            exact_successes(11, 4, 10)
+        assert 0 < exact_successes(11, 4, 3) < 11 ** 3
+        with pytest.raises(OrderTooLarge, match="^exact count at n=11, p=4, m=4 refused for "
+                                                "work=164 > 100$"):
+            exact_successes(11, 4, 4)
+        # the + 1 decides here: m(10m - 1) = 87 would pass
+        monkeypatch.setattr(_kernels, "EXHAUSTIVE_ORDER_GUARD", 92)
+        with pytest.raises(OrderTooLarge, match="^exact count at n=11, p=4, m=3 refused for "
+                                                "work=93 > 92$"):
+            exact_successes(11, 4, 3)
+
+    def test_guard_bounds_the_work_at_n_10007(self, monkeypatch):
+        # width 10006: m = 40 is 40 * 400241 = 16009640 <= 2^24 and counts (a 3-s count,
+        # stopped here once admitted); m = 41 is 41 * 410247 = 16820127
+        refuse = _kernels._refuse_above
+
+        class Admitted(Exception):
+            pass
+
+        def refuse_or_stop(work, *args, **kwargs):
+            refuse(work, *args, **kwargs)
+            raise Admitted(work)
+
+        monkeypatch.setattr(_kernels, "_refuse_above", refuse_or_stop)
+        with pytest.raises(Admitted, match="^16009640$"):
+            exact_successes(10007, 14, 40)
+        with pytest.raises(OrderTooLarge, match="m=41 refused for work=16820127 > 2\\^24$"):
+            exact_successes(10007, 14, 41)
+
+    def test_ties_hold_as_a_count(self):
+        # n = 3, p = 1, delta = 0: e(1) = +1 and e(2) = -1 are both ties, yet the
+        # first fails and the second recovers; the count takes the +1 tie
+        assert _kernels.chain_success_count(3, 1, 0, 1, [1], 1) == 0
+        assert _kernels.chain_success_count(3, 1, 0, 1, [2], 1) == 1
+        assert exact_successes(3, 1, 1, 0) == 2
 
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("argv", [["accumulate"], ["sweep", "--p-min", "2", "--p-max", "12"]],
@@ -618,6 +649,18 @@ class TestInputValidation:
     ])
     def test_request_shape_is_usage_error(self, call):
         with pytest.raises(UsageError):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: exact_successes(10, 4, 0), "m must be >= 1, got 0"),
+        (lambda: accumulation_experiment(1000, 12, [0, 1], 5), "m must be >= 1, got 0"),
+        (lambda: accumulation_experiment(1000, 12, [3, -2, 0], 5), "m must be >= 1, got -2"),
+        (lambda: accumulation_experiment(1000, 12, [], 5),
+         r"chain lengths must be a non-empty range of m >= 1 \(m-max < 1\?\)"),
+    ], ids=["exact_successes", "accumulation", "least", "empty"])
+    def test_chain_length_refused_by_its_own_name(self, call, message):
+        # the empty-range text names a CLI flag, which a direct call does not have
+        with pytest.raises(UsageError, match=f"^{message}$"):
             call()
 
     @pytest.mark.parametrize("call", [

@@ -519,40 +519,6 @@ class TestMessageAndSignatureTypes:
         with pytest.raises(UsageError, match=rf"^sig must be a Signature, got {kind}$"):
             verify(key.public, b"abc", sig)
 
-class TestProtocolArgumentTypes:
-    """A key, group or ciphertext of the wrong type is refused by name, before any draw."""
-
-    # (id, call given a valid key and a scripted rng, message); each ended in AttributeError
-    CASES = [
-        ("KeyPair", lambda key, rng: KeyPair("x", 5), "params must be a GroupParams, got str"),
-        ("keygen", lambda key, rng: keygen("x", rng), "params must be a GroupParams, got str"),
-        ("sign", lambda key, rng: sign("k", b"m", rng), "sk must be a KeyPair, got str"),
-        ("sign-public", lambda key, rng: sign(key.public, b"m", rng),
-         "sk must be a KeyPair, got PublicKey"),
-        ("verify", lambda key, rng: verify("k", b"m", Signature(1, 1)),
-         "pk must be a PublicKey or KeyPair, got str"),
-        ("elgamal_encrypt", lambda key, rng: elgamal_encrypt("pk", key.h, rng),
-         "pk must be a PublicKey or KeyPair, got str"),
-        ("elgamal_decrypt", lambda key, rng: elgamal_decrypt(key, "ct"),
-         "ct must be a Ciphertext, got str"),
-        ("dh_shared", lambda key, rng: dh_shared("own", key.h), "own must be a KeyPair, got str"),
-        ("dh_public", lambda key, rng: protocols.dh_public("k"),
-         "keypair must be a KeyPair, got str"),
-        ("encode_message", lambda key, rng: encode_message(b"a", "x"),
-         "params must be a GroupParams, got str"),
-        ("decode_message", lambda key, rng: decode_message(5), "m must be an ExactElement, got int"),
-        ("generator_power", lambda key, rng: protocols.generator_power("x", 3),
-         "params must be a GroupParams, got str"),
-    ]
-
-    @pytest.mark.parametrize("call, message", [case[1:] for case in CASES],
-                             ids=[case[0] for case in CASES])
-    def test_wrong_type_refused_before_drawing(self, call, message):
-        rng = FixedRandom([9])
-        with pytest.raises(UsageError, match=f"^{message}$"):
-            call(KeyPair(make_params(101, 2, 16), 7), rng)
-        assert rng.values == [9]
-
 
 def test_is_prime_reference_values():
     assert is_prime(2) and is_prime(101) and is_prime(10007) and is_prime(MERSENNE61)
